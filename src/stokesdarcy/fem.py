@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .linalg import Factorization, factorize
-from .mesh import StructuredMesh
+from .mesh import StructuredMesh, nested_dissection_order
 
 #: Order in which boundary sides are processed; later entries win when a
 #: node belongs to two sides, so exterior corners default to the
@@ -281,10 +281,12 @@ KIND_INTERFACE = 2
 class SaddleSystem:
     """Assembled velocity-pressure system with constraint bookkeeping.
 
-    Degrees of freedom are laid out field-major: ``u_x`` at ``node``,
+    Degrees of freedom are stored field-major: ``u_x`` at ``node``,
     ``u_y`` at ``n + node``, ``p`` at ``2 n + node`` with ``n`` the node
     count, plus one trailing Lagrange-multiplier unknown when a zero
-    pressure mean is enforced.
+    pressure mean is enforced.  The factorization of the interior block
+    is node-major instead: it eliminates the unknowns in
+    :attr:`factor_order`, node by node in nested-dissection order.
 
     Attributes
     ----------
@@ -348,23 +350,6 @@ class SaddleSystem:
     def n_interface(self) -> int:
         return self.interface_dofs.size
 
-    # -- block views (velocity-velocity, velocity-pressure, ...) --------
-
-    @property
-    def block_a(self) -> sp.csr_matrix:
-        n = self.n_nodes
-        return self.matrix[: 2 * n, : 2 * n]
-
-    @property
-    def block_b(self) -> sp.csr_matrix:
-        n = self.n_nodes
-        return self.matrix[: 2 * n, 2 * n : 3 * n]
-
-    @property
-    def block_c(self) -> sp.csr_matrix:
-        n = self.n_nodes
-        return self.matrix[2 * n : 3 * n, 2 * n : 3 * n]
-
     # -- constrained system ---------------------------------------------
 
     @cached_property
@@ -405,8 +390,25 @@ class SaddleSystem:
         return f
 
     @cached_property
+    def factor_order(self) -> np.ndarray:
+        """Node-major elimination order of the interior unknowns.
+
+        Nodes follow :func:`~stokesdarcy.mesh.nested_dissection_order`;
+        each node contributes its interior ``u_x``, ``u_y`` and ``p`` in
+        that order, and the pressure-mean multiplier comes last.  Entries
+        are positions in the interior vector.
+        """
+        n = self.n_nodes
+        nodes = nested_dissection_order(self.mesh.nnx, self.mesh.nny, self.mesh.order)
+        dofs = (nodes[:, None] + n * np.arange(3)).ravel()
+        if self.has_multiplier:
+            dofs = np.append(dofs, 3 * n)
+        pos = self._interior_position[dofs]
+        return pos[pos >= 0]
+
+    @cached_property
     def factor(self) -> Factorization:
-        return factorize(self.interior_matrix)
+        return factorize(self.interior_matrix, self.factor_order)
 
     def release_factor(self) -> None:
         """Drop the cached factorization to free its fill-in memory."""

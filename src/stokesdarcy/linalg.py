@@ -1,16 +1,24 @@
 """Sparse direct factorization and a BiCGStab Krylov driver.
 
 Subdomain solves reuse one LU factorization across many right-hand
-sides, so the direct path wraps SuperLU.  The interface system of the
-coupled solver is nonsymmetric and only available through
-matrix-vector applications, which is what the BiCGStab implementation
-here targets: it keeps a residual history, distinguishes breakdown from
-slow convergence, and restarts once from the current iterate before
-giving up.
+sides, so the direct path wraps SuperLU.  A factorization either keeps
+a given symmetric elimination order (the node-by-node nested-dissection
+order of a :class:`~stokesdarcy.fem.SaddleSystem`), checked by the
+backward error of one solve with a warned fallback to COLAMD, or uses
+COLAMD directly; it records its ``ordering`` and ``backward_error``.
+
+The interface system of the coupled solver is nonsymmetric and only
+available through matrix-vector applications, which is what the
+BiCGStab implementation here targets: it keeps a residual history,
+distinguishes breakdown from slow convergence, and restarts once from
+the current iterate before giving up.  Its breakdown tests are
+relative to the right-hand side, so they do not depend on the unit
+scale of the data.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +53,11 @@ class KrylovConfig:
             raise ValueError(f"maxiter must be at least 1, got {self.maxiter}")
 
 
+#: Largest normwise backward error accepted from a factor computed in a
+#: given order; above it the matrix is refactored with COLAMD.
+BACKWARD_ERROR_BOUND = 1e-12
+
+
 class Factorization:
     """LU factorization of a sparse matrix with cached triangular solves.
 
@@ -52,36 +65,99 @@ class Factorization:
     ----------
     matrix : sparse matrix
         Square system matrix; converted to CSC for the factorization.
+    order : ndarray of int, optional
+        Symmetric elimination order, a permutation of ``range(n)``.
+        Without it SuperLU orders the columns by COLAMD with partial
+        pivoting.
+
+    Attributes
+    ----------
+    ordering : str
+        ``"nested-dissection"`` if the given order was used, otherwise
+        ``"colamd"``.
+    backward_error : float
+        Normwise backward error ``|b - A x| / (|A| |x| + |b|)`` (infinity
+        norms) of the solve of ``A x = b`` with ``b = A 1``.
+
+    Notes
+    -----
+    A given order is factored as ``A[p][:, p]`` with a diagonal pivot
+    threshold of 0.01, so the order is mostly kept.  Such weak pivoting
+    is checked by one solve: if its backward error exceeds
+    :data:`BACKWARD_ERROR_BOUND`, the matrix is refactored with COLAMD
+    and partial pivoting and a :class:`RuntimeWarning` is issued.
     """
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, order=None):
         matrix = sp.csc_matrix(matrix)
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"matrix must be square, got {matrix.shape}")
         self.shape = matrix.shape
         self.nnz = matrix.nnz
+        if order is not None:
+            order = np.asarray(order)
+            if not np.array_equal(np.sort(order), np.arange(self.shape[0])):
+                raise ValueError("order must be a permutation of the unknowns")
+            self._perm = order
+            self._lu = spla.splu(
+                matrix[order][:, order],
+                permc_spec="NATURAL",
+                diag_pivot_thresh=0.01,
+                options={"SymmetricMode": True},
+            )
+            self.ordering = "nested-dissection"
+            self.backward_error = self._check(matrix)
+            if self.backward_error <= BACKWARD_ERROR_BOUND:
+                return
+            warnings.warn(
+                f"backward error {self.backward_error:.2e} of the "
+                f"nested-dissection factor exceeds {BACKWARD_ERROR_BOUND:.0e}; "
+                "refactoring with COLAMD",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        self._perm = None
         self._lu = spla.splu(matrix)
+        self.ordering = "colamd"
+        self.backward_error = self._check(matrix)
+
+    def _solve(self, b: np.ndarray) -> np.ndarray:
+        if self._perm is None:
+            return self._lu.solve(b)
+        x = np.empty_like(b)
+        x[self._perm] = self._lu.solve(b[self._perm])
+        return x
+
+    def _check(self, matrix) -> float:
+        b = matrix @ np.ones(self.shape[0])
+        x = self._solve(b)
+        norm_a = abs(matrix).sum(axis=1).max()
+        scale = norm_a * np.abs(x).max() + np.abs(b).max()
+        return float(np.abs(b - matrix @ x).max() / scale)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``A x = b`` for one right-hand side."""
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.shape[0]:
             raise ValueError(f"rhs length {b.shape[0]} != {self.shape[0]}")
-        return self._lu.solve(b)
+        return self._solve(b)
 
 
-def factorize(matrix) -> Factorization:
+def factorize(matrix, order=None) -> Factorization:
     """Factorize a sparse square matrix for repeated solves.
 
     Parameters
     ----------
     matrix : sparse matrix
         Square, nonsingular system matrix.
+    order : ndarray of int, optional
+        Symmetric elimination order; see :class:`Factorization`.
 
     Returns
     -------
     Factorization
-        Object exposing ``solve(b)``.
+        Object exposing ``solve(b)``, ``ordering`` and
+        ``backward_error``.
 
     Raises
     ------
@@ -89,7 +165,7 @@ def factorize(matrix) -> Factorization:
         If the matrix is numerically singular.
     """
     try:
-        return Factorization(matrix)
+        return Factorization(matrix, order)
     except RuntimeError as exc:
         raise RuntimeError(f"sparse factorization failed: {exc}") from exc
 
@@ -104,7 +180,8 @@ def read_matrix_market(path):
     return sp.csr_matrix(scipy.io.mmread(str(path)))
 
 
-#: Magnitude below which an inner product counts as a breakdown.
+#: Magnitude, relative to the squared right-hand-side norm, below which
+#: an inner product counts as a breakdown.
 _BREAKDOWN_EPS = 1e-30
 
 
@@ -143,10 +220,12 @@ def bicgstab(
 
     Notes
     -----
-    Breakdown (a vanishing ``rho`` or shadow inner product) is reported
-    separately from slow convergence.  On the first breakdown the
-    iteration restarts from the current iterate with a deterministic
-    perturbed shadow residual; a second breakdown aborts.  Convergence
+    Breakdown (a vanishing ``rho``, shadow inner product or stabilizing
+    ``omega``) is reported separately from slow convergence.  Every
+    breakdown test compares an inner product with ``|b|**2``, so scaling
+    ``b`` scales the iterates and changes no decision.  On the first
+    breakdown the iteration restarts from the current iterate with a
+    deterministic perturbed shadow residual; a second breakdown aborts.  Convergence
     is only declared if the recomputed true residual satisfies ten times
     the requested tolerance, which guards against drift in the recursion.
     """
@@ -173,19 +252,25 @@ def bicgstab(
     reason = "maxiter"
     converged = False
 
-    rho_old = 1.0
-    alpha = 1.0
-    omega = 1.0
-    v = np.zeros(n)
-    p = np.zeros(n)
+    eps = _BREAKDOWN_EPS * bnorm * bnorm
+    rho_old = alpha = omega = 1.0
     fresh = True  # no Krylov history yet (start or just restarted)
 
     it = 0
     while it < config.maxiter:
         rho = float(r_hat @ r)
-        if abs(rho) < _BREAKDOWN_EPS * bnorm * bnorm or (
-            not fresh and abs(omega) < _BREAKDOWN_EPS
-        ):
+        broken = abs(rho) < eps or (not fresh and omega == 0.0)
+        if not broken:
+            if fresh:
+                p = r.copy()
+                fresh = False
+            else:
+                beta = (rho / rho_old) * (alpha / omega)
+                p = r + beta * (p - omega * v)
+            v = apply_op(p)
+            denom = float(r_hat @ v)
+            broken = abs(denom) < eps
+        if broken:
             breakdowns += 1
             if breakdowns > 1:
                 reason = "breakdown"
@@ -194,29 +279,6 @@ def bicgstab(
             # residual so the new Krylov space is not orthogonal to r.
             r = b - apply_op(x)
             r_hat = r + np.linalg.norm(r) * 1e-2 * rng.standard_normal(n)
-            rho_old, alpha, omega = 1.0, 1.0, 1.0
-            v[:] = 0.0
-            p[:] = 0.0
-            fresh = True
-            continue
-        if fresh:
-            p = r.copy()
-            fresh = False
-        else:
-            beta = (rho / rho_old) * (alpha / omega)
-            p = r + beta * (p - omega * v)
-        v = apply_op(p)
-        denom = float(r_hat @ v)
-        if abs(denom) < _BREAKDOWN_EPS * bnorm * bnorm:
-            breakdowns += 1
-            if breakdowns > 1:
-                reason = "breakdown"
-                break
-            r = b - apply_op(x)
-            r_hat = r + np.linalg.norm(r) * 1e-2 * rng.standard_normal(n)
-            rho_old, alpha, omega = 1.0, 1.0, 1.0
-            v[:] = 0.0
-            p[:] = 0.0
             fresh = True
             continue
         alpha = rho / denom
@@ -233,10 +295,9 @@ def bicgstab(
             break
         t = apply_op(s)
         tt = float(t @ t)
-        if tt < _BREAKDOWN_EPS:
-            omega = 0.0
-        else:
-            omega = float(t @ s) / tt
+        ts = float(t @ s)
+        # omega = 0 is a stagnation breakdown, caught at the next pass.
+        omega = ts / tt if tt >= eps and abs(ts) >= eps else 0.0
         x = x + alpha * p + omega * s
         r = s - omega * t
         rho_old = rho

@@ -560,6 +560,74 @@ def extract_interface_nodes(mesh: StructuredMesh, y: float) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
+# Fill-reducing node order
+# ----------------------------------------------------------------------
+
+#: Lattice blocks with no side longer than this many nodes are not split
+#: further.  Must be at least 3 so that every split block has a vertex
+#: line strictly inside it.
+ND_LEAF_SIZE = 8
+
+
+def nested_dissection_order(nnx: int, nny: int, order: int = 1) -> np.ndarray:
+    """Nested-dissection elimination order of an ``nnx x nny`` node lattice.
+
+    Each block of the lattice is split across its longer side on its
+    middle node line, recursively, and every separator line is placed
+    after both halves it separates (George, SIAM J. Numer. Anal. 10(2),
+    1973).  For ``order == 2`` separators lie on even, i.e. vertex,
+    lines only: a Q2 element couples the three node lines it spans, so
+    a line through element midpoints does not decouple the two halves.
+    Blocks with no side longer than :data:`ND_LEAF_SIZE` nodes keep
+    lexicographic order.
+
+    Parameters
+    ----------
+    nnx, nny : int
+        Lattice size in nodes; node ids are ``j * nnx + i``.
+    order : int
+        Polynomial order of the lattice (1 or 2).
+
+    Returns
+    -------
+    ndarray of int
+        Node ids in elimination order, a permutation of
+        ``range(nnx * nny)``.
+    """
+    if nnx < 1 or nny < 1:
+        raise ValueError(f"lattice must be non-empty, got {nnx} x {nny}")
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order}")
+    pieces = []
+
+    def block(i0, i1, j0, j1):
+        return (np.arange(j0, j1)[:, None] * nnx + np.arange(i0, i1)).ravel()
+
+    def middle_line(lo, hi):
+        # Middle of [lo, hi) rounded down to the order's line grid; for
+        # hi - lo > ND_LEAF_SIZE it stays strictly inside (lo, hi - 1).
+        mid = (lo + hi - 1) // 2
+        return mid - mid % order
+
+    def dissect(i0, i1, j0, j1):
+        if max(i1 - i0, j1 - j0) <= ND_LEAF_SIZE:
+            pieces.append(block(i0, i1, j0, j1))
+        elif i1 - i0 >= j1 - j0:
+            m = middle_line(i0, i1)
+            dissect(i0, m, j0, j1)
+            dissect(m + 1, i1, j0, j1)
+            pieces.append(block(m, m + 1, j0, j1))
+        else:
+            m = middle_line(j0, j1)
+            dissect(i0, i1, j0, m)
+            dissect(i0, i1, m + 1, j1)
+            pieces.append(block(i0, i1, m, m + 1))
+
+    dissect(0, nnx, 0, nny)
+    return np.concatenate(pieces)
+
+
+# ----------------------------------------------------------------------
 # Graded line generators
 # ----------------------------------------------------------------------
 

@@ -162,6 +162,38 @@ class TestIcddCommand:
         assert manifest["iterations"]["interface"] == len(res_rows) - 1
 
 
+STUDY_DISCRETIZATION = """\
+[discretization]
+order = 1
+hx = 0.125
+dns_cells = 10
+dns_order = 1
+cell_resolution = 10
+"""
+
+VALIDATE_INI = (
+    "[case]\npreset = 1\nconfiguration = C1\n\n[study]\nells = 0.25 0.125\n\n"
+    + STUDY_DISCRETIZATION
+)
+
+SWEEP_INI = "[case]\npreset = 1\nconfiguration = C2\nell = 0.25\n\n" + STUDY_DISCRETIZATION
+
+
+@pytest.mark.parametrize(
+    ("command", "ini"), [("validate", VALIDATE_INI), ("sweep", SWEEP_INI)]
+)
+def test_outputs_independent_of_thread_count(tmp_path, command, ini):
+    config_path = write_config(tmp_path, ini)
+    outs = [tmp_path / "t1", tmp_path / "t2"]
+    for threads, out in zip((1, 2), outs):
+        argv = [command, "--config", str(config_path), "--out", str(out)]
+        assert main(argv + ["--threads", str(threads)]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 class TestFailureModes:
     def test_unknown_key_exits_2_without_outputs(self, tmp_path, capsys):
         config_path = write_config(tmp_path, CELL_INI + "\n[case2]\nz = 1\n")

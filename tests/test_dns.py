@@ -11,6 +11,7 @@ from stokesdarcy.dns import (
     solve_dns,
     trivial_extension,
 )
+from stokesdarcy.linalg import factorize
 from stokesdarcy.mesh import StructuredMesh, build_perforated_mesh
 from stokesdarcy.presets import PRESETS
 
@@ -80,6 +81,18 @@ class TestSolution:
         assert len(rows) == active
         assert {r[5] for r in rows} == {"dns"}
 
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_nested_dissection_factor_matches_colamd(order):
+    preset = PRESETS[1]
+    system = solve_dns(
+        preset, preset.lattice(0.25, 0.6), DnsResolution(n_per_cell=10, order=order)
+    ).system
+    factor = system.factor
+    assert factor.ordering == "nested-dissection"
+    b = np.random.default_rng(order).standard_normal(factor.shape[0])
+    x_ref = factorize(system.interior_matrix).solve(b)
+    assert np.abs(factor.solve(b) - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
 
 class TestTrivialExtension:
     def test_zero_inside_obstacles_match_outside(self, solution):

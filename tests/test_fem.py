@@ -21,8 +21,10 @@ from stokesdarcy.fem import (
 from stokesdarcy.mesh import (
     ObstacleLattice,
     RectDomain,
+    StructuredMesh,
     build_perforated_mesh,
     build_rect_mesh,
+    nested_dissection_order,
 )
 
 MU = 0.7
@@ -292,3 +294,38 @@ class TestSolveDecomposition:
         g = rng.standard_normal(len(system.interface_dofs))
         x = system.solve(g)
         np.testing.assert_allclose(x[system.interface_dofs], g, atol=1e-12)
+
+
+class TestFactorOrder:
+    @given(
+        nex=st.integers(1, 14),
+        ney=st.integers(1, 14),
+        order=st.sampled_from([1, 2]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_node_major_bijection_with_multiplier_last(self, nex, ney, order):
+        mesh = StructuredMesh(
+            np.linspace(0.0, 1.0, nex + 1), np.linspace(0.0, 2.0, ney + 1), order
+        )
+        bc = BoundarySpec(
+            {
+                side: BoundaryCondition("velocity", exact_velocity)
+                for side in ("left", "right", "top")
+            }
+        )
+        system = assemble_stokes(
+            mesh, FemConfig(order=order), MU, bc=bc,
+            interface=InterfaceSpec("bottom", "velocity"),
+            null_mean_pressure=True,
+        )
+        perm = system.factor_order
+        np.testing.assert_array_equal(
+            np.sort(perm), np.arange(system.interior_dofs.size)
+        )
+        dofs = system.interior_dofs[perm]
+        n = system.n_nodes
+        assert dofs[-1] == 3 * n
+        rank = np.empty(n, dtype=int)
+        rank[nested_dissection_order(mesh.nnx, mesh.nny, order)] = np.arange(n)
+        key = 3 * rank[dofs[:-1] % n] + dofs[:-1] // n
+        assert np.all(np.diff(key) > 0), "not node by node, u_x, u_y, p"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -19,7 +21,7 @@ from stokesdarcy.icdd import (
     schur_rhs,
     schur_solve,
 )
-from stokesdarcy.linalg import KrylovConfig
+from stokesdarcy.linalg import KrylovConfig, factorize
 from stokesdarcy.presets import PRESETS
 
 #: Coarse, fast instance used throughout this module.
@@ -30,6 +32,18 @@ COARSE = dict(delta=0.036, hx=0.1)
 def problem():
     physics = IcddPhysics(preset=PRESETS[1], permeability=7.231e-6)
     return assemble_problem(FemConfig(order=1), IcddGeometry(**COARSE), physics)
+
+
+def scaled(problem, lam):
+    """Copy of ``problem`` with every load and boundary datum times ``lam``."""
+    out = copy.copy(problem)
+    for name in ("stokes", "darcy"):
+        system = copy.copy(getattr(problem, name))
+        system.rhs = lam * system.rhs
+        system.dirichlet_values = lam * system.dirichlet_values
+        system.__dict__.pop("interior_rhs", None)
+        setattr(out, name, system)
+    return out
 
 
 def dense_schur(problem):
@@ -111,6 +125,17 @@ class TestProblemStructure:
         np.testing.assert_array_equal(np.concatenate([g_f, g_p]), g)
 
 
+class TestSubdomainFactors:
+    @pytest.mark.parametrize("name", ["stokes", "darcy"])
+    def test_nested_dissection_matches_colamd(self, problem, name):
+        system = getattr(problem, name)
+        factor = system.factor
+        assert factor.ordering == "nested-dissection"
+        b = np.random.default_rng(0).standard_normal(factor.shape[0])
+        x_ref = factorize(system.interior_matrix).solve(b)
+        assert np.abs(factor.solve(b) - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+
+
 class TestSchurOperator:
     def test_linear_in_controls(self, problem):
         rng = np.random.default_rng(1)
@@ -155,6 +180,16 @@ class TestInterfaceSolve:
         b = schur_rhs(problem)
         res = np.linalg.norm(schur_apply(problem, g) - b)
         assert res <= 1e-9 * np.linalg.norm(b)
+
+    @given(exponent=st.floats(-12.0, 6.0))
+    @settings(max_examples=15, deadline=None)
+    def test_invariant_under_data_scale(self, problem, exponent):
+        lam = 10.0**exponent
+        g_ref, info_ref = schur_solve(problem)
+        g, info = schur_solve(scaled(problem, lam))
+        assert np.linalg.norm(g - lam * g_ref) <= 1e-10 * lam * np.linalg.norm(g_ref)
+        assert info["iterations"] == info_ref["iterations"]
+        assert info["breakdowns"] == info_ref["breakdowns"]
 
     def test_failure_reported(self, problem):
         with pytest.raises(RuntimeError, match="interface solver"):

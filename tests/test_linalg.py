@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stokesdarcy import linalg
 from stokesdarcy.linalg import (
     KrylovConfig,
     Factorization,
@@ -63,6 +64,21 @@ class TestFactorization:
         a = sp.csr_matrix(np.zeros((4, 4)))
         with pytest.raises((RuntimeError, ValueError)):
             factorize(a).solve(np.ones(4))
+
+
+class TestOrderedFactorization:
+    def test_fallback_to_colamd_warns(self, monkeypatch):
+        monkeypatch.setattr(linalg, "BACKWARD_ERROR_BOUND", 0.0)
+        a, b = _random_system(30, 5)
+        with pytest.warns(RuntimeWarning, match="COLAMD"):
+            factor = factorize(sp.csr_matrix(a), order=np.arange(30)[::-1])
+        assert factor.ordering == "colamd"
+        np.testing.assert_allclose(factor.solve(b), np.linalg.solve(a, b), rtol=1e-9)
+
+    def test_order_must_be_permutation(self):
+        a, _ = _random_system(5, 1)
+        with pytest.raises(ValueError, match="permutation"):
+            factorize(sp.csr_matrix(a), order=np.array([0, 1, 2, 3, 3]))
 
 
 class TestBicgstab:

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stokesdarcy.mesh import (
+    ND_LEAF_SIZE,
     ObstacleLattice,
     RectDomain,
     StructuredMesh,
@@ -15,6 +16,7 @@ from stokesdarcy.mesh import (
     build_rect_mesh,
     extract_interface_nodes,
     graded_lines,
+    nested_dissection_order,
     overlap_line_set,
 )
 
@@ -248,3 +250,45 @@ class TestOverlapLineSet:
     def test_bad_ordering_raises(self):
         with pytest.raises(ValueError):
             overlap_line_set(-0.5, 1.0, 0.6, 0.01, h_max=0.2)
+
+
+def check_dissection(nodes, nnx, order, i0, i1, j0, j1):
+    """Assert that ``nodes`` orders the block ``[i0, i1) x [j0, j1)`` by
+    nested dissection: halves first, then their separator line."""
+    if max(i1 - i0, j1 - j0) <= ND_LEAF_SIZE:
+        block = (np.arange(j0, j1)[:, None] * nnx + np.arange(i0, i1)).ravel()
+        np.testing.assert_array_equal(nodes, block)
+        return
+    split_x = i1 - i0 >= j1 - j0
+    lo, hi = (i0, i1) if split_x else (j0, j1)
+    line = (j1 - j0) if split_x else (i1 - i0)
+    coord = nodes % nnx if split_x else nodes // nnx
+    m = coord[-1]
+    assert np.all(coord[-line:] == m) and lo < m < hi - 1
+    assert m % order == 0, "Q2 separators must lie on vertex lines"
+    n_low = (m - lo) * line
+    assert np.all(coord[:n_low] < m) and np.all(coord[n_low:-line] > m)
+    low, high = (lo, m), (m + 1, hi)
+    for (a, b), part in ((low, nodes[:n_low]), (high, nodes[n_low:-line])):
+        if split_x:
+            check_dissection(part, nnx, order, a, b, j0, j1)
+        else:
+            check_dissection(part, nnx, order, i0, i1, a, b)
+
+
+class TestNestedDissection:
+    @given(
+        nnx=st.integers(1, 70),
+        nny=st.integers(1, 70),
+        order=st.sampled_from([1, 2]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_permutation_with_separators_last(self, nnx, nny, order):
+        nodes = nested_dissection_order(nnx, nny, order)
+        np.testing.assert_array_equal(np.sort(nodes), np.arange(nnx * nny))
+        check_dissection(nodes, nnx, order, 0, nnx, 0, nny)
+
+    @pytest.mark.parametrize(("nnx", "nny", "order"), [(0, 3, 1), (3, 3, 3)])
+    def test_bad_arguments_raise(self, nnx, nny, order):
+        with pytest.raises(ValueError):
+            nested_dissection_order(nnx, nny, order)
