@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import FemConfig, Field, assemble_stokes, divergence_l2
+from .fem import FemConfig, Field, assemble_stokes, divergence_l2, nodal_rows
 from .mesh import ObstacleLattice, StructuredMesh, graded_lines
 from .mesh import build_perforated_mesh
 from .presets import TestCasePreset
@@ -144,23 +144,8 @@ class DnsSolution:
 
         Solid (inactive) nodes are skipped; the domain tag is ``"dns"``.
         """
-        mesh = self.mesh
-        n = mesh.n_nodes
-        coords = mesh.node_coords
-        rows = []
-        for i in np.flatnonzero(mesh.node_active):
-            rows.append(
-                (
-                    coords[i, 0],
-                    coords[i, 1],
-                    self.x[i],
-                    self.x[i + n],
-                    self.x[i + 2 * n],
-                    "dns",
-                )
-            )
-        rows.sort(key=lambda r: (r[1], r[0]))
-        return rows
+        nodes = np.flatnonzero(self.mesh.node_active)
+        return nodal_rows([(self.system, self.x, nodes, "dns")])
 
 
 def solve_dns(

@@ -171,7 +171,17 @@ def basis_2d(order: int, ref: np.ndarray) -> np.ndarray:
 
 
 class _RefData:
-    """Quadrature points and basis tables on the reference square."""
+    """Quadrature points, basis tables and element integrals on the
+    reference square.
+
+    The reference matrices ``R[a, b] = int u_a v_b`` over ``[-1, 1]^2``
+    are named ``<u>_<v>`` with ``N`` the basis, ``dxi``/``deta`` its
+    first and ``dxi2``/``deta2`` its second derivatives.  Each is the
+    Kronecker product of two 1-D Gauss-integrated matrices (y factor
+    first, matching the y-major local order).  The Gauss points are
+    symmetric about 0 and each 1-D sum is formed term by term, so a 1-D
+    integral that is odd under ``t -> -t`` is an exact zero.
+    """
 
     def __init__(self, order: int, n_quad: int):
         pts, wts = np.polynomial.legendre.leggauss(n_quad)
@@ -179,8 +189,8 @@ class _RefData:
         self.ref = np.column_stack([XI.ravel(), ETA.ravel()])
         WX, WY = np.meshgrid(wts, wts, indexing="ij")
         self.weights = (WX * WY).ravel()
-        Nx, dNx, d2Nx = basis_1d(order, self.ref[:, 0])
-        Ny, dNy, d2Ny = basis_1d(order, self.ref[:, 1])
+        Nx, dNx, _ = basis_1d(order, self.ref[:, 0])
+        Ny, dNy, _ = basis_1d(order, self.ref[:, 1])
 
         def tensor(fx, fy):
             return (fy[:, :, None] * fx[:, None, :]).reshape(self.ref.shape[0], -1)
@@ -188,11 +198,31 @@ class _RefData:
         self.N = tensor(Nx, Ny)
         self.dN_dxi = tensor(dNx, Ny)
         self.dN_deta = tensor(Nx, dNy)
-        self.d2N_dxi2 = tensor(d2Nx, Ny)
-        self.d2N_deta2 = tensor(Nx, d2Ny)
         self.pts_1d = pts
         self.wts_1d = wts
         self.nloc = self.N.shape[1]
+
+        n1, d1, dd1 = basis_1d(order, pts)
+
+        def integral(u, v):
+            return (u[:, :, None] * v[:, None, :] * wts[:, None, None]).sum(axis=0)
+
+        mass = integral(n1, n1)
+        n_d = integral(n1, d1)
+        d_d = integral(d1, d1)
+        n_dd = integral(n1, dd1)
+        d_dd = integral(d1, dd1)
+        self.N_N = np.kron(mass, mass)
+        self.N_dxi = np.kron(mass, n_d)
+        self.N_deta = np.kron(n_d, mass)
+        self.dxi_N = np.kron(mass, n_d.T)
+        self.deta_N = np.kron(n_d.T, mass)
+        self.dxi_dxi = np.kron(mass, d_d)
+        self.deta_deta = np.kron(d_d, mass)
+        self.dxi_dxi2 = np.kron(mass, d_dd)
+        self.dxi_deta2 = np.kron(n_dd, n_d.T)
+        self.deta_dxi2 = np.kron(n_d.T, n_dd)
+        self.deta_deta2 = np.kron(d_dd, mass)
 
 
 _REF_CACHE: dict[tuple[int, int], _RefData] = {}
@@ -469,6 +499,32 @@ class SaddleSystem:
         return float(self.mass_scalar @ solution[2 * n : 3 * n])
 
 
+def nodal_rows(parts) -> list[tuple]:
+    """Nodal samples ``(x, y, u1, u2, p, tag)`` sorted by y, then x.
+
+    Parameters
+    ----------
+    parts : iterable of (SaddleSystem, ndarray, ndarray, str)
+        System, its full solution vector, the nodes to sample and the
+        tag of their rows.  Rows at equal ``(y, x)`` keep the order in
+        which ``parts`` and their nodes list them.
+
+    Returns
+    -------
+    list of tuple
+        Values as Python floats, tag last.
+    """
+    tables, tags = [], []
+    for system, solution, nodes, tag in parts:
+        fields = solution[: 3 * system.n_nodes].reshape(3, -1)[:, nodes].T
+        tables.append(np.column_stack([system.mesh.node_coords[nodes], fields]))
+        tags += [tag] * nodes.size
+    table = np.concatenate(tables)
+    order = np.lexsort((table[:, 0], table[:, 1]))
+    tags = [tags[i] for i in order.tolist()]
+    return list(zip(*table[order].T.tolist(), tags))
+
+
 # ----------------------------------------------------------------------
 # Element integral kernels
 # ----------------------------------------------------------------------
@@ -496,7 +552,7 @@ def _as_scalar_callable(f):
 
 
 class _ElementBatch:
-    """Per-quadrature-point geometry for all active elements."""
+    """Geometry of all active elements (axis-aligned rectangles)."""
 
     def __init__(self, mesh: StructuredMesh, order: int):
         self.mesh = mesh
@@ -512,14 +568,17 @@ class _ElementBatch:
         ey = self.elems // mesh.nex
         self.x0 = mesh.xs[ex]
         self.y0 = mesh.ys[ey]
-        self.nodes = mesh.element_nodes[self.elems]
+        # 32-bit node ids, as the sparse matrices built from them use.
+        self.nodes = mesh.element_nodes[self.elems].astype(np.int32)
         self.nloc = self.ref.nloc
 
-    def qp_coords(self, q: int) -> tuple[np.ndarray, np.ndarray]:
-        xi, eta = self.ref.ref[q]
-        return self.x0 + 0.5 * (xi + 1.0) * self.hx, self.y0 + 0.5 * (
-            eta + 1.0
-        ) * self.hy
+    def qp_coords(self) -> tuple[np.ndarray, np.ndarray]:
+        """Physical coordinates of every quadrature point, ``(ne, nq)``."""
+        xi, eta = self.ref.ref.T
+        return (
+            self.x0[:, None] + 0.5 * (xi + 1.0) * self.hx[:, None],
+            self.y0[:, None] + 0.5 * (eta + 1.0) * self.hy[:, None],
+        )
 
     def grads(self, q: int) -> tuple[np.ndarray, np.ndarray]:
         """Physical basis gradients at one point, shape ``(ne, nloc)``."""
@@ -527,11 +586,62 @@ class _ElementBatch:
         dy = self.ref.dN_deta[q][None, :] * self.gy[:, None]
         return dx, dy
 
-    def laplacian(self, q: int) -> np.ndarray:
-        return (
-            self.ref.d2N_dxi2[q][None, :] * self.gx[:, None] ** 2
-            + self.ref.d2N_deta2[q][None, :] * self.gy[:, None] ** 2
+    def moments(self, values: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """``sum_q w_q values[e, q] table[q, a]`` on the reference square.
+
+        ``values`` holds one value per element and quadrature point,
+        ``table`` one basis table (``ref.N``, ``ref.dN_dxi``, ...); the
+        result has shape ``(ne, nloc)``.
+        """
+        return (values * self.ref.weights) @ table
+
+    def node_sums(self, local: np.ndarray) -> np.ndarray:
+        """Sum element vectors ``(ne, nloc)`` into nodal values."""
+        return np.bincount(
+            self.nodes.ravel(), local.ravel(), minlength=self.mesh.n_nodes
         )
+
+    def mass(self) -> np.ndarray:
+        """Integrals of the scalar basis functions, ``(n_nodes,)``."""
+        return self.node_sums(self.detj[:, None] * (self.ref.weights @ self.ref.N))
+
+    def scatter(self, local: np.ndarray, paired: bool = False) -> sp.csr_matrix:
+        """Sum element matrices ``(ne, nloc, nloc)`` into a node-by-node CSR.
+
+        With ``paired`` the elements of even and of odd columns are summed
+        apart and the two sums added last.  An entry then sums at most two
+        contributions per class (elements above and below each other), so
+        neighbour contributions that cancel in pairs, as first-derivative
+        couplings do across a shared line, give an exact zero whatever
+        order the sparse conversion sums in.
+        """
+        n, nloc = self.mesh.n_nodes, self.nloc
+        groups = [slice(None)]
+        if paired:
+            column = self.elems % self.mesh.nex
+            groups = [column % 2 == 0, column % 2 == 1]
+        out = None
+        for group in groups:
+            nodes = self.nodes[group]
+            rows = np.repeat(nodes, nloc, axis=1).ravel()
+            cols = np.tile(nodes, (1, nloc)).ravel()
+            m = sp.coo_matrix(
+                (local[group].ravel(), (rows, cols)), shape=(n, n)
+            ).tocsr()
+            out = m if out is None else out + m
+        return out
+
+
+def _scaled(scale: np.ndarray, ref_matrix: np.ndarray) -> np.ndarray:
+    """Element matrices ``scale[e] * ref_matrix``, shape ``(ne, nloc, nloc)``."""
+    return scale[:, None, None] * ref_matrix
+
+
+def _scaled_sum(s1, r1, s2, r2) -> np.ndarray:
+    """Element matrices ``s1[e] * r1 + s2[e] * r2``, summed in place."""
+    out = _scaled(s1, r1)
+    out += _scaled(s2, r2)
+    return out
 
 
 def divergence_l2(field: Field) -> float:
@@ -560,28 +670,15 @@ def divergence_l2(field: Field) -> float:
     return float(np.sqrt(total))
 
 
-def _scatter_blocks(n_dofs: int, batch: _ElementBatch, blocks) -> sp.csr_matrix:
-    """Assemble ``(row_offset_map, col_offset_map, local)`` blocks to CSR.
-
-    ``blocks`` is an iterable of ``(row_dofs, col_dofs, local)`` with
-    ``row_dofs``/``col_dofs`` of shape ``(ne, nloc)`` and ``local`` of
-    shape ``(ne, nloc, nloc)``.
-    """
-    mats = []
-    nloc = batch.nloc
-    for row_dofs, col_dofs, local in blocks:
-        rows = np.repeat(row_dofs, nloc, axis=1).ravel()
-        cols = np.tile(col_dofs, (1, nloc)).ravel()
-        mats.append(
-            sp.coo_matrix(
-                (local.ravel(), (rows, cols)), shape=(n_dofs, n_dofs)
-            ).tocsr()
-        )
-        del rows, cols
-    out = mats[0]
-    for m in mats[1:]:
-        out = out + m
-    return out
+def _block_grid(grid, sizes) -> sp.csr_matrix:
+    """Stack a grid of sparse blocks (``None`` for empty) into one CSR."""
+    blocks = [
+        [sp.csr_matrix((r, c)) if b is None else b for b, c in zip(row, sizes)]
+        for row, r in zip(grid, sizes)
+    ]
+    matrix = sp.bmat(blocks, format="csr")
+    matrix.eliminate_zeros()
+    return matrix
 
 
 # ----------------------------------------------------------------------
@@ -606,6 +703,11 @@ def assemble_stokes(
     (d_d q) = 0`` where ``tau_d = gamma h_d^2 / mu`` per element and
     direction.  Essential data enter through exterior Dirichlet nodes
     and, optionally, through interface control unknowns.
+
+    Element matrices are reference-square matrices scaled by per-element
+    factors of ``hx``, ``hy``, ``mu`` and ``gamma``, which is exact for the
+    axis-aligned rectangles of a :class:`StructuredMesh`; loads come from
+    one evaluation of ``f`` at every quadrature point of every element.
 
     Parameters
     ----------
@@ -637,100 +739,62 @@ def assemble_stokes(
     batch = _ElementBatch(mesh, order)
     ref = batch.ref
     n = mesh.n_nodes
-    nloc = batch.nloc
-    ne = batch.elems.size
-    f_call = _as_vector_callable(f)
-
-    ks = np.zeros((ne, nloc, nloc))
-    b1 = np.zeros((ne, nloc, nloc))
-    b2 = np.zeros((ne, nloc, nloc))
-    cpp = np.zeros((ne, nloc, nloc))
-    lx = np.zeros((ne, nloc, nloc)) if order == 2 else None
-    ly = np.zeros((ne, nloc, nloc)) if order == 2 else None
-    f_ux = np.zeros((ne, nloc))
-    f_uy = np.zeros((ne, nloc))
-    f_p = np.zeros((ne, nloc))
-    mass = np.zeros((ne, nloc))
-
+    hx, hy = batch.hx, batch.hy
     gamma = config.gamma_stab
-    tau_x = gamma * batch.hx**2 / mu
-    tau_y = gamma * batch.hy**2 / mu
 
-    for q in range(ref.ref.shape[0]):
-        w = ref.weights[q] * batch.detj
-        N = ref.N[q]
-        dx, dy = batch.grads(q)
-        ks += w[:, None, None] * (
-            dx[:, :, None] * dx[:, None, :] + dy[:, :, None] * dy[:, None, :]
-        )
-        # b1[a, b] = integral phi_b d_x phi_a  (pressure column b).
-        b1 += w[:, None, None] * (dx[:, :, None] * N[None, None, :])
-        b2 += w[:, None, None] * (dy[:, :, None] * N[None, None, :])
-        cpp += w[:, None, None] * (
-            tau_x[:, None, None] * dx[:, :, None] * dx[:, None, :]
-            + tau_y[:, None, None] * dy[:, :, None] * dy[:, None, :]
-        )
-        if order == 2:
-            lap = batch.laplacian(q)
-            lx += w[:, None, None] * (
-                tau_x[:, None, None] * dx[:, :, None] * lap[:, None, :]
-            )
-            ly += w[:, None, None] * (
-                tau_y[:, None, None] * dy[:, :, None] * lap[:, None, :]
-            )
-        xq, yq = batch.qp_coords(q)
-        fx, fy = f_call(xq, yq)
-        f_ux += (w * fx)[:, None] * N[None, :]
-        f_uy += (w * fy)[:, None] * N[None, :]
-        f_p -= (w * fx * tau_x)[:, None] * dx + (w * fy * tau_y)[:, None] * dy
-        mass += w[:, None] * N[None, :]
-
-    n_dofs = 3 * n + (1 if null_mean_pressure else 0)
-    ux = batch.nodes
-    uy = batch.nodes + n
-    pp = batch.nodes + 2 * n
-    ks *= mu
-    b1 *= -1.0
-    b2 *= -1.0
-    cpp *= -1.0
-    blocks = [
-        (ux, ux, ks),
-        (uy, uy, ks),
-        (ux, pp, b1),
-        (uy, pp, b2),
-        (pp, ux, np.swapaxes(b1, 1, 2)),
-        (pp, uy, np.swapaxes(b2, 1, 2)),
-        (pp, pp, cpp),
-    ]
+    # Scales of the reference matrices: detj gx^2 = hy / hx, detj gx =
+    # hy / 2, and tau_x detj gx^2 = gamma hx hy / mu (x and y alike).
+    ks = _scaled_sum(mu * hy / hx, ref.dxi_dxi, mu * hx / hy, ref.deta_deta)
+    b1 = _scaled(-0.5 * hy, ref.dxi_N)
+    b2 = _scaled(-0.5 * hx, ref.deta_N)
+    cpp = _scaled(-gamma * hx * hy / mu, ref.dxi_dxi + ref.deta_deta)
+    # Pressure rows: -(q, div u) plus, for order 2, the viscous part
+    # mu tau_d (d_d q, lap u) of the stabilization residual.
+    px = _scaled(-0.5 * hy, ref.N_dxi)
+    py = _scaled(-0.5 * hx, ref.N_deta)
     if order == 2:
-        lx *= mu
-        ly *= mu
-        blocks.append((pp, ux, lx))
-        blocks.append((pp, uy, ly))
-    matrix = _scatter_blocks(n_dofs, batch, blocks)
-    del blocks, ks, b1, b2, cpp, lx, ly
+        px += _scaled_sum(
+            2 * gamma * hy, ref.dxi_dxi2, 2 * gamma * hx**2 / hy, ref.dxi_deta2
+        )
+        py += _scaled_sum(
+            2 * gamma * hy**2 / hx, ref.deta_dxi2, 2 * gamma * hx, ref.deta_deta2
+        )
 
-    rhs = np.zeros(n_dofs)
-    np.add.at(rhs, ux.ravel(), f_ux.ravel())
-    np.add.at(rhs, uy.ravel(), f_uy.ravel())
-    np.add.at(rhs, pp.ravel(), f_p.ravel())
-    mass_scalar = np.zeros(n)
-    np.add.at(mass_scalar, batch.nodes.ravel(), mass.ravel())
+    k_uu = batch.scatter(ks)
+    grid = [
+        [k_uu, None, batch.scatter(b1, paired=True)],
+        [None, k_uu, batch.scatter(b2, paired=True)],
+        [
+            batch.scatter(px, paired=True),
+            batch.scatter(py, paired=True),
+            batch.scatter(cpp),
+        ],
+    ]
+    del ks, b1, b2, cpp, px, py
 
+    fx, fy = _as_vector_callable(f)(*batch.qp_coords())
+    detj = batch.detj[:, None]
+    f_p = (-gamma / (2 * mu) * hx**2 * hy)[:, None] * batch.moments(fx, ref.dN_dxi)
+    f_p -= (gamma / (2 * mu) * hy**2 * hx)[:, None] * batch.moments(fy, ref.dN_deta)
+    rhs = np.concatenate(
+        [
+            batch.node_sums(detj * batch.moments(fx, ref.N)),
+            batch.node_sums(detj * batch.moments(fy, ref.N)),
+            batch.node_sums(f_p),
+        ]
+    )
+    mass_scalar = batch.mass()
+    sizes = [n, n, n]
     if null_mean_pressure:
-        rows = np.full(n, 3 * n)
-        cols = np.arange(2 * n, 3 * n)
-        border = sp.coo_matrix(
-            (
-                np.concatenate([mass_scalar, mass_scalar]),
-                (
-                    np.concatenate([rows, cols]),
-                    np.concatenate([cols, rows]),
-                ),
-            ),
-            shape=(n_dofs, n_dofs),
-        ).tocsr()
-        matrix = matrix + border
+        border = sp.csr_matrix(mass_scalar[None, :])
+        grid[0].append(None)
+        grid[1].append(None)
+        grid[2].append(border.T.tocsr())
+        grid.append([None, None, border, None])
+        sizes.append(1)
+        rhs = np.append(rhs, 0.0)
+    matrix = _block_grid(grid, sizes)
+    n_dofs = matrix.shape[0]
 
     _add_stress_loads(mesh, order, bc, rhs, n)
     kind, values, iface_dofs, iface_nodes = _classify_dofs(
@@ -908,6 +972,12 @@ def assemble_darcy(
     the equal-order pair stable and keeps the full mixed solution vector
     available to the coupling layer.
 
+    Element matrices are reference-square matrices scaled by per-element
+    factors of ``hx``, ``hy`` and ``K / mu``, which is exact for the
+    axis-aligned rectangles of a :class:`StructuredMesh`; loads come from
+    one evaluation of ``f`` and ``source`` at every quadrature point of
+    every element.
+
     Parameters
     ----------
     mesh : StructuredMesh
@@ -942,63 +1012,42 @@ def assemble_darcy(
     batch = _ElementBatch(mesh, order)
     ref = batch.ref
     n = mesh.n_nodes
-    nloc = batch.nloc
-    ne = batch.elems.size
-    f_call = _as_vector_callable(f)
-    s_call = _as_scalar_callable(source)
+    hx, hy = batch.hx, batch.hy
     kovermu = permeability / mu
 
-    mm = np.zeros((ne, nloc, nloc))
-    g1 = np.zeros((ne, nloc, nloc))
-    g2 = np.zeros((ne, nloc, nloc))
-    kp = np.zeros((ne, nloc, nloc))
-    f_ux = np.zeros((ne, nloc))
-    f_uy = np.zeros((ne, nloc))
-    f_p = np.zeros((ne, nloc))
-    mass = np.zeros((ne, nloc))
+    # Scales of the reference matrices: detj gx^2 = hy / hx, detj gx =
+    # hy / 2 (and alike in y).
+    mm = _scaled(batch.detj / kovermu, ref.N_N)
+    g1 = _scaled(0.5 * hy, ref.N_dxi)
+    g2 = _scaled(0.5 * hx, ref.N_deta)
+    kp = _scaled_sum(kovermu * hy / hx, ref.dxi_dxi, kovermu * hx / hy, ref.deta_deta)
 
-    for q in range(ref.ref.shape[0]):
-        w = ref.weights[q] * batch.detj
-        N = ref.N[q]
-        dx, dy = batch.grads(q)
-        mm += w[:, None, None] * (N[None, :, None] * N[None, None, :])
-        # g1[a, b] = integral phi_a d_x phi_b  (pressure column b).
-        g1 += w[:, None, None] * (N[None, :, None] * dx[:, None, :])
-        g2 += w[:, None, None] * (N[None, :, None] * dy[:, None, :])
-        kp += w[:, None, None] * (
-            dx[:, :, None] * dx[:, None, :] + dy[:, :, None] * dy[:, None, :]
-        )
-        xq, yq = batch.qp_coords(q)
-        fx, fy = f_call(xq, yq)
-        sq = s_call(xq, yq)
-        f_ux += (w * fx)[:, None] * N[None, :]
-        f_uy += (w * fy)[:, None] * N[None, :]
-        f_p += (w * sq)[:, None] * N[None, :]
-        f_p += (w * fx * kovermu)[:, None] * dx + (w * fy * kovermu)[:, None] * dy
-        mass += w[:, None] * N[None, :]
+    m_uu = batch.scatter(mm)
+    matrix = _block_grid(
+        [
+            [m_uu, None, batch.scatter(g1, paired=True)],
+            [None, m_uu, batch.scatter(g2, paired=True)],
+            [None, None, batch.scatter(kp)],
+        ],
+        [n, n, n],
+    )
+    del mm, g1, g2, kp
 
+    xq, yq = batch.qp_coords()
+    fx, fy = _as_vector_callable(f)(xq, yq)
+    detj = batch.detj[:, None]
+    f_p = detj * batch.moments(_as_scalar_callable(source)(xq, yq), ref.N)
+    f_p += (0.5 * kovermu * hy)[:, None] * batch.moments(fx, ref.dN_dxi)
+    f_p += (0.5 * kovermu * hx)[:, None] * batch.moments(fy, ref.dN_deta)
+    rhs = np.concatenate(
+        [
+            batch.node_sums(detj * batch.moments(fx, ref.N)),
+            batch.node_sums(detj * batch.moments(fy, ref.N)),
+            batch.node_sums(f_p),
+        ]
+    )
+    mass_scalar = batch.mass()
     n_dofs = 3 * n
-    ux = batch.nodes
-    uy = batch.nodes + n
-    pp = batch.nodes + 2 * n
-    mm *= mu / permeability
-    kp *= kovermu
-    blocks = [
-        (ux, ux, mm),
-        (uy, uy, mm),
-        (ux, pp, g1),
-        (uy, pp, g2),
-        (pp, pp, kp),
-    ]
-    matrix = _scatter_blocks(n_dofs, batch, blocks)
-    del blocks, mm, g1, g2, kp
-
-    rhs = np.zeros(n_dofs)
-    np.add.at(rhs, ux.ravel(), f_ux.ravel())
-    np.add.at(rhs, uy.ravel(), f_uy.ravel())
-    np.add.at(rhs, pp.ravel(), f_p.ravel())
-    mass_scalar = np.zeros(n)
-    np.add.at(mass_scalar, batch.nodes.ravel(), mass.ravel())
 
     kind, values, iface_dofs, iface_nodes = _classify_dofs(
         mesh, bc, interface, n_dofs

@@ -25,7 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import FemConfig, Field, InterfaceSpec, SaddleSystem, assemble_darcy, assemble_stokes
+from .fem import (
+    FemConfig,
+    Field,
+    InterfaceSpec,
+    SaddleSystem,
+    assemble_darcy,
+    assemble_stokes,
+    nodal_rows,
+)
 from .linalg import KrylovConfig, bicgstab, factorize
 from .mesh import StructuredMesh, overlap_line_set
 from .presets import POROUS_DEPTH, TestCasePreset
@@ -343,38 +351,14 @@ class CompositeSolution:
             nodes and the porous nodes strictly below the overlap,
             sorted by y then x.
         """
-        rows = []
-        sm = self.stokes.mesh
-        n = self.stokes.n_nodes
-        coords = sm.node_coords
-        for i in range(n):
-            rows.append(
-                (
-                    coords[i, 0],
-                    coords[i, 1],
-                    self.x_stokes[i],
-                    self.x_stokes[i + n],
-                    self.x_stokes[i + 2 * n],
-                    "stokes",
-                )
-            )
-        dm = self.darcy.mesh
-        nd = self.darcy.n_nodes
-        dcoords = dm.node_coords
-        below = dcoords[:, 1] < -self.delta - 1e-12
-        for i in np.flatnonzero(below):
-            rows.append(
-                (
-                    dcoords[i, 0],
-                    dcoords[i, 1],
-                    self.x_darcy[i],
-                    self.x_darcy[i + nd],
-                    self.x_darcy[i + 2 * nd],
-                    "darcy",
-                )
-            )
-        rows.sort(key=lambda r: (r[1], r[0]))
-        return rows
+        dcoords = self.darcy.mesh.node_coords
+        below = np.flatnonzero(dcoords[:, 1] < -self.delta - 1e-12)
+        return nodal_rows(
+            [
+                (self.stokes, self.x_stokes, np.arange(self.stokes.n_nodes), "stokes"),
+                (self.darcy, self.x_darcy, below, "darcy"),
+            ]
+        )
 
 
 @dataclass

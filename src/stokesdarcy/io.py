@@ -8,6 +8,7 @@ bytes.  Manifests are JSON with sorted keys and no timestamps.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -30,8 +31,22 @@ def format_value(value) -> str:
     return str(value)
 
 
+def _fill(row_template: str, n_rows: int, values) -> str:
+    """Render ``n_rows`` lines of a printf row template with one ``%``."""
+    return "\n".join([row_template] * n_rows) % tuple(values)
+
+
+def _is_float_column(cells) -> bool:
+    return all(
+        issubclass(t, (float, np.floating)) for t in set(map(type, cells))
+    )
+
+
 def write_csv(path, header, rows) -> None:
     """Write a CSV table with a header row and fixed number formatting.
+
+    Cells render as :func:`format_value` renders them.  A column whose
+    cells are all floats is formatted in one pass over the table.
 
     Parameters
     ----------
@@ -40,12 +55,30 @@ def write_csv(path, header, rows) -> None:
     header : sequence of str
         Column names.
     rows : iterable of sequences
-        Row values; floats are formatted with nine significant digits.
+        Row values, as many per row as there are columns; floats are
+        formatted with nine significant digits.
+
+    Raises
+    ------
+    ValueError
+        If a row does not have one value per column.
     """
     path = Path(path)
     lines = [",".join(str(h) for h in header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
+    rows = list(rows)
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError(f"every row needs {len(header)} values")
+    if rows:
+        templates, columns = [], []
+        for cells in zip(*rows):
+            if _is_float_column(cells):
+                templates.append(FLOAT_FORMAT)
+                columns.append(cells)
+            else:
+                templates.append("%s")
+                columns.append(list(map(format_value, cells)))
+        values = itertools.chain.from_iterable(zip(*columns))
+        lines.append(_fill(",".join(templates), len(rows), values))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -102,13 +135,12 @@ def write_vtk(path, mesh: StructuredMesh, point_data: dict, title: str) -> None:
         values = np.asarray(values, dtype=float)
         if values.ndim == 2:
             out.append(f"VECTORS {name} double")
-            for row in values:
-                out.append(f"{fmt % row[0]} {fmt % row[1]} {fmt % 0.0}")
+            row = f"{fmt} {fmt} {fmt % 0.0}"
+            out.append(_fill(row, len(values), values[:, :2].ravel().tolist()))
         else:
             out.append(f"SCALARS {name} double")
             out.append("LOOKUP_TABLE default")
-            for v in values:
-                out.append(fmt % v)
+            out.append(_fill(fmt, len(values), values.tolist()))
     if not np.all(mesh.active):
         k = mesh.order
         grid = mesh.active.reshape(mesh.ney, mesh.nex)
@@ -116,7 +148,7 @@ def write_vtk(path, mesh: StructuredMesh, point_data: dict, title: str) -> None:
         out.append(f"CELL_DATA {lattice.size}")
         out.append("SCALARS active int")
         out.append("LOOKUP_TABLE default")
-        out.extend(str(int(v)) for v in lattice.ravel())
+        out.append(_fill("%d", lattice.size, lattice.ravel().tolist()))
     path.write_text("\n".join(out) + "\n")
 
 

@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -172,11 +171,15 @@ def factorize(matrix, order=None) -> Factorization:
 
 def export_matrix_market(matrix, path) -> None:
     """Write a sparse matrix in MatrixMarket coordinate format."""
+    import scipy.io
+
     scipy.io.mmwrite(str(path), sp.coo_matrix(matrix))
 
 
 def read_matrix_market(path):
     """Read a MatrixMarket file back as CSR."""
+    import scipy.io
+
     return sp.csr_matrix(scipy.io.mmread(str(path)))
 
 

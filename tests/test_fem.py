@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from stokesdarcy.fem import (
     assemble_stokes,
     basis_1d,
     divergence_l2,
+    nodal_rows,
 )
 from stokesdarcy.mesh import (
     ObstacleLattice,
@@ -329,3 +331,238 @@ class TestFactorOrder:
         rank[nested_dissection_order(mesh.nnx, mesh.nny, order)] = np.arange(n)
         key = 3 * rank[dofs[:-1] % n] + dofs[:-1] // n
         assert np.all(np.diff(key) > 0), "not node by node, u_x, u_y, p"
+
+
+# ----------------------------------------------------------------------
+# Reference-matrix kernels against a per-quadrature-point oracle
+# ----------------------------------------------------------------------
+
+
+def oracle_assembly(mesh, mu, f, permeability=None, source=None, multiplier=False):
+    """Stokes (``permeability is None``) or Darcy matrix, load vector and
+    basis integrals, summed quadrature point by quadrature point.
+
+    This is the assembly the reference-matrix kernels replaced, kept as
+    the independent check of their matrices and loads.
+    """
+    order, gamma = mesh.order, FemConfig().gamma_stab
+    pts, wts = np.polynomial.legendre.leggauss(order + 1)
+    elems = np.flatnonzero(mesh.active)
+    hx, hy = (h[elems] for h in mesh.element_sizes())
+    x0, y0 = mesh.xs[elems % mesh.nex], mesh.ys[elems // mesh.nex]
+    nodes = mesh.element_nodes[elems]
+    n, (ne, nloc) = mesh.n_nodes, nodes.shape
+    uu, up_x, up_y, pu_x, pu_y, pp = (np.zeros((ne, nloc, nloc)) for _ in range(6))
+    load = np.zeros((3, ne, nloc))
+    mass = np.zeros((ne, nloc))
+    tau_x = (gamma * hx**2 / mu)[:, None, None]
+    tau_y = (gamma * hy**2 / mu)[:, None, None]
+
+    def outer(a, b):
+        return a[:, :, None] * b[:, None, :]
+
+    for xi, wx in zip(pts, wts):
+        for eta, wy in zip(pts, wts):
+            Nx, dNx, d2Nx = (v[0] for v in basis_1d(order, [xi]))
+            Ny, dNy, d2Ny = (v[0] for v in basis_1d(order, [eta]))
+            N = np.broadcast_to(np.outer(Ny, Nx).ravel(), (ne, nloc))
+            dx = np.outer(Ny, dNx).ravel() * (2 / hx)[:, None]
+            dy = np.outer(dNy, Nx).ravel() * (2 / hy)[:, None]
+            lap = (
+                np.outer(Ny, d2Nx).ravel() * (2 / hx)[:, None] ** 2
+                + np.outer(d2Ny, Nx).ravel() * (2 / hy)[:, None] ** 2
+            )
+            w = (wx * wy * hx * hy / 4)[:, None]
+            xq, yq = x0 + (xi + 1) / 2 * hx, y0 + (eta + 1) / 2 * hy
+            fx, fy = np.broadcast_arrays(*f(xq, yq), xq)[:2]
+            if permeability is None:
+                uu += w[:, :, None] * mu * (outer(dx, dx) + outer(dy, dy))
+                up_x -= w[:, :, None] * outer(dx, N)
+                up_y -= w[:, :, None] * outer(dy, N)
+                pu_x += w[:, :, None] * (mu * tau_x * outer(dx, lap) - outer(N, dx))
+                pu_y += w[:, :, None] * (mu * tau_y * outer(dy, lap) - outer(N, dy))
+                pp -= w[:, :, None] * (
+                    tau_x * outer(dx, dx) + tau_y * outer(dy, dy)
+                )
+                load[2] -= w * (tau_x[:, 0] * fx[:, None] * dx + tau_y[:, 0] * fy[:, None] * dy)
+            else:
+                k = permeability / mu
+                uu += w[:, :, None] / k * outer(N, N)
+                up_x += w[:, :, None] * outer(N, dx)
+                up_y += w[:, :, None] * outer(N, dy)
+                pp += w[:, :, None] * k * (outer(dx, dx) + outer(dy, dy))
+                s = np.broadcast_to(source(xq, yq), xq.shape)
+                load[2] += w * (s[:, None] * N + k * (fx[:, None] * dx + fy[:, None] * dy))
+            load[0] += w * fx[:, None] * N
+            load[1] += w * fy[:, None] * N
+            mass += w * N
+    ux, uy, p = nodes, nodes + n, nodes + 2 * n
+    rows, cols, vals = [], [], []
+    for r, c, m in [
+        (ux, ux, uu), (uy, uy, uu), (ux, p, up_x), (uy, p, up_y),
+        (p, ux, pu_x), (p, uy, pu_y), (p, p, pp),
+    ]:
+        rows.append(np.repeat(r, nloc, axis=1).ravel())
+        cols.append(np.tile(c, (1, nloc)).ravel())
+        vals.append(m.ravel())
+    mass_scalar = np.bincount(nodes.ravel(), mass.ravel(), minlength=n)
+    if multiplier:
+        rows += [np.full(n, 3 * n), np.arange(2 * n, 3 * n)]
+        cols += [np.arange(2 * n, 3 * n), np.full(n, 3 * n)]
+        vals += [mass_scalar, mass_scalar]
+    n_dofs = 3 * n + int(multiplier)
+    matrix = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_dofs, n_dofs),
+    ).tocsr()
+    rhs = np.bincount(
+        np.concatenate([ux.ravel(), uy.ravel(), p.ravel()]), load.ravel(),
+        minlength=n_dofs,
+    )
+    return matrix, rhs, mass_scalar
+
+
+def kernel_case(mesh, mu, a, b, permeability=None, multiplier=False):
+    """Assembled system and oracle for one mesh with Stokes or Darcy data."""
+
+    def force(x, y):
+        return 1.0 + a * np.sin(x + y), b * np.cos(x * y) - 0.5
+
+    def source(x, y):
+        return np.exp(-x) * y + 0.25
+
+    config = FemConfig(order=mesh.order)
+    if permeability is not None:
+        system = assemble_darcy(mesh, config, mu, permeability, f=force, source=source)
+    else:
+        system = assemble_stokes(mesh, config, mu, f=force, null_mean_pressure=multiplier)
+    return system, oracle_assembly(mesh, mu, force, permeability, source, multiplier)
+
+
+@st.composite
+def drawn_cases(draw):
+    """Graded, perforated, anisotropic meshes from hypothesis values."""
+    order = draw(st.sampled_from([1, 2]))
+    nex, ney = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    steps = st.floats(0.05, 1.0)
+    aspect = draw(st.floats(1e-2, 1e2))
+    xs = np.cumsum([0.0] + draw(st.lists(steps, min_size=nex, max_size=nex)))
+    ys = aspect * np.cumsum([0.0] + draw(st.lists(steps, min_size=ney, max_size=ney)))
+    active = np.array(draw(st.lists(st.booleans(), min_size=nex * ney, max_size=nex * ney)))
+    active[draw(st.integers(0, nex * ney - 1))] = True
+    mesh = StructuredMesh(xs, ys, order, active)
+    darcy = draw(st.booleans())
+    return kernel_case(
+        mesh,
+        draw(st.floats(1e-3, 10.0)),
+        draw(st.floats(-2.0, 2.0)),
+        draw(st.floats(-2.0, 2.0)),
+        permeability=draw(st.floats(1e-6, 1.0)) if darcy else None,
+        multiplier=not darcy and draw(st.booleans()),
+    )
+
+
+def generic_case(seed):
+    """A mesh whose exactly vanishing integrals all vanish by symmetry.
+
+    Sizes come from a random generator, so no aspect ratio or size ratio
+    takes one of the special values at which a coupling vanishes by
+    accident (a square element, ``hy = 2 hx``, ...); where both kernels
+    can only store that coupling at roundoff size.  One direction is
+    often uniform with a power-of-two step, so equal neighbours are equal
+    in floating point too.
+    """
+    rng = np.random.default_rng(seed)
+    order, nex, ney = rng.integers(1, 3), rng.integers(1, 7), rng.integers(1, 7)
+
+    def lines(n, uniform):
+        if uniform:
+            return np.arange(n + 1) * 2.0 ** -rng.integers(0, 4)
+        return np.cumsum(np.r_[0.0, rng.uniform(0.05, 1.0, n)]) * 10 ** rng.uniform(-1.5, 1.5)
+
+    uniform = rng.integers(0, 3)
+    xs, ys = lines(nex, uniform == 1), lines(ney, uniform == 2)
+    active = rng.random(nex * ney) < 0.7
+    active[rng.integers(nex * ney)] = True
+    darcy = rng.random() < 0.5
+    return kernel_case(
+        StructuredMesh(xs, ys, int(order), active),
+        10 ** rng.uniform(-3, 1),
+        *rng.uniform(-2, 2, 2),
+        permeability=10 ** rng.uniform(-6, 0) if darcy else None,
+        multiplier=not darcy and rng.random() < 0.5,
+    )
+
+
+def relative_gap(new, ref) -> float:
+    return float(abs(new - ref).max()) / float(abs(ref).max())
+
+
+def count_significant(matrix, n_nodes) -> int:
+    """Entries at least 1e-14 times the largest entry of their field
+    block; Darcy blocks differ in scale by up to ``(mu / K)**2``."""
+    coo = matrix.tocoo()
+    block = np.minimum(coo.row // n_nodes, 3) * 4 + np.minimum(coo.col // n_nodes, 3)
+    largest = np.zeros(16)
+    np.maximum.at(largest, block, abs(coo.data))
+    return int((abs(coo.data) >= 1e-14 * largest[block]).sum())
+
+
+class TestReferenceKernels:
+    @given(case=drawn_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_point_oracle(self, case):
+        system, (matrix, rhs, mass_scalar) = case
+        assert system.matrix.shape == matrix.shape
+        assert relative_gap(system.matrix, matrix) <= 1e-13
+        assert relative_gap(system.rhs, rhs) <= 1e-13
+        assert relative_gap(system.mass_scalar, mass_scalar) <= 1e-13
+        assert system.matrix.nnz <= matrix.nnz
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_no_roundoff_couplings(self, seed):
+        """Couplings that vanish by symmetry are not stored.
+
+        The oracle stores roundoff-sized values where contributions of
+        neighbouring elements cancel (first-derivative couplings across
+        a shared line); the kernels may store no more entries than the
+        oracle has above roundoff size.
+        """
+        system, (matrix, _, _) = generic_case(seed)
+        assert relative_gap(system.matrix, matrix) <= 1e-13
+        assert system.matrix.nnz <= count_significant(matrix, system.n_nodes)
+
+
+def reference_rows(parts):
+    """Per-node loop and key sort that :func:`nodal_rows` replaced."""
+    rows = []
+    for system, x, nodes, tag in parts:
+        n = system.n_nodes
+        coords = system.mesh.node_coords
+        for i in nodes:
+            rows.append(
+                (coords[i, 0], coords[i, 1], x[i], x[i + n], x[i + 2 * n], tag)
+            )
+    rows.sort(key=lambda r: (r[1], r[0]))
+    return rows
+
+
+@given(
+    nex=st.integers(1, 5),
+    ney=st.integers(1, 5),
+    order=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=25, deadline=None)
+def test_nodal_rows_match_sorted_loop(nex, ney, order, seed):
+    rng = np.random.default_rng(seed)
+    upper = StructuredMesh(np.linspace(0, 1, nex + 1), np.linspace(0, 1, ney + 1), order)
+    lower = StructuredMesh(np.linspace(0, 1, nex + 2), np.linspace(-1, 0, ney + 1), order)
+    parts = []
+    for mesh, tag in ((upper, "upper"), (lower, "lower")):
+        system = assemble_darcy(mesh, FemConfig(order=order), MU, KAPPA)
+        nodes = np.flatnonzero(rng.random(mesh.n_nodes) < 0.7)
+        parts.append((system, rng.standard_normal(system.n_dofs), nodes, tag))
+    # The meshes share the line y = 0, so equal (y, x) keys occur.
+    assert nodal_rows(parts) == reference_rows(parts)

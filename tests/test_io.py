@@ -79,6 +79,124 @@ class TestCsv:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def assert_same_text(text, expected):
+    """Equal texts; on failure name the first differing line only."""
+    lines, want = text.split("\n"), expected.split("\n")
+    bad = next((i for i, (a, b) in enumerate(zip(lines, want)) if a != b), None)
+    assert bad is None, f"line {bad}: {lines[bad]!r} != {want[bad]!r}"
+    assert len(lines) == len(want)
+
+
+def reference_csv(header, rows) -> str:
+    """Cell-by-cell rendering that the column writer must reproduce."""
+    lines = [",".join(str(h) for h in header)]
+    lines += [",".join(format_value(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+#: Floats including -0.0, nan, inf and subnormals, as Python or NumPy values.
+any_float = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+cell_kinds = {
+    "float": st.one_of(any_float, any_float.map(np.float64)),
+    "int": st.one_of(st.integers(-(10**12), 10**12), st.integers(-5, 5).map(np.int64)),
+    "bool": st.one_of(st.booleans(), st.booleans().map(np.bool_)),
+    "str": st.text("ab%s,.-", max_size=4),
+}
+
+
+@st.composite
+def tables(draw):
+    kinds = draw(st.lists(st.sampled_from([*cell_kinds, "mixed"]), min_size=1, max_size=5))
+    n_rows = draw(st.integers(0, 12))
+    columns = [
+        draw(
+            st.lists(
+                st.one_of(*cell_kinds.values()) if kind == "mixed" else cell_kinds[kind],
+                min_size=n_rows,
+                max_size=n_rows,
+            )
+        )
+        for kind in kinds
+    ]
+    header = [f"c{k}" for k in range(len(kinds))]
+    return header, [tuple(row) for row in zip(*columns)] if n_rows else []
+
+
+class TestCsvColumns:
+    @given(table=tables())
+    @settings(max_examples=100, deadline=None)
+    def test_bytes_match_cell_by_cell(self, tmp_path_factory, table):
+        header, rows = table
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        write_csv(path, header, rows)
+        assert_same_text(path.read_text(), reference_csv(header, rows))
+
+    def test_special_floats(self, tmp_path):
+        rows = [(-0.0, float("nan"), float("inf"), 5e-324, np.float64(-np.inf))]
+        path = tmp_path / "t.csv"
+        write_csv(path, list("abcde"), rows)
+        assert path.read_text() == reference_csv(list("abcde"), rows)
+        assert path.read_text().splitlines()[1].startswith("-0.00000000e+00,nan,inf,")
+
+    def test_row_length_mismatch_raises(self, tmp_path):
+        with pytest.raises(ValueError, match="2 values"):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [(1.0, 2.0), (3.0,)])
+
+
+def reference_vtk(mesh, point_data, title) -> str:
+    """Value-by-value rendering that the block writer must reproduce."""
+    fmt = FLOAT_FORMAT
+    out = [
+        "# vtk DataFile Version 3.0", title, "ASCII", "DATASET RECTILINEAR_GRID",
+        f"DIMENSIONS {mesh.nnx} {mesh.nny} 1",
+        f"X_COORDINATES {mesh.nnx} double", " ".join(fmt % v for v in mesh.node_x),
+        f"Y_COORDINATES {mesh.nny} double", " ".join(fmt % v for v in mesh.node_y),
+        "Z_COORDINATES 1 double", fmt % 0.0, f"POINT_DATA {mesh.n_nodes}",
+    ]
+    for name, values in point_data.items():
+        values = np.asarray(values, dtype=float)
+        if values.ndim == 2:
+            out.append(f"VECTORS {name} double")
+            out += [f"{fmt % u} {fmt % v} {fmt % 0.0}" for u, v in values]
+        else:
+            out += [f"SCALARS {name} double", "LOOKUP_TABLE default"]
+            out += [fmt % v for v in values]
+    if not np.all(mesh.active):
+        k = mesh.order
+        grid = mesh.active.reshape(mesh.ney, mesh.nex)
+        lattice = np.repeat(np.repeat(grid, k, axis=0), k, axis=1)
+        out += [f"CELL_DATA {lattice.size}", "SCALARS active int", "LOOKUP_TABLE default"]
+        out += [str(int(v)) for v in lattice.ravel()]
+    return "\n".join(out) + "\n"
+
+
+@given(
+    order=st.sampled_from([1, 2]),
+    perforated=st.booleans(),
+    values=st.lists(any_float, min_size=1, max_size=8),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=30, deadline=None)
+def test_vtk_bytes_match_value_by_value(tmp_path_factory, order, perforated, values, seed):
+    band = RectDomain(0.0, 1.0, 0.0, 0.5)
+    if perforated:
+        mesh = build_perforated_mesh(
+            RectDomain(0.0, 1.0, 0.0, 1.0), ObstacleLattice(0.5, 0.6, band), 5, order
+        )
+    else:
+        mesh = build_rect_mesh(band, 0.25, order=order)
+    # Cycle the drawn special values through otherwise random fields.
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([values, rng.standard_normal(3 * mesh.n_nodes)])
+    data = {
+        "velocity": rng.permutation(pool)[: 2 * mesh.n_nodes].reshape(-1, 2),
+        "pressure": rng.permutation(pool)[: mesh.n_nodes],
+    }
+    path = tmp_path_factory.mktemp("vtk") / "out.vtk"
+    write_vtk(path, mesh, data, "fields")
+    assert_same_text(path.read_text(), reference_vtk(mesh, data, "fields"))
+
+
 class TestVtk:
     def _full_mesh(self):
         return build_rect_mesh(RectDomain(0.0, 1.0, 0.0, 0.5), 0.25, order=2)
