@@ -4,9 +4,12 @@ Five subcommands cover the workflow: ``cell`` homogenizes one unit
 cell, ``icdd`` runs one coupled solve, ``dns`` runs one pore-scale
 solve, ``validate`` runs the period-refinement study and ``sweep``
 scans the layer thickness.  Every run is described by a flat INI file
-  (``key = value`` under a few fixed sections); unknown sections or
-keys abort before any output is written.  Outputs are deterministic:
-identical configurations yield byte-identical files.
+(``key = value`` under a few fixed sections); unknown sections or keys
+abort before any output is written.  Each command only computes and
+returns its results; :func:`run` writes them and the manifest, and
+:func:`main` turns every failure into a message and exit status 2.
+Outputs are deterministic: identical configurations yield
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import platform
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from configparser import ConfigParser
+from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +38,7 @@ from .validate import convergence_study, delta_sweep
 
 
 class CliError(Exception):
-    """Configuration or geometry problem that aborts the run."""
+    """Configuration, setting or solver problem that aborts the run."""
 
 
 #: Allowed sections and keys of the run configuration.
@@ -144,10 +149,7 @@ class RunConfig:
             "discretization", "dns_order", int, default=default_order
         )
         cells = self._get("discretization", "dns_cells", int, default=10)
-        try:
-            return DnsResolution(n_per_cell=cells, order=order)
-        except ValueError as err:
-            raise CliError(str(err)) from err
+        return DnsResolution(n_per_cell=cells, order=order)
 
     # -- solver --------------------------------------------------------------
 
@@ -220,24 +222,6 @@ def _versions() -> dict:
     }
 
 
-def _manifest(config: RunConfig, command, parameters, iterations, outputs):
-    return {
-        "command": command,
-        "config_sha256": config.digest,
-        "versions": _versions(),
-        "parameters": parameters,
-        "iterations": iterations,
-        "outputs": sorted(outputs),
-    }
-
-
-def _write_all(out_dir: Path, files: dict) -> None:
-    """Write every artifact; called only after all computation is done."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, writer in files.items():
-        writer(out_dir / name)
-
-
 def _permeability_for(config, configuration, ell):
     """Dimensional permeability: published constant or fresh cell solve."""
     if np.isfinite(configuration.k_hat):
@@ -248,12 +232,78 @@ def _permeability_for(config, configuration, ell):
     return permeability_dimensional(cell.k_scalar(), ell), "computed"
 
 
+def _mapper(threads: int, pool_holder: list):
+    if threads <= 1:
+        return map
+    pool = ThreadPoolExecutor(max_workers=threads)
+    pool_holder.append(pool)
+    return pool.map
+
+
+@dataclass
+class Outputs:
+    """What one command computed, for :func:`run` to write and print.
+
+    ``files`` maps each output name to the arguments after the path of
+    :func:`write_csv` (``.csv``) or :func:`write_vtk` (``.vtk``);
+    ``parameters`` and ``iterations`` go into the manifest.
+    """
+
+    summary: str
+    parameters: dict
+    files: dict
+    iterations: dict = field(default_factory=dict)
+
+
+def run(command: str, config: RunConfig, out_dir: Path, threads: int) -> None:
+    """Run one command, then write its files and manifest.
+
+    The command gets a ``map``-like function for study members (a
+    thread pool's map when ``threads > 1``).  Nothing is written unless
+    it returns, so a failed run leaves no output directory.
+
+    Raises
+    ------
+    CliError
+        For any ``ValueError`` or ``RuntimeError`` of the command (bad
+        settings, unaligned geometry, a solver that fails).
+    """
+    pools: list = []
+    try:
+        result = COMMANDS[command](config, _mapper(threads, pools))
+    except (ValueError, RuntimeError) as err:
+        raise CliError(str(err)) from err
+    finally:
+        for pool in pools:
+            pool.shutdown()
+    manifest = {
+        "command": command,
+        "config_sha256": config.digest,
+        "versions": _versions(),
+        "parameters": result.parameters,
+        "iterations": result.iterations,
+        "outputs": sorted([*result.files, "manifest.json"]),
+    }
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, args in result.files.items():
+        writer = write_csv if name.endswith(".csv") else write_vtk
+        writer(out_dir / name, *args)
+    write_manifest(out_dir / "manifest.json", manifest)
+    print(result.summary)
+
+
 # ----------------------------------------------------------------------
 # Commands
 # ----------------------------------------------------------------------
 
+SOLUTION_HEADER = ["x", "y", "u1", "u2", "p", "domain"]
 
-def cmd_cell(config: RunConfig, out_dir: Path, threads: int) -> int:
+
+def _fields(velocity, pressure) -> dict:
+    return {"velocity": velocity.values, "pressure": pressure.values}
+
+
+def cmd_cell(config: RunConfig, mapper) -> Outputs:
     configuration = config.configuration(need_mesh=True)
     fem = config.fem_config()
     cell = solve_cell_problem(
@@ -261,50 +311,31 @@ def cmd_cell(config: RunConfig, out_dir: Path, threads: int) -> int:
         resolution=config.cell_resolution(),
         order=fem.order,
     )
-    header = [
-        "s_hat",
-        "porosity",
-        "porosity_quadrature",
-        "k_hat_11",
-        "k_hat_12",
-        "k_hat_21",
-        "k_hat_22",
-        "delta_star_hat",
-    ]
-    row = [
-        cell.s_hat,
-        cell.porosity,
-        cell.porosity_quadrature,
-        cell.k_hat[0, 0],
-        cell.k_hat[0, 1],
-        cell.k_hat[1, 0],
-        cell.k_hat[1, 1],
-        delta_star(cell.porosity, 1.0),
-    ]
-    files = {
-        "cell.csv": lambda p: write_csv(p, header, [row]),
+    columns = {
+        "s_hat": cell.s_hat,
+        "porosity": cell.porosity,
+        "porosity_quadrature": cell.porosity_quadrature,
+        "k_hat_11": cell.k_hat[0, 0],
+        "k_hat_12": cell.k_hat[0, 1],
+        "k_hat_21": cell.k_hat[1, 0],
+        "k_hat_22": cell.k_hat[1, 1],
+        "delta_star_hat": delta_star(cell.porosity, 1.0),
     }
-    manifest = _manifest(
-        config,
-        "cell",
-        {
+    return Outputs(
+        summary=(
+            f"cell: s_hat={cell.s_hat:g} porosity={cell.porosity:.6f} "
+            f"k_hat={cell.k_scalar():.6e}"
+        ),
+        parameters={
             "s_hat": cell.s_hat,
             "resolution": cell.resolution,
             "order": cell.order,
         },
-        {},
-        [*files, "manifest.json"],
+        files={"cell.csv": (list(columns), [list(columns.values())])},
     )
-    files["manifest.json"] = lambda p: write_manifest(p, manifest)
-    _write_all(out_dir, files)
-    print(
-        f"cell: s_hat={cell.s_hat:g} porosity={cell.porosity:.6f} "
-        f"k_hat={cell.k_scalar():.6e}"
-    )
-    return 0
 
 
-def cmd_icdd(config: RunConfig, out_dir: Path, threads: int) -> int:
+def cmd_icdd(config: RunConfig, mapper) -> Outputs:
     preset = config.preset()
     configuration = config.configuration(need_mesh=False)
     ell = config.ell()
@@ -316,34 +347,14 @@ def cmd_icdd(config: RunConfig, out_dir: Path, threads: int) -> int:
         IcddPhysics(preset=preset, permeability=permeability),
     )
     result = icdd_solve(problem, config.krylov())
-    rows = result.composite.sample_rows()
-    residuals = list(enumerate(result.info["residuals"]))
-    stokes_fields = {
-        "velocity": result.composite.stokes_velocity.values,
-        "pressure": result.composite.stokes_pressure.values,
-    }
-    darcy_fields = {
-        "velocity": result.composite.darcy_velocity.values,
-        "pressure": result.composite.darcy_pressure.values,
-    }
-    files = {
-        "solution.csv": lambda p: write_csv(
-            p, ["x", "y", "u1", "u2", "p", "domain"], rows
+    sol = result.composite
+    return Outputs(
+        summary=(
+            f"icdd: interface at y={-delta:.6e}, iterations="
+            f"{result.info['iterations']}, matching residuals "
+            f"({result.matching_velocity:.3e}, {result.matching_pressure:.3e})"
         ),
-        "residuals.csv": lambda p: write_csv(
-            p, ["iteration", "relative_residual"], residuals
-        ),
-        "stokes.vtk": lambda p: write_vtk(
-            p, problem.stokes.mesh, stokes_fields, "free-flow subdomain"
-        ),
-        "darcy.vtk": lambda p: write_vtk(
-            p, problem.darcy.mesh, darcy_fields, "porous subdomain"
-        ),
-    }
-    manifest = _manifest(
-        config,
-        "icdd",
-        {
+        parameters={
             "preset": preset.identifier,
             "configuration": configuration.name,
             "ell": ell,
@@ -353,46 +364,43 @@ def cmd_icdd(config: RunConfig, out_dir: Path, threads: int) -> int:
             "matching_velocity": result.matching_velocity,
             "matching_pressure": result.matching_pressure,
         },
-        {"interface": result.info["iterations"]},
-        [*files, "manifest.json"],
+        files={
+            "solution.csv": (SOLUTION_HEADER, sol.sample_rows()),
+            "residuals.csv": (
+                ["iteration", "relative_residual"],
+                list(enumerate(result.info["residuals"])),
+            ),
+            "stokes.vtk": (
+                problem.stokes.mesh,
+                _fields(sol.stokes_velocity, sol.stokes_pressure),
+                "free-flow subdomain",
+            ),
+            "darcy.vtk": (
+                problem.darcy.mesh,
+                _fields(sol.darcy_velocity, sol.darcy_pressure),
+                "porous subdomain",
+            ),
+        },
+        iterations={"interface": result.info["iterations"]},
     )
-    files["manifest.json"] = lambda p: write_manifest(p, manifest)
-    _write_all(out_dir, files)
-    print(
-        f"icdd: interface at y={-delta:.6e}, iterations="
-        f"{result.info['iterations']}, matching residuals "
-        f"({result.matching_velocity:.3e}, {result.matching_pressure:.3e})"
-    )
-    return 0
 
 
-def cmd_dns(config: RunConfig, out_dir: Path, threads: int) -> int:
+def cmd_dns(config: RunConfig, mapper) -> Outputs:
     preset = config.preset()
     configuration = config.configuration(need_mesh=True)
     ell = config.ell()
-    try:
-        lattice = preset.lattice(ell, configuration.size_ratio)
-        solution = solve_dns(preset, lattice, config.dns_resolution(2))
-    except ValueError as err:
-        raise CliError(str(err)) from err
+    lattice = preset.lattice(ell, configuration.size_ratio)
+    solution = solve_dns(preset, lattice, config.dns_resolution(2))
     divergence = solution.divergence()
-    rows = solution.sample_rows()
-    fields = {
-        "velocity": solution.velocity.values,
-        "pressure": solution.pressure.values,
-    }
-    files = {
-        "solution.csv": lambda p: write_csv(
-            p, ["x", "y", "u1", "u2", "p", "domain"], rows
+    # Cell-boundary lines of the porous band, top first: node lines at
+    # every period, so two periods' tables join on ``y``.
+    lines = lattice.band.y1 - lattice.period * np.arange(lattice.cells_y)
+    return Outputs(
+        summary=(
+            f"dns: {solution.system.n_dofs} unknowns, "
+            f"divergence={divergence:.3e}"
         ),
-        "solution.vtk": lambda p: write_vtk(
-            p, solution.mesh, fields, "pore-scale solution"
-        ),
-    }
-    manifest = _manifest(
-        config,
-        "dns",
-        {
+        parameters={
             "preset": preset.identifier,
             "configuration": configuration.name,
             "ell": ell,
@@ -400,131 +408,98 @@ def cmd_dns(config: RunConfig, out_dir: Path, threads: int) -> int:
             "order": solution.resolution.order,
             "divergence_l2": divergence,
         },
-        {},
-        [*files, "manifest.json"],
+        files={
+            "solution.csv": (SOLUTION_HEADER, solution.sample_rows()),
+            "solution.vtk": (
+                solution.mesh,
+                _fields(solution.velocity, solution.pressure),
+                "pore-scale solution",
+            ),
+            "speeds.csv": (
+                ["y", "mean_speed"],
+                [(y, solution.mean_speed(y)) for y in lines.tolist()],
+            ),
+        },
     )
-    files["manifest.json"] = lambda p: write_manifest(p, manifest)
-    _write_all(out_dir, files)
-    print(f"dns: {solution.system.n_dofs} unknowns, divergence={divergence:.3e}")
-    return 0
 
 
-def _mapper(threads: int, pool_holder: list):
-    if threads <= 1:
-        return map
-    pool = ThreadPoolExecutor(max_workers=threads)
-    pool_holder.append(pool)
-    return pool.map
-
-
-def cmd_validate(config: RunConfig, out_dir: Path, threads: int) -> int:
+def cmd_validate(config: RunConfig, mapper) -> Outputs:
     preset = config.preset()
     configuration = config.configuration(need_mesh=True)
     ells = config.ells()
-    pools: list = []
-    try:
-        study = convergence_study(
-            preset,
-            configuration,
-            ells,
-            fem_config=config.fem_config(),
-            hx=config.hx(),
-            dns_resolution=config.dns_resolution(1),
-            krylov=config.krylov(),
-            mapper=_mapper(threads, pools),
-            progress=lambda msg: print(msg, flush=True),
-        )
-    except ValueError as err:
-        raise CliError(str(err)) from err
-    finally:
-        for pool in pools:
-            pool.shutdown()
+    study = convergence_study(
+        preset,
+        configuration,
+        ells,
+        fem_config=config.fem_config(),
+        hx=config.hx(),
+        dns_resolution=config.dns_resolution(1),
+        krylov=config.krylov(),
+        mapper=mapper,
+        progress=partial(print, flush=True),
+    )
     error_rows = [
-        (r.configuration, r.ell, metric, value)
+        (r.configuration, r.ell, metric, value, r.relative(metric))
         for r in study.reports
         for metric, value in r.errors.items()
     ]
-    slope_rows = list(study.slopes.items())
-    iterations = {
-        f"ell={r.ell:g}": r.iterations for r in study.reports
-    }
-    files = {
-        "errors.csv": lambda p: write_csv(
-            p, ["config", "ell", "metric", "value"], error_rows
+    return Outputs(
+        summary="\n".join(
+            f"slope {metric} = {slope:+.3f}"
+            for metric, slope in study.slopes.items()
         ),
-        "slopes.csv": lambda p: write_csv(p, ["metric", "slope"], slope_rows),
-    }
-    manifest = _manifest(
-        config,
-        "validate",
-        {
+        parameters={
             "preset": preset.identifier,
             "configuration": configuration.name,
             "ells": ells,
         },
-        iterations,
-        [*files, "manifest.json"],
+        files={
+            "errors.csv": (
+                ["config", "ell", "metric", "value", "relative"],
+                error_rows,
+            ),
+            "slopes.csv": (["metric", "slope"], list(study.slopes.items())),
+        },
+        iterations={f"ell={r.ell:g}": r.iterations for r in study.reports},
     )
-    files["manifest.json"] = lambda p: write_manifest(p, manifest)
-    _write_all(out_dir, files)
-    for metric, slope in study.slopes.items():
-        print(f"slope {metric} = {slope:+.3f}")
-    return 0
 
 
-def cmd_sweep(config: RunConfig, out_dir: Path, threads: int) -> int:
+def cmd_sweep(config: RunConfig, mapper) -> Outputs:
     preset = config.preset()
     configuration = config.configuration(need_mesh=True)
     ell = config.ell()
     factors = config.factors()
-    pools: list = []
-    try:
-        sweep = delta_sweep(
-            preset,
-            configuration,
-            ell,
-            factors=factors,
-            fem_config=config.fem_config(),
-            hx=config.hx(),
-            dns_resolution=config.dns_resolution(1),
-            krylov=config.krylov(),
-            mapper=_mapper(threads, pools),
-            progress=lambda msg: print(msg, flush=True),
-        )
-    except ValueError as err:
-        raise CliError(str(err)) from err
-    finally:
-        for pool in pools:
-            pool.shutdown()
-    rows = [
-        (factor, delta, error)
-        for factor, delta, error in zip(factors, sweep.deltas, sweep.errors)
-    ]
-    files = {
-        "sweep.csv": lambda p: write_csv(
-            p, ["factor", "delta", "error_u_fluid"], rows
+    sweep = delta_sweep(
+        preset,
+        configuration,
+        ell,
+        factors=factors,
+        fem_config=config.fem_config(),
+        hx=config.hx(),
+        dns_resolution=config.dns_resolution(1),
+        krylov=config.krylov(),
+        mapper=mapper,
+        progress=partial(print, flush=True),
+    )
+    return Outputs(
+        summary=(
+            f"sweep: delta_star={sweep.delta_star:.6e}, interior minimum: "
+            f"{sweep.is_interior_minimum()}"
         ),
-    }
-    manifest = _manifest(
-        config,
-        "sweep",
-        {
+        parameters={
             "preset": preset.identifier,
             "configuration": configuration.name,
             "ell": ell,
             "delta_star": sweep.delta_star,
             "interior_minimum": sweep.is_interior_minimum(),
         },
-        {},
-        [*files, "manifest.json"],
+        files={
+            "sweep.csv": (
+                ["factor", "delta", "error_u_fluid"],
+                list(zip(factors, sweep.deltas, sweep.errors)),
+            ),
+        },
     )
-    files["manifest.json"] = lambda p: write_manifest(p, manifest)
-    _write_all(out_dir, files)
-    print(
-        f"sweep: delta_star={sweep.delta_star:.6e}, interior minimum: "
-        f"{sweep.is_interior_minimum()}"
-    )
-    return 0
 
 
 COMMANDS = {
@@ -569,10 +544,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_run_config(args.config)
-        return COMMANDS[args.command](config, Path(args.out), args.threads)
+        run(args.command, config, Path(args.out), args.threads)
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -169,20 +169,6 @@ def factorize(matrix, order=None) -> Factorization:
         raise RuntimeError(f"sparse factorization failed: {exc}") from exc
 
 
-def export_matrix_market(matrix, path) -> None:
-    """Write a sparse matrix in MatrixMarket coordinate format."""
-    import scipy.io
-
-    scipy.io.mmwrite(str(path), sp.coo_matrix(matrix))
-
-
-def read_matrix_market(path):
-    """Read a MatrixMarket file back as CSR."""
-    import scipy.io
-
-    return sp.csr_matrix(scipy.io.mmread(str(path)))
-
-
 #: Magnitude, relative to the squared right-hand-side norm, below which
 #: an inner product counts as a breakdown.
 _BREAKDOWN_EPS = 1e-30

@@ -17,9 +17,6 @@ from functools import cached_property
 
 import numpy as np
 
-#: Names of the four rectangle sides, in the order used throughout.
-SIDES = ("left", "right", "bottom", "top")
-
 #: Relative tolerance for coordinate comparisons against mesh lines.
 LINE_RTOL = 1e-9
 
@@ -250,10 +247,6 @@ class StructuredMesh:
     # Connectivity
     # ------------------------------------------------------------------
 
-    @property
-    def nodes_per_element(self) -> int:
-        return (self.order + 1) ** 2
-
     @cached_property
     def element_nodes(self) -> np.ndarray:
         """Global node ids per element, shape ``(n_elements, nloc)``.
@@ -434,11 +427,6 @@ def build_rect_mesh(domain: RectDomain, h: float, order: int = 1) -> StructuredM
     return StructuredMesh(xs, ys, order=order)
 
 
-def build_tensor_mesh(x_lines, y_lines, order: int = 1) -> StructuredMesh:
-    """Mesh from explicit line arrays (graded meshes)."""
-    return StructuredMesh(np.asarray(x_lines, float), np.asarray(y_lines, float), order=order)
-
-
 def build_perforated_mesh(
     domain: RectDomain,
     lattice: ObstacleLattice,
@@ -536,27 +524,6 @@ def _obstacle_activity(
     uy = (fy - np.floor(fy)) * n_per_cell
     inside_obstacle = (ux > lo) & (ux < hi) & (uy > lo) & (uy < hi)
     return ~(inside_band & inside_obstacle)
-
-
-def extract_interface_nodes(mesh: StructuredMesh, y: float) -> np.ndarray:
-    """Active nodes on the horizontal mesh line nearest to ``y``.
-
-    Parameters
-    ----------
-    mesh : StructuredMesh
-        Mesh to query.
-    y : float
-        Interface height; must coincide with a node line within half the
-        local spacing.
-
-    Returns
-    -------
-    ndarray of int
-        Node ids sorted by increasing x.
-    """
-    j = mesh.line_index(y)
-    ids = j * mesh.nnx + np.arange(mesh.nnx)
-    return ids[mesh.node_active[ids]]
 
 
 # ----------------------------------------------------------------------

@@ -530,14 +530,28 @@ class StudyResult:
     cell: CellSolution = field(repr=False, default=None)
 
 
+def _study_cell(
+    configuration: PorousConfiguration, cell: CellSolution | None, say
+) -> CellSolution:
+    """Check that a study's microstructure is meshable; solve its cell."""
+    if not configuration.meshable:
+        raise ValueError(
+            f"configuration {configuration.name} cannot be meshed directly"
+        )
+    if cell is None:
+        say(f"unit cell s_hat={configuration.size_ratio}")
+        cell = solve_cell_problem(configuration.size_ratio)
+    return cell
+
+
 def convergence_study(
     preset: TestCasePreset,
     configuration: PorousConfiguration,
     ells,
-    fem_config: FemConfig | None = None,
+    fem_config: FemConfig = FemConfig(order=2),
     hx: float = 1.0 / 144.0,
-    dns_resolution: DnsResolution | None = None,
-    krylov: KrylovConfig | None = None,
+    dns_resolution: DnsResolution = DnsResolution(order=1),
+    krylov: KrylovConfig = KrylovConfig(),
     cell: CellSolution | None = None,
     n_gauss: int = 3,
     progress=None,
@@ -584,20 +598,11 @@ def convergence_study(
     -------
     StudyResult
     """
-    if not configuration.meshable:
-        raise ValueError(
-            f"configuration {configuration.name} cannot be meshed directly"
-        )
     ells = list(ells)
     if len(ells) < 2:
         raise ValueError("need at least two periods")
-    fem_config = fem_config or FemConfig(order=2)
-    dns_resolution = dns_resolution or DnsResolution(order=1)
-    krylov = krylov or KrylovConfig()
     say = progress or (lambda msg: None)
-    if cell is None:
-        say(f"unit cell s_hat={configuration.size_ratio}")
-        cell = solve_cell_problem(configuration.size_ratio)
+    cell = _study_cell(configuration, cell, say)
 
     def run_one(ell: float) -> ErrorReport:
         lattice = preset.lattice(ell, configuration.size_ratio)
@@ -663,10 +668,10 @@ def delta_sweep(
     configuration: PorousConfiguration,
     ell: float,
     factors=(0.5, 1.0, 1.5),
-    fem_config: FemConfig | None = None,
+    fem_config: FemConfig = FemConfig(order=2),
     hx: float = 1.0 / 144.0,
-    dns_resolution: DnsResolution | None = None,
-    krylov: KrylovConfig | None = None,
+    dns_resolution: DnsResolution = DnsResolution(order=1),
+    krylov: KrylovConfig = KrylovConfig(),
     cell: CellSolution | None = None,
     n_gauss: int = 3,
     progress=None,
@@ -693,19 +698,10 @@ def delta_sweep(
     -------
     SweepResult
     """
-    if not configuration.meshable:
-        raise ValueError(
-            f"configuration {configuration.name} cannot be meshed directly"
-        )
     if not any(abs(f - 1.0) < 1e-12 for f in factors):
         raise ValueError("factors must include 1.0")
-    fem_config = fem_config or FemConfig(order=2)
-    dns_resolution = dns_resolution or DnsResolution(order=1)
-    krylov = krylov or KrylovConfig()
     say = progress or (lambda msg: None)
-    if cell is None:
-        say(f"unit cell s_hat={configuration.size_ratio}")
-        cell = solve_cell_problem(configuration.size_ratio)
+    cell = _study_cell(configuration, cell, say)
     dstar = delta_star(configuration.porosity, ell)
     lattice = preset.lattice(ell, configuration.size_ratio)
     say(f"pore-scale reference ell={ell}")

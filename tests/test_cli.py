@@ -4,17 +4,35 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from stokesdarcy import cli
 from stokesdarcy.cli import CliError, load_run_config, main
-from stokesdarcy.io import read_csv
+from stokesdarcy.io import format_value, read_csv
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def recording(monkeypatch, name):
+    """Replace ``cli.<name>`` by a wrapper; returns the list of its results."""
+    results = []
+    inner = getattr(cli, name)
+
+    def wrapper(*args, **kwargs):
+        results.append(inner(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, name, wrapper)
+    return results
 
 
 CELL_INI = """\
@@ -182,7 +200,8 @@ SWEEP_INI = "[case]\npreset = 1\nconfiguration = C2\nell = 0.25\n\n" + STUDY_DIS
 @pytest.mark.parametrize(
     ("command", "ini"), [("validate", VALIDATE_INI), ("sweep", SWEEP_INI)]
 )
-def test_outputs_independent_of_thread_count(tmp_path, command, ini):
+def test_outputs_independent_of_thread_count(tmp_path, monkeypatch, command, ini):
+    studies = recording(monkeypatch, "convergence_study")
     config_path = write_config(tmp_path, ini)
     outs = [tmp_path / "t1", tmp_path / "t2"]
     for threads, out in zip((1, 2), outs):
@@ -192,6 +211,14 @@ def test_outputs_independent_of_thread_count(tmp_path, command, ini):
     assert names == sorted(p.name for p in outs[1].iterdir())
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    if command == "validate":
+        header, rows = read_csv(outs[0] / "errors.csv")
+        assert header == ["config", "ell", "metric", "value", "relative"]
+        reports = studies[0].reports
+        expected = [
+            format_value(r.relative(metric)) for r in reports for metric in r.errors
+        ]
+        assert [row[4] for row in rows] == expected
 
 
 class TestFailureModes:
@@ -213,6 +240,46 @@ class TestFailureModes:
         assert "s_hat" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        ("command", "ini", "message"),
+        [
+            (
+                "icdd",
+                ICDD_INI.replace("tolerance = 1e-10", "tolerance = -1"),
+                "tol must be positive",
+            ),
+            (
+                "icdd",
+                ICDD_INI + "max_iterations = 0\n",
+                "maxiter must be at least 1",
+            ),
+            (
+                "cell",
+                CELL_INI.replace("cell_resolution = 10", "cell_resolution = 1"),
+                "does not align",
+            ),
+            (
+                "icdd",
+                ICDD_INI.replace("tolerance = 1e-10", "tolerance = 1e-14")
+                + "max_iterations = 1\n",
+                "interface solver failed",
+            ),
+        ],
+        ids=["negative_tolerance", "zero_iterations", "coarse_cell", "no_convergence"],
+    )
+    def test_run_failure_exits_2_without_outputs(
+        self, tmp_path, capsys, command, ini, message
+    ):
+        out = tmp_path / "out"
+        code = main(
+            [command, "--config", str(write_config(tmp_path, ini)), "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+        assert not out.exists()
+
     def test_unaligned_dns_exits_2(self, tmp_path, capsys):
         ini = (
             "[case]\npreset = 1\nconfiguration = C1\nell = 0.2\n\n"
@@ -228,7 +295,8 @@ class TestFailureModes:
 
 
 class TestDnsCommand:
-    def test_outputs(self, tmp_path, capsys):
+    def test_outputs(self, tmp_path, capsys, monkeypatch):
+        solves = recording(monkeypatch, "solve_dns")
         ini = (
             "[case]\npreset = 1\nconfiguration = C2\nell = 0.25\n\n"
             "[discretization]\ndns_cells = 5\ndns_order = 1\n"
@@ -247,3 +315,27 @@ class TestDnsCommand:
         assert (out / "solution.vtk").read_text().startswith(
             "# vtk DataFile Version 3.0"
         )
+        # Mean speed on each cell-boundary line of the band, top first.
+        header, rows = read_csv(out / "speeds.csv")
+        assert header == ["y", "mean_speed"]
+        assert [r[0] for r in rows] == ["0.00000000e+00", "-2.50000000e-01"]
+        (solution,) = solves
+        for y, speed in rows:
+            assert speed == format_value(solution.mean_speed(float(y)))
+        assert "speeds.csv" in manifest["outputs"]
+
+
+def test_readme_commands_cover_every_config():
+    """Every README command line names a command and a loadable config,
+    and every checked-in config appears in one."""
+    lines = re.findall(
+        r"stokes-darcy\s+(\S+)\s+--config\s+(configs/[\w.-]+\.ini)",
+        (REPO / "README.md").read_text(),
+    )
+    assert lines
+    for command, path in lines:
+        assert command in cli.COMMANDS, command
+        assert (REPO / path).is_file(), path
+        load_run_config(REPO / path)
+    configs = {f"configs/{p.name}" for p in (REPO / "configs").glob("*.ini")}
+    assert configs <= {path for _, path in lines}

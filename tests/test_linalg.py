@@ -1,4 +1,4 @@
-"""Direct factorization, BiCGStab and matrix exchange formats."""
+"""Direct factorization and BiCGStab."""
 
 from __future__ import annotations
 
@@ -13,9 +13,7 @@ from stokesdarcy.linalg import (
     KrylovConfig,
     Factorization,
     bicgstab,
-    export_matrix_market,
     factorize,
-    read_matrix_market,
 )
 
 
@@ -131,20 +129,3 @@ class TestBicgstab:
         bicgstab(lambda v: a @ v, b, KrylovConfig(tol=1e-10), callback=seen.append)
         assert len(seen) >= 1
         assert seen[-1] <= 1e-10
-
-
-class TestMatrixMarket:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        a = sp.random(15, 15, density=0.3, random_state=2, format="csr")
-        path = tmp_path / "matrix.mtx"
-        export_matrix_market(a, path)
-        back = read_matrix_market(path)
-        np.testing.assert_allclose(back.toarray(), a.toarray(), rtol=1e-12)
-
-    def test_file_is_ascii_with_banner(self, tmp_path):
-        a = sp.identity(3, format="csr")
-        path = tmp_path / "eye.mtx"
-        export_matrix_market(a, path)
-        text = path.read_text()
-        assert text.startswith("%%MatrixMarket")

@@ -14,7 +14,6 @@ from stokesdarcy.mesh import (
     StructuredMesh,
     build_perforated_mesh,
     build_rect_mesh,
-    extract_interface_nodes,
     graded_lines,
     nested_dissection_order,
     overlap_line_set,
@@ -181,15 +180,6 @@ class TestPerforatedMesh:
         with pytest.raises(ValueError):
             lat = ObstacleLattice(0.3, 0.6, band)
             build_perforated_mesh(domain, lat, n_per_cell=5, order=1)
-
-
-class TestInterfaceNodes:
-    def test_sorted_and_on_line(self):
-        mesh = build_rect_mesh(RectDomain(0.0, 1.0, -0.5, 0.5), 0.25, order=2)
-        ids = extract_interface_nodes(mesh, 0.0)
-        assert ids.size == mesh.nnx
-        assert np.all(np.diff(mesh.node_coords[ids, 0]) > 0)
-        np.testing.assert_allclose(mesh.node_coords[ids, 1], 0.0, atol=1e-15)
 
 
 class TestGradedLines:
