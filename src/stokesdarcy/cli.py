@@ -29,7 +29,12 @@ import scipy
 from . import __version__
 from .dns import DnsResolution, solve_dns
 from .fem import FemConfig
-from .homogenize import delta_star, permeability_dimensional, solve_cell_problem
+from .homogenize import (
+    DEFAULT_CELL_RESOLUTION,
+    delta_star,
+    permeability_dimensional,
+    solve_cell_problem,
+)
 from .icdd import IcddGeometry, IcddPhysics, assemble_problem, icdd_solve
 from .io import config_digest, write_csv, write_manifest, write_vtk
 from .linalg import KrylovConfig
@@ -142,7 +147,9 @@ class RunConfig:
         return hx
 
     def cell_resolution(self) -> int:
-        return self._get("discretization", "cell_resolution", int, default=40)
+        return self._get(
+            "discretization", "cell_resolution", int, default=DEFAULT_CELL_RESOLUTION
+        )
 
     def dns_resolution(self, default_order: int) -> DnsResolution:
         order = self._get(
@@ -435,6 +442,7 @@ def cmd_validate(config: RunConfig, mapper) -> Outputs:
         hx=config.hx(),
         dns_resolution=config.dns_resolution(1),
         krylov=config.krylov(),
+        cell_resolution=config.cell_resolution(),
         mapper=mapper,
         progress=partial(print, flush=True),
     )
@@ -478,6 +486,7 @@ def cmd_sweep(config: RunConfig, mapper) -> Outputs:
         hx=config.hx(),
         dns_resolution=config.dns_resolution(1),
         krylov=config.krylov(),
+        cell_resolution=config.cell_resolution(),
         mapper=mapper,
         progress=partial(print, flush=True),
     )

@@ -17,10 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import FemConfig, Field, assemble_stokes, divergence_l2, nodal_rows
-from .mesh import ObstacleLattice, StructuredMesh, graded_lines
-from .mesh import build_perforated_mesh
+from .fem import FemConfig, assemble_stokes, divergence_l2, nodal_rows
+from .mesh import ObstacleLattice, build_perforated_mesh, graded_lines
 from .presets import TestCasePreset
+
+#: Coarsest vertical spacing above the band, as a multiple of the band
+#: spacing; the lines grade towards it by :data:`~stokesdarcy.mesh.GROWTH`.
+H_MAX_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
@@ -33,17 +36,10 @@ class DnsResolution:
         Elements per obstacle-cell edge inside the band.
     order : int
         Nodal order of the discretization.
-    h_max_factor : float
-        Coarsest vertical spacing above the band, as a multiple of the
-        band spacing.
-    growth : float
-        Geometric grading factor above the band.
     """
 
     n_per_cell: int = 10
     order: int = 2
-    h_max_factor: float = 4.0
-    growth: float = 1.35
 
     def __post_init__(self):
         if self.n_per_cell < 2:
@@ -81,13 +77,7 @@ def dns_line_set(
         raise ValueError("band must start at the domain bottom")
     if domain.y1 <= band.y1 + 1e-12:
         return lines_band
-    above = graded_lines(
-        band.y1,
-        domain.y1,
-        h,
-        resolution.h_max_factor * h,
-        resolution.growth,
-    )
+    above = graded_lines(band.y1, domain.y1, h, H_MAX_FACTOR * h)
     return np.concatenate([lines_band[:-1], above])
 
 
@@ -102,11 +92,9 @@ class DnsSolution:
         Solution fields; both evaluate to zero inside obstacles.
     """
 
-    def __init__(self, system, x, preset, lattice, resolution):
+    def __init__(self, system, x, resolution):
         self.system = system
         self.x = x
-        self.preset = preset
-        self.lattice = lattice
         self.resolution = resolution
         self.mesh = system.mesh
         self.velocity = system.velocity(x)
@@ -185,47 +173,4 @@ def solve_dns(
         null_mean_pressure=preset.pin_pressure,
     )
     x = system.solve()
-    return DnsSolution(system, x, preset, lattice, resolution)
-
-
-def trivial_extension(
-    solution: DnsSolution, full_mesh: StructuredMesh
-) -> tuple[Field, Field]:
-    """Rebind the pore-scale fields to an unperforated twin mesh.
-
-    The perforated mesh already stores zeros at solid nodes, so the
-    extension only re-hosts the nodal arrays on a mesh whose elements
-    are all active, making the fields evaluable across obstacles.
-
-    Parameters
-    ----------
-    solution : DnsSolution
-        Solved pore-scale flow.
-    full_mesh : StructuredMesh
-        Mesh with the same nodal lattice and order but no inactive
-        elements.
-
-    Returns
-    -------
-    (Field, Field)
-        Velocity and pressure on the full mesh.
-
-    Raises
-    ------
-    ValueError
-        If the lattices differ or the full mesh has inactive elements.
-    """
-    src = solution.mesh
-    if full_mesh.order != src.order:
-        raise ValueError("order mismatch")
-    if not (
-        np.array_equal(full_mesh.xs, src.xs)
-        and np.array_equal(full_mesh.ys, src.ys)
-    ):
-        raise ValueError("meshes do not share a nodal lattice")
-    if not np.all(full_mesh.active):
-        raise ValueError("target mesh must have no inactive elements")
-    order = src.order
-    vel = Field(full_mesh, solution.velocity.values.copy(), order)
-    pre = Field(full_mesh, solution.pressure.values.copy(), order)
-    return vel, pre
+    return DnsSolution(system, x, resolution)

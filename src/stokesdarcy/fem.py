@@ -32,6 +32,10 @@ from .mesh import StructuredMesh, nested_dissection_order
 _SIDE_ORDER = ("left", "right", "bottom", "top", "obstacle")
 
 
+#: Dimensionless pressure-stabilization constant of the Stokes form.
+GAMMA_STAB = 0.1
+
+
 @dataclass(frozen=True)
 class FemConfig:
     """Discretization settings.
@@ -40,18 +44,13 @@ class FemConfig:
     ----------
     order : int
         Polynomial order of the shared velocity/pressure space (1 or 2).
-    gamma_stab : float
-        Dimensionless pressure-stabilization constant.
     """
 
     order: int = 2
-    gamma_stab: float = 0.1
 
     def __post_init__(self):
         if self.order not in (1, 2):
             raise ValueError(f"order must be 1 or 2, got {self.order}")
-        if self.gamma_stab <= 0:
-            raise ValueError("gamma_stab must be positive")
 
 
 @dataclass(frozen=True)
@@ -469,7 +468,28 @@ class SaddleSystem:
             if g.shape[0] != self.n_interface:
                 raise ValueError("interface vector has wrong length")
             rhs -= self.interface_matrix @ g
-        x = self.factor.solve(rhs)
+        return self.full_vector(self.factor.solve(rhs), g, include_data)
+
+    def full_vector(
+        self, x: np.ndarray, g: np.ndarray | None, include_data: bool
+    ) -> np.ndarray:
+        """Full solution vector from interior values and interface controls.
+
+        Parameters
+        ----------
+        x : ndarray
+            Values of the interior unknowns, in :attr:`interior_dofs` order.
+        g : ndarray or None
+            Interface control vector; None stands for zero.
+        include_data : bool
+            If True, exterior Dirichlet dofs take their prescribed values;
+            if False, they are zero.
+
+        Returns
+        -------
+        ndarray
+            Vector over all degrees of freedom.
+        """
         full = np.zeros(self.n_dofs)
         if include_data:
             dir_dofs = np.flatnonzero(self.kind == KIND_DIRICHLET)
@@ -701,8 +721,9 @@ def assemble_stokes(
     natural traction data`` together with the stabilized continuity
     equation ``-(q, div u) - sum_d tau_d (-mu lap(u) + grad p - f)_d
     (d_d q) = 0`` where ``tau_d = gamma h_d^2 / mu`` per element and
-    direction.  Essential data enter through exterior Dirichlet nodes
-    and, optionally, through interface control unknowns.
+    direction, with ``gamma =`` :data:`GAMMA_STAB`.  Essential data
+    enter through exterior Dirichlet nodes and, optionally, through
+    interface control unknowns.
 
     Element matrices are reference-square matrices scaled by per-element
     factors of ``hx``, ``hy``, ``mu`` and ``gamma``, which is exact for the
@@ -714,7 +735,7 @@ def assemble_stokes(
     mesh : StructuredMesh
         Computational mesh (possibly perforated).
     config : FemConfig
-        Order and stabilization constant.
+        Polynomial order.
     mu : float
         Dynamic viscosity.
     f : pair, callable or None
@@ -740,7 +761,7 @@ def assemble_stokes(
     ref = batch.ref
     n = mesh.n_nodes
     hx, hy = batch.hx, batch.hy
-    gamma = config.gamma_stab
+    gamma = GAMMA_STAB
 
     # Scales of the reference matrices: detj gx^2 = hy / hx, detj gx =
     # hy / 2, and tau_x detj gx^2 = gamma hx hy / mu (x and y alike).
@@ -983,7 +1004,7 @@ def assemble_darcy(
     mesh : StructuredMesh
         Computational mesh.
     config : FemConfig
-        Order and stabilization constant (the constant is unused here).
+        Polynomial order.
     mu : float
         Dynamic viscosity.
     permeability : float
@@ -1095,9 +1116,7 @@ class CellSystem:
     mass_scalar: np.ndarray
 
 
-def assemble_cell_problem(
-    cell_mesh: StructuredMesh, direction: int, config: FemConfig | None = None
-) -> CellSystem:
+def assemble_cell_problem(cell_mesh: StructuredMesh, direction: int) -> CellSystem:
     """Assemble the periodic unit-cell Stokes problem for one direction.
 
     Solves ``-lap(w) + grad q = e_d`` with unit viscosity on the fluid
@@ -1110,10 +1129,8 @@ def assemble_cell_problem(
     cell_mesh : StructuredMesh
         Perforated unit-cell mesh (see ``build_perforated_mesh``).
     direction : int
-        Forcing direction, 0 or 1.
-    config : FemConfig, optional
-        Discretization settings; defaults to the mesh order with the
-        standard stabilization constant.
+        Forcing direction, 0 or 1; the discretization order is the
+        mesh's.
 
     Returns
     -------
@@ -1121,12 +1138,10 @@ def assemble_cell_problem(
     """
     if direction not in (0, 1):
         raise ValueError("direction must be 0 or 1")
-    if config is None:
-        config = FemConfig(order=cell_mesh.order)
     force = (1.0, 0.0) if direction == 0 else (0.0, 1.0)
     raw = assemble_stokes(
-        cell_mesh, config, mu=1.0, f=force, bc=BoundarySpec(), interface=None,
-        null_mean_pressure=True,
+        cell_mesh, FemConfig(order=cell_mesh.order), mu=1.0, f=force,
+        bc=BoundarySpec(), interface=None, null_mean_pressure=True,
     )
     n = cell_mesh.n_nodes
     n_dofs = raw.n_dofs

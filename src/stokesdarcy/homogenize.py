@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import CellSystem, FemConfig, Field, assemble_cell_problem
+from .fem import Field, assemble_cell_problem
 from .linalg import factorize
 from .mesh import ObstacleLattice, RectDomain, StructuredMesh, build_perforated_mesh
 
@@ -91,8 +91,6 @@ class CellSolution:
         Perforated unit-cell mesh.
     velocities : list of Field
         Cell velocity fields ``w_1`` and ``w_2`` (two components each).
-    pressures : list of Field
-        Matching cell pressure fields.
     resolution : int
         Elements per cell edge.
     order : int
@@ -105,13 +103,8 @@ class CellSolution:
     s_hat: float
     mesh: StructuredMesh
     velocities: list
-    pressures: list
     resolution: int
     order: int
-
-    def delta_star(self, ell: float) -> float:
-        """Layer thickness for this cell's porosity at period ``ell``."""
-        return delta_star(self.porosity, ell)
 
     def k_scalar(self) -> float:
         """Isotropic permeability value (mean of the diagonal)."""
@@ -127,7 +120,6 @@ def solve_cell_problem(
     obstacle: float,
     resolution: int = DEFAULT_CELL_RESOLUTION,
     order: int = 2,
-    config: FemConfig | None = None,
 ) -> CellSolution:
     """Solve both unit-cell direction problems for a square obstacle.
 
@@ -139,9 +131,7 @@ def solve_cell_problem(
         Elements per cell edge; must align the obstacle edges with the
         grid.
     order : int
-        Polynomial order (ignored when ``config`` is given).
-    config : FemConfig, optional
-        Full discretization settings.
+        Polynomial order.
 
     Returns
     -------
@@ -159,26 +149,22 @@ def solve_cell_problem(
             "obstacle side fraction must lie in (0, 1); an empty cell has a "
             "singular periodic operator"
         )
-    if config is None:
-        config = FemConfig(order=order)
     cell = RectDomain(0.0, 1.0, 0.0, 1.0)
     lattice = ObstacleLattice(1.0, s_hat, cell)
-    mesh = build_perforated_mesh(cell, lattice, resolution, order=config.order)
+    mesh = build_perforated_mesh(cell, lattice, resolution, order=order)
 
     k_hat = np.zeros((2, 2))
     velocities = []
-    pressures = []
     factor = None
     for direction in (0, 1):
-        system = assemble_cell_problem(mesh, direction, config)
+        system = assemble_cell_problem(mesh, direction)
         if factor is None:
             factor = factorize(system.matrix)
-        u, p = system.expand(factor.solve(system.rhs))
+        u, _ = system.expand(factor.solve(system.rhs))
         mass = system.mass_scalar
         k_hat[0, direction] = mass @ u[:, 0]
         k_hat[1, direction] = mass @ u[:, 1]
-        velocities.append(Field(mesh, u, config.order))
-        pressures.append(Field(mesh, p, config.order))
+        velocities.append(Field(mesh, u, order))
 
     return CellSolution(
         k_hat=k_hat,
@@ -187,9 +173,8 @@ def solve_cell_problem(
         s_hat=s_hat,
         mesh=mesh,
         velocities=velocities,
-        pressures=pressures,
         resolution=resolution,
-        order=config.order,
+        order=order,
     )
 
 

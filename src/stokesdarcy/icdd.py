@@ -49,21 +49,10 @@ class IcddGeometry:
         Overlap thickness; the free-flow subdomain ends at ``-delta``.
     hx : float
         Horizontal element size (uniform, shared by both subdomains).
-    h_fine : float, optional
-        Vertical spacing inside and next to the overlap; defaults to
-        ``min(hx, delta / 2)``.
-    h_max : float, optional
-        Coarse vertical spacing away from the overlap; defaults to
-        ``4 * hx``.
-    growth : float
-        Geometric grading factor between fine and coarse spacing.
     """
 
     delta: float
     hx: float
-    h_fine: float | None = None
-    h_max: float | None = None
-    growth: float = 1.35
 
     def __post_init__(self):
         if self.delta <= 0:
@@ -72,14 +61,16 @@ class IcddGeometry:
             raise ValueError("overlap must stay inside the porous band")
         if self.hx <= 0:
             raise ValueError("horizontal spacing must be positive")
-        if self.growth <= 1.0:
-            raise ValueError("grading factor must exceed 1")
-        if self.h_fine is None:
-            object.__setattr__(self, "h_fine", min(self.hx, self.delta / 2.0))
-        if self.h_max is None:
-            object.__setattr__(self, "h_max", 4.0 * self.hx)
-        if not 0.0 < self.h_fine <= self.h_max:
-            raise ValueError("need 0 < h_fine <= h_max")
+
+    @property
+    def h_fine(self) -> float:
+        """Vertical spacing inside and next to the overlap."""
+        return min(self.hx, self.delta / 2.0)
+
+    @property
+    def h_max(self) -> float:
+        """Coarse vertical spacing away from the overlap."""
+        return 4.0 * self.hx
 
 
 @dataclass(frozen=True)
@@ -123,12 +114,10 @@ class IcddProblem:
         stokes: SaddleSystem,
         darcy: SaddleSystem,
         geometry: IcddGeometry,
-        physics: IcddPhysics,
     ):
         self.stokes = stokes
         self.darcy = darcy
         self.geometry = geometry
-        self.physics = physics
         self.n_gf = stokes.n_interface
         self.n_gp = darcy.n_interface
         self.n_g = self.n_gf + self.n_gp
@@ -191,8 +180,7 @@ def assemble_problem(
     dom = preset.domain
     delta = geometry.delta
     ys = overlap_line_set(
-        -POROUS_DEPTH, dom.y1, delta, geometry.h_fine, geometry.h_max,
-        geometry.growth,
+        -POROUS_DEPTH, dom.y1, delta, geometry.h_fine, geometry.h_max
     )
     nx = max(1, round(dom.width / geometry.hx))
     xs = np.linspace(dom.x0, dom.x1, nx + 1)
@@ -219,7 +207,7 @@ def assemble_problem(
         bc=preset.darcy_bc(),
         interface=InterfaceSpec("top", "pressure"),
     )
-    return IcddProblem(stokes, darcy, geometry, physics)
+    return IcddProblem(stokes, darcy, geometry)
 
 
 # ----------------------------------------------------------------------
@@ -504,22 +492,10 @@ def monolithic_solve(problem: IcddProblem) -> IcddResult:
         [stokes.interior_rhs, darcy.interior_rhs, np.zeros(ngf + ngp)]
     )
     sol = factorize(system).solve(rhs)
-    xi_f = sol[:nf]
-    xi_p = sol[nf : nf + npp]
     g = sol[nf + npp :]
     g_f, g_p = problem.split(g)
-
-    x_f = np.zeros(stokes.n_dofs)
-    dir_f = np.flatnonzero(stokes.kind == 1)
-    x_f[dir_f] = stokes.dirichlet_values[dir_f]
-    x_f[stokes.interface_dofs] = g_f
-    x_f[stokes.interior_dofs] = xi_f
-
-    x_p = np.zeros(darcy.n_dofs)
-    dir_p = np.flatnonzero(darcy.kind == 1)
-    x_p[dir_p] = darcy.dirichlet_values[dir_p]
-    x_p[darcy.interface_dofs] = g_p
-    x_p[darcy.interior_dofs] = xi_p
+    x_f = stokes.full_vector(sol[:nf], g_f, include_data=True)
+    x_p = darcy.full_vector(sol[nf : nf + npp], g_p, include_data=True)
 
     info = {"method": "monolithic", "iterations": 0, "converged": True}
     return _result_from_solution(problem, g, x_f, x_p, info)

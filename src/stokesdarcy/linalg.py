@@ -178,10 +178,10 @@ def bicgstab(
     apply_op,
     b: np.ndarray,
     config: KrylovConfig = KrylovConfig(),
-    x0: np.ndarray | None = None,
-    callback=None,
 ) -> tuple[np.ndarray, dict]:
     """Solve ``A x = b`` with BiCGStab for a matrix-free operator.
+
+    The iteration starts from ``x = 0``.
 
     Parameters
     ----------
@@ -191,10 +191,6 @@ def bicgstab(
         Right-hand side.
     config : KrylovConfig
         Tolerance, iteration cap and restart seed.
-    x0 : ndarray, optional
-        Initial guess, defaults to zero.
-    callback : callable, optional
-        Called with the current relative residual after every iteration.
 
     Returns
     -------
@@ -220,7 +216,7 @@ def bicgstab(
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.zeros(n)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         info = {
@@ -234,7 +230,7 @@ def bicgstab(
         return x, info
 
     rng = np.random.default_rng(config.seed)
-    r = b - apply_op(x) if x0 is not None else b.copy()
+    r = b.copy()
     r_hat = r.copy()
     residuals = [float(np.linalg.norm(r) / bnorm)]
     breakdowns = 0
@@ -277,8 +273,6 @@ def bicgstab(
         if snorm < config.tol:
             x = x + alpha * p
             residuals.append(snorm)
-            if callback is not None:
-                callback(snorm)
             converged = True
             reason = "converged"
             break
@@ -292,8 +286,6 @@ def bicgstab(
         rho_old = rho
         relres = float(np.linalg.norm(r) / bnorm)
         residuals.append(relres)
-        if callback is not None:
-            callback(relres)
         if relres < config.tol:
             converged = True
             reason = "converged"

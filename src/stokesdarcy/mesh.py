@@ -54,17 +54,6 @@ class RectDomain:
     def area(self) -> float:
         return self.width * self.height
 
-    def contains(self, x, y, tol: float = 0.0) -> np.ndarray:
-        """Vectorized membership test with an absolute slack ``tol``."""
-        x = np.asarray(x)
-        y = np.asarray(y)
-        return (
-            (x >= self.x0 - tol)
-            & (x <= self.x1 + tol)
-            & (y >= self.y0 - tol)
-            & (y <= self.y1 + tol)
-        )
-
 
 @dataclass(frozen=True)
 class ObstacleLattice:
@@ -130,8 +119,13 @@ class ObstacleLattice:
         Raises
         ------
         ValueError
-            If the obstacle edges do not align with the sub-cell grid.
+            If ``n_per_cell < 1`` or the obstacle edges do not align with
+            the sub-cell grid.
         """
+        if n_per_cell < 1:
+            raise ValueError(
+                f"need at least one element per cell edge, got {n_per_cell}"
+            )
         lo = (1.0 - self.s_hat) / 2.0 * n_per_cell
         hi = (1.0 + self.s_hat) / 2.0 * n_per_cell
         if abs(lo - round(lo)) > 1e-9 or abs(hi - round(hi)) > 1e-9:
@@ -598,13 +592,17 @@ def nested_dissection_order(nnx: int, nny: int, order: int = 1) -> np.ndarray:
 # Graded line generators
 # ----------------------------------------------------------------------
 
+#: Geometric growth factor of every graded mesh: the coupled subdomains
+#: away from the overlap and the pore-scale mesh above the band.
+GROWTH = 1.35
+
 
 def graded_lines(
     start: float,
     stop: float,
     h_first: float,
     h_max: float,
-    growth: float = 1.35,
+    growth: float = GROWTH,
 ) -> np.ndarray:
     """Monotone line array from ``start`` to ``stop`` with geometric grading.
 
@@ -656,17 +654,16 @@ def overlap_line_set(
     delta: float,
     h_fine: float,
     h_max: float,
-    growth: float = 1.35,
 ) -> np.ndarray:
     """Vertical lines for an overlapping two-subdomain split of a channel.
 
     Builds one array over ``[y_bottom, y_top]`` that contains exactly the
     lines ``y_bottom``, ``-delta``, ``0`` and ``y_top``.  The overlap
     ``(-delta, 0)`` is meshed uniformly with spacing at most ``h_fine``
-    (at least one element), and the mesh grades geometrically away from
-    the overlap on both sides.  Slicing this array at ``-delta`` and at
-    ``0`` yields boundary-conforming, overlap-conforming meshes for the
-    two subdomains.
+    (at least one element), and the mesh grades geometrically, by
+    :data:`GROWTH`, away from the overlap on both sides.  Slicing this
+    array at ``-delta`` and at ``0`` yields boundary-conforming,
+    overlap-conforming meshes for the two subdomains.
 
     Parameters
     ----------
@@ -678,8 +675,6 @@ def overlap_line_set(
         Target spacing inside and next to the overlap.
     h_max : float
         Coarse spacing far from the overlap.
-    growth : float
-        Geometric growth factor.
 
     Returns
     -------
@@ -692,8 +687,8 @@ def overlap_line_set(
     overlap = -delta + (delta / n_ov) * np.arange(n_ov + 1)
     overlap[0], overlap[-1] = -delta, 0.0
     h_start = min(h_fine, delta / n_ov)
-    below = graded_lines(delta, -y_bottom, h_start, h_max, growth)
+    below = graded_lines(delta, -y_bottom, h_start, h_max)
     below = -below[::-1]
     below[0], below[-1] = y_bottom, -delta
-    above = graded_lines(0.0, y_top, h_start, h_max, growth)
+    above = graded_lines(0.0, y_top, h_start, h_max)
     return np.concatenate([below[:-1], overlap, above[1:]])

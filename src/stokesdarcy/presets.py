@@ -182,12 +182,3 @@ CONFIGURATIONS: dict[str, PorousConfiguration] = {
     "C3": PorousConfiguration("C3", "circle", 0.4, 1.0 - np.pi * 0.4**2, 1.828e-3),
     "C4": PorousConfiguration("C4", "circle", 0.3, 1.0 - np.pi * 0.3**2, 1.098e-2),
 }
-
-#: Published square-obstacle cell results used as cross-checks:
-#: side fraction -> (dimensionless permeability, porosity).
-SQUARE_CELL_TABLE: dict[float, tuple[float, float]] = {
-    0.4: (2.358e-2, 0.84),
-    0.6: (6.326e-3, 0.64),
-    0.8: (7.231e-4, 0.36),
-    0.9: (8.651e-5, 0.19),
-}

@@ -26,6 +26,7 @@ import numpy as np
 from .dns import DnsResolution, DnsSolution, solve_dns
 from .fem import FemConfig
 from .homogenize import (
+    DEFAULT_CELL_RESOLUTION,
     CellSolution,
     PeriodicCellField,
     delta_star,
@@ -215,59 +216,13 @@ def l2_error(
     return float(np.sqrt(weights @ sq))
 
 
-def l2_norm(
-    field_a, region: RegionSpec, mesh: StructuredMesh, n_gauss: int = 3
-) -> float:
-    """L2 norm of one field over a region (for relative errors)."""
-    points, weights = region_quadrature(mesh, region, n_gauss)
+def l2_norm(field_a, region: RegionSpec, mesh: StructuredMesh) -> float:
+    """L2 norm of one field over a region (for relative errors), with the
+    default Gauss rule of :func:`region_quadrature`."""
+    points, weights = region_quadrature(mesh, region)
     v = np.asarray(_as_point_fn(field_a)(points), dtype=float)
     sq = v**2 if v.ndim == 1 else np.sum(v**2, axis=1)
     return float(np.sqrt(weights @ sq))
-
-
-def trace_error(
-    solution_a,
-    solution_b,
-    ybar: float,
-    mesh: StructuredMesh,
-    n_gauss: int = 4,
-) -> tuple[float, float, float]:
-    """1D L2 errors of velocity components and pressure along a line.
-
-    Parameters
-    ----------
-    solution_a, solution_b : objects
-        Anything exposing ``velocity`` and ``pressure`` as evaluable
-        fields or point callables.
-    ybar : float
-        Height of the line; must coincide with a node line of ``mesh``.
-    mesh : StructuredMesh
-        Supplies the x-segments (its columns) for the quadrature.
-    n_gauss : int
-        Gauss points per segment.
-
-    Returns
-    -------
-    (eu1, eu2, ep)
-        Component-wise 1D L2 errors.
-    """
-    mesh.line_index(ybar)
-    pts, wts = np.polynomial.legendre.leggauss(n_gauss)
-    x_lo = mesh.xs[:-1]
-    w = np.diff(mesh.xs)
-    px = x_lo[:, None] + 0.5 * (pts + 1.0)[None, :] * w[:, None]
-    weights = (0.5 * w[:, None] * wts[None, :]).ravel()
-    points = np.column_stack(
-        [px.ravel(), np.full(px.size, float(ybar))]
-    )
-    ua = np.asarray(_as_point_fn(solution_a.velocity)(points))
-    ub = np.asarray(_as_point_fn(solution_b.velocity)(points))
-    pa = np.asarray(_as_point_fn(solution_a.pressure)(points))
-    pb = np.asarray(_as_point_fn(solution_b.pressure)(points))
-    eu1 = float(np.sqrt(weights @ (ua[:, 0] - ub[:, 0]) ** 2))
-    eu2 = float(np.sqrt(weights @ (ua[:, 1] - ub[:, 1]) ** 2))
-    ep = float(np.sqrt(weights @ (pa - pb) ** 2))
-    return eu1, eu2, ep
 
 
 class ReconstructedVelocity:
@@ -276,11 +231,10 @@ class ReconstructedVelocity:
     At a point ``x`` in the porous band the reconstruction evaluates
     the macroscale velocity ``u(x)``, maps ``x`` into the unit cell of
     its period tile and modulates: ``u_rec_i = sum_j w_j_i(cell(x)) *
-    (C u(x))_j`` with the unit-cell velocities ``w_j``.  With the
-    default normalization ``C`` is the inverse dimensionless
-    permeability, so the cell average of the reconstruction equals the
-    macroscale velocity for locally constant fields; the literal
-    variant (``C = I``) is also available.
+    (C u(x))_j`` with the unit-cell velocities ``w_j``.  ``C`` is the
+    inverse dimensionless permeability, so the cell average of the
+    reconstruction equals the macroscale velocity for locally constant
+    fields.
 
     Parameters
     ----------
@@ -292,18 +246,12 @@ class ReconstructedVelocity:
         Period.
     origin : tuple
         Physical point mapped to the unit-cell origin (a band corner).
-    normalized : bool
-        Apply the inverse-permeability scaling (default) or modulate
-        literally.
     """
 
-    def __init__(self, macro_velocity, cell, ell, origin, normalized=True):
+    def __init__(self, macro_velocity, cell, ell, origin):
         self._macro = _as_point_fn(macro_velocity)
         self._w = [PeriodicCellField(v, ell, origin) for v in cell.velocities]
-        self._coef = (
-            np.linalg.inv(cell.k_hat) if normalized else np.eye(2)
-        )
-        self.normalized = normalized
+        self._coef = np.linalg.inv(cell.k_hat)
 
     def eval(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -319,7 +267,6 @@ def reconstruct_porous_velocity(
     cell: CellSolution,
     ell: float,
     band,
-    normalized: bool = True,
 ) -> ReconstructedVelocity:
     """Modulate a macroscale porous velocity with unit-cell solutions.
 
@@ -334,8 +281,6 @@ def reconstruct_porous_velocity(
         Period.
     band : RectDomain
         Porous band; its extents must be integer multiples of ``ell``.
-    normalized : bool
-        See :class:`ReconstructedVelocity`.
 
     Returns
     -------
@@ -350,9 +295,7 @@ def reconstruct_porous_velocity(
         ratio = extent / ell
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             raise ValueError(f"band {name} {extent} is not a multiple of {ell}")
-    return ReconstructedVelocity(
-        macro_velocity, cell, ell, (band.x0, band.y0), normalized
-    )
+    return ReconstructedVelocity(macro_velocity, cell, ell, (band.x0, band.y0))
 
 
 # ----------------------------------------------------------------------
@@ -400,8 +343,6 @@ def compare_solutions(
     ell: float,
     preset: TestCasePreset,
     configuration: str = "",
-    n_gauss: int = 3,
-    align_pressure: bool | None = None,
     iterations: int = 0,
 ) -> ErrorReport:
     """Measure a coupled solution against a pore-scale reference.
@@ -409,9 +350,9 @@ def compare_solutions(
     Velocity errors in the porous regions use the cell-modulated
     reconstruction of the macroscale porous velocity; the free-flow
     region compares velocities directly.  Pressures are compared
-    directly, with optional mean alignment per region when the pressure
-    level is only defined up to a constant (defaults to the preset's
-    pinning flag).
+    directly, after mean alignment per region when the preset pins the
+    pressure level only up to a constant (``preset.pin_pressure``).
+    Every integral takes 3 Gauss points per direction and element.
 
     Parameters
     ----------
@@ -429,10 +370,6 @@ def compare_solutions(
         Scenario (domains and pressure-pinning flag).
     configuration : str
         Microstructure label recorded in the report.
-    n_gauss : int
-        Quadrature density.
-    align_pressure : bool, optional
-        Force or suppress pressure mean alignment.
     iterations : int
         Interface iterations to record.
 
@@ -442,7 +379,7 @@ def compare_solutions(
     """
     regions = validation_regions(preset, delta, ell)
     mesh = dns.mesh
-    align = preset.pin_pressure if align_pressure is None else align_pressure
+    align = preset.pin_pressure
     recon = reconstruct_porous_velocity(
         composite.darcy_velocity, cell, ell, preset.porous_band
     )
@@ -450,37 +387,25 @@ def compare_solutions(
     norms: dict[str, float] = {}
 
     errors["u_fluid"] = l2_error(
-        composite.velocity, dns.velocity, regions["fluid"], mesh, n_gauss
+        composite.velocity, dns.velocity, regions["fluid"], mesh
     )
-    norms["u_fluid"] = l2_norm(dns.velocity, regions["fluid"], mesh, n_gauss)
+    norms["u_fluid"] = l2_norm(dns.velocity, regions["fluid"], mesh)
     errors["p_fluid"] = l2_error(
-        composite.pressure,
-        dns.pressure,
-        regions["fluid"],
-        mesh,
-        n_gauss,
-        align_mean=align,
+        composite.pressure, dns.pressure, regions["fluid"], mesh, align_mean=align
     )
-    norms["p_fluid"] = l2_norm(dns.pressure, regions["fluid"], mesh, n_gauss)
+    norms["p_fluid"] = l2_norm(dns.pressure, regions["fluid"], mesh)
 
     for key, region_key in (
         ("porous", "porous"),
         ("porous_deep", "porous_deep"),
     ):
         region = regions[region_key]
-        errors[f"u_{key}"] = l2_error(
-            recon, dns.velocity, region, mesh, n_gauss
-        )
-        norms[f"u_{key}"] = l2_norm(dns.velocity, region, mesh, n_gauss)
+        errors[f"u_{key}"] = l2_error(recon, dns.velocity, region, mesh)
+        norms[f"u_{key}"] = l2_norm(dns.velocity, region, mesh)
         errors[f"p_{key}"] = l2_error(
-            composite.pressure,
-            dns.pressure,
-            region,
-            mesh,
-            n_gauss,
-            align_mean=align,
+            composite.pressure, dns.pressure, region, mesh, align_mean=align
         )
-        norms[f"p_{key}"] = l2_norm(dns.pressure, region, mesh, n_gauss)
+        norms[f"p_{key}"] = l2_norm(dns.pressure, region, mesh)
 
     return ErrorReport(
         preset_id=preset.identifier,
@@ -531,17 +456,15 @@ class StudyResult:
 
 
 def _study_cell(
-    configuration: PorousConfiguration, cell: CellSolution | None, say
+    configuration: PorousConfiguration, cell_resolution: int, say
 ) -> CellSolution:
     """Check that a study's microstructure is meshable; solve its cell."""
     if not configuration.meshable:
         raise ValueError(
             f"configuration {configuration.name} cannot be meshed directly"
         )
-    if cell is None:
-        say(f"unit cell s_hat={configuration.size_ratio}")
-        cell = solve_cell_problem(configuration.size_ratio)
-    return cell
+    say(f"unit cell s_hat={configuration.size_ratio}")
+    return solve_cell_problem(configuration.size_ratio, resolution=cell_resolution)
 
 
 def convergence_study(
@@ -552,8 +475,7 @@ def convergence_study(
     hx: float = 1.0 / 144.0,
     dns_resolution: DnsResolution = DnsResolution(order=1),
     krylov: KrylovConfig = KrylovConfig(),
-    cell: CellSolution | None = None,
-    n_gauss: int = 3,
+    cell_resolution: int = DEFAULT_CELL_RESOLUTION,
     progress=None,
     mapper=map,
 ) -> StudyResult:
@@ -583,10 +505,8 @@ def convergence_study(
         memory).
     krylov : KrylovConfig, optional
         Interface solver settings.
-    cell : CellSolution, optional
-        Reuse an existing unit-cell solution.
-    n_gauss : int
-        Quadrature density of the error integrals.
+    cell_resolution : int
+        Elements per edge of the unit-cell mesh.
     progress : callable, optional
         Called with a status string before each expensive step.
     mapper : callable
@@ -602,7 +522,7 @@ def convergence_study(
     if len(ells) < 2:
         raise ValueError("need at least two periods")
     say = progress or (lambda msg: None)
-    cell = _study_cell(configuration, cell, say)
+    cell = _study_cell(configuration, cell_resolution, say)
 
     def run_one(ell: float) -> ErrorReport:
         lattice = preset.lattice(ell, configuration.size_ratio)
@@ -628,7 +548,6 @@ def convergence_study(
             ell,
             preset,
             configuration.name,
-            n_gauss,
             iterations=result.info["iterations"],
         )
 
@@ -672,8 +591,7 @@ def delta_sweep(
     hx: float = 1.0 / 144.0,
     dns_resolution: DnsResolution = DnsResolution(order=1),
     krylov: KrylovConfig = KrylovConfig(),
-    cell: CellSolution | None = None,
-    n_gauss: int = 3,
+    cell_resolution: int = DEFAULT_CELL_RESOLUTION,
     progress=None,
     mapper=map,
 ) -> SweepResult:
@@ -687,7 +605,7 @@ def delta_sweep(
     Parameters
     ----------
     preset, configuration, fem_config, hx, dns_resolution, krylov,
-    cell, n_gauss, progress, mapper
+    cell_resolution, progress, mapper
         As in :func:`convergence_study`.
     ell : float
         Period.
@@ -701,7 +619,7 @@ def delta_sweep(
     if not any(abs(f - 1.0) < 1e-12 for f in factors):
         raise ValueError("factors must include 1.0")
     say = progress or (lambda msg: None)
-    cell = _study_cell(configuration, cell, say)
+    cell = _study_cell(configuration, cell_resolution, say)
     dstar = delta_star(configuration.porosity, ell)
     lattice = preset.lattice(ell, configuration.size_ratio)
     say(f"pore-scale reference ell={ell}")
@@ -720,13 +638,7 @@ def delta_sweep(
             fem_config, IcddGeometry(delta=delta, hx=hx), physics
         )
         result = icdd_solve(problem, krylov)
-        return l2_error(
-            result.composite.velocity,
-            dns.velocity,
-            region,
-            dns.mesh,
-            n_gauss,
-        )
+        return l2_error(result.composite.velocity, dns.velocity, region, dns.mesh)
 
     errors = list(mapper(run_one, factors))
     deltas = [f * dstar for f in factors]

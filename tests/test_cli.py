@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import re
 from pathlib import Path
 
 import pytest
 
-from stokesdarcy import cli
+from stokesdarcy import cli, validate
 from stokesdarcy.cli import CliError, load_run_config, main
 from stokesdarcy.io import format_value, read_csv
 
@@ -221,6 +222,27 @@ def test_outputs_independent_of_thread_count(tmp_path, monkeypatch, command, ini
         assert [row[4] for row in rows] == expected
 
 
+@pytest.mark.parametrize(
+    ("command", "ini"),
+    [("validate", VALIDATE_INI), ("sweep", SWEEP_INI)],
+    ids=["validate", "sweep"],
+)
+def test_studies_use_configured_cell_resolution(tmp_path, monkeypatch, command, ini):
+    resolutions = []
+    inner = validate.solve_cell_problem
+
+    def wrapper(*args, **kwargs):
+        bound = inspect.signature(inner).bind(*args, **kwargs)
+        bound.apply_defaults()
+        resolutions.append(bound.arguments["resolution"])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(validate, "solve_cell_problem", wrapper)
+    argv = [command, "--config", str(write_config(tmp_path, ini))]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert resolutions == [10]  # STUDY_DISCRETIZATION's cell_resolution
+
+
 class TestFailureModes:
     def test_unknown_key_exits_2_without_outputs(self, tmp_path, capsys):
         config_path = write_config(tmp_path, CELL_INI + "\n[case2]\nz = 1\n")
@@ -259,13 +281,30 @@ class TestFailureModes:
                 "does not align",
             ),
             (
+                "cell",
+                CELL_INI.replace("cell_resolution = 10", "cell_resolution = 0"),
+                "at least one element per cell edge",
+            ),
+            (
+                "cell",
+                CELL_INI.replace("cell_resolution = 10", "cell_resolution = -10"),
+                "at least one element per cell edge",
+            ),
+            (
                 "icdd",
                 ICDD_INI.replace("tolerance = 1e-10", "tolerance = 1e-14")
                 + "max_iterations = 1\n",
                 "interface solver failed",
             ),
         ],
-        ids=["negative_tolerance", "zero_iterations", "coarse_cell", "no_convergence"],
+        ids=[
+            "negative_tolerance",
+            "zero_iterations",
+            "coarse_cell",
+            "zero_cell_resolution",
+            "negative_cell_resolution",
+            "no_convergence",
+        ],
     )
     def test_run_failure_exits_2_without_outputs(
         self, tmp_path, capsys, command, ini, message

@@ -5,14 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from stokesdarcy.dns import (
-    DnsResolution,
-    dns_line_set,
-    solve_dns,
-    trivial_extension,
-)
+from stokesdarcy.dns import H_MAX_FACTOR, DnsResolution, dns_line_set, solve_dns
 from stokesdarcy.linalg import factorize
-from stokesdarcy.mesh import StructuredMesh, build_perforated_mesh
 from stokesdarcy.presets import PRESETS
 
 
@@ -48,7 +42,7 @@ class TestLineSet:
         in_band = ys[(ys >= -0.5 - 1e-15) & (ys <= 1e-15)]
         np.testing.assert_allclose(np.diff(in_band), h, rtol=1e-12)
         above = ys[ys >= -1e-15]
-        assert np.all(np.diff(above) <= res.h_max_factor * h * (1 + 1e-9))
+        assert np.all(np.diff(above) <= H_MAX_FACTOR * h * (1 + 1e-9))
         assert ys[0] == preset.domain.y0 and ys[-1] == preset.domain.y1
 
 
@@ -93,26 +87,3 @@ def test_nested_dissection_factor_matches_colamd(order):
     b = np.random.default_rng(order).standard_normal(factor.shape[0])
     x_ref = factorize(system.interior_matrix).solve(b)
     assert np.abs(factor.solve(b) - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
-
-class TestTrivialExtension:
-    def test_zero_inside_obstacles_match_outside(self, solution):
-        mesh = solution.mesh
-        full = StructuredMesh(mesh.xs, mesh.ys, mesh.order)
-        velocity, pressure = trivial_extension(solution, full)
-        solid = ~mesh.node_active
-        assert solid.any()
-        np.testing.assert_array_equal(velocity.values[solid], 0.0)
-        np.testing.assert_array_equal(
-            velocity.values[mesh.node_active],
-            solution.velocity.values[mesh.node_active],
-        )
-        # Points inside obstacles now evaluate through full elements.
-        center = np.array([[-0.375, -0.375]])
-        np.testing.assert_allclose(velocity.eval(center), 0.0, atol=1e-13)
-        assert pressure.values.shape == (full.n_nodes,)
-
-    def test_mismatched_host_raises(self, solution):
-        mesh = solution.mesh
-        other = StructuredMesh(mesh.xs[::2], mesh.ys, mesh.order)
-        with pytest.raises(ValueError):
-            trivial_extension(solution, other)

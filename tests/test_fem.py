@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stokesdarcy.fem import (
+    GAMMA_STAB,
     BoundaryCondition,
     BoundarySpec,
     FemConfig,
@@ -345,7 +346,7 @@ def oracle_assembly(mesh, mu, f, permeability=None, source=None, multiplier=Fals
     This is the assembly the reference-matrix kernels replaced, kept as
     the independent check of their matrices and loads.
     """
-    order, gamma = mesh.order, FemConfig().gamma_stab
+    order, gamma = mesh.order, GAMMA_STAB
     pts, wts = np.polynomial.legendre.leggauss(order + 1)
     elems = np.flatnonzero(mesh.active)
     hx, hy = (h[elems] for h in mesh.element_sizes())

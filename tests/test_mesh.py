@@ -35,12 +35,6 @@ class TestRectDomain:
         with pytest.raises(ValueError, match="degenerate"):
             RectDomain(x0, x1, y0, y1)
 
-    def test_contains_with_slack(self):
-        dom = RectDomain(0.0, 1.0, 0.0, 1.0)
-        assert bool(dom.contains(0.5, 0.5))
-        assert not bool(dom.contains(1.1, 0.5))
-        assert bool(dom.contains(1.05, 0.5, tol=0.1))
-
 
 class TestStructuredMesh:
     @pytest.mark.parametrize("order", [1, 2])

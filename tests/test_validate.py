@@ -26,7 +26,6 @@ from stokesdarcy.validate import (
     l2_norm,
     reconstruct_porous_velocity,
     region_quadrature,
-    trace_error,
     validation_regions,
 )
 
@@ -149,33 +148,6 @@ class TestL2Error:
             l2_error(scalar, vector, RegionSpec("fluid", 0.0, 1.0), mesh)
 
 
-class TestTraceError:
-    def test_known_difference_integrates_exactly(self):
-        mesh = build_rect_mesh(RectDomain(0.0, 1.0, -0.5, 0.5), 0.125, order=2)
-
-        def make(offset):
-            return SimpleNamespace(
-                velocity=lambda pts: np.column_stack(
-                    [pts[:, 0] + offset, np.zeros(len(pts))]
-                ),
-                pressure=lambda pts: np.full(len(pts), offset, dtype=float),
-            )
-
-        eu1, eu2, ep = trace_error(make(0.0), make(0.25), 0.0, mesh)
-        assert eu1 == pytest.approx(0.25, rel=1e-12)
-        assert eu2 == 0.0
-        assert ep == pytest.approx(0.25, rel=1e-12)
-
-    def test_line_must_exist(self):
-        mesh = build_rect_mesh(RectDomain(0.0, 1.0, -0.5, 0.5), 0.25, order=1)
-        a = SimpleNamespace(
-            velocity=lambda pts: np.zeros((len(pts), 2)),
-            pressure=lambda pts: np.zeros(len(pts)),
-        )
-        with pytest.raises(ValueError):
-            trace_error(a, a, -0.7, mesh)
-
-
 class TestReconstruction:
     def test_cell_average_identity(self, cell_small):
         """Averaging the reconstruction over one period returns the input."""
@@ -193,20 +165,6 @@ class TestReconstruction:
         values = recon.eval(pts)
         avg = (wts[:, None] * values).sum(axis=0) / BAND.area
         np.testing.assert_allclose(avg, [3.0e-4, -2.0e-4], rtol=1e-10)
-
-    def test_literal_variant_scales_by_permeability(self, cell_small):
-        ell = 0.25
-        u = np.array([3.0e-4, -2.0e-4])
-        macro = SimpleNamespace(eval=lambda pts: np.tile(u, (len(pts), 1)))
-        recon = reconstruct_porous_velocity(
-            macro, cell_small, ell, BAND, normalized=False
-        )
-        host = build_rect_mesh(BAND, ell / 20.0, order=1)
-        pts, wts = region_quadrature(
-            host, RegionSpec("porous", *[-0.5, 0.0]), n_gauss=3
-        )
-        avg = (wts[:, None] * recon.eval(pts)).sum(axis=0) / BAND.area
-        np.testing.assert_allclose(avg, cell_small.k_hat @ u, rtol=1e-10)
 
     def test_vanishes_on_obstacle_images(self, cell_small):
         ell = 0.25
