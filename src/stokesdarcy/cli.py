@@ -83,9 +83,12 @@ class RunConfig:
             return default
         raw = self._p.get(section, key)
         try:
-            return cast(raw)
+            value = cast(raw)
         except ValueError as err:
             raise CliError(f"bad value for [{section}] {key}: {raw!r}") from err
+        if cast is float and not np.isfinite(value):
+            raise CliError(f"[{section}] {key} must be finite, got {raw!r}")
+        return value
 
     # -- case --------------------------------------------------------------
 
@@ -179,6 +182,8 @@ class RunConfig:
             raise CliError(f"bad value for [study] {key}: {raw!r}") from err
         if not values:
             raise CliError(f"[study] {key} is empty")
+        if not np.all(np.isfinite(values)):
+            raise CliError(f"[study] {key} must be finite, got {raw!r}")
         return values
 
     def ells(self) -> list:

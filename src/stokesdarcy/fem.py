@@ -386,6 +386,10 @@ class SaddleSystem:
         return np.flatnonzero(self.kind == KIND_INTERIOR)
 
     @cached_property
+    def dirichlet_dofs(self) -> np.ndarray:
+        return np.flatnonzero(self.kind == KIND_DIRICHLET)
+
+    @cached_property
     def _interior_position(self) -> np.ndarray:
         pos = np.full(self.n_dofs, -1, dtype=int)
         pos[self.interior_dofs] = np.arange(self.interior_dofs.size)
@@ -410,7 +414,7 @@ class SaddleSystem:
     @cached_property
     def interior_rhs(self) -> np.ndarray:
         """Interior load including the exterior Dirichlet lift."""
-        dir_dofs = np.flatnonzero(self.kind == KIND_DIRICHLET)
+        dir_dofs = self.dirichlet_dofs
         f = self.rhs[self.interior_dofs].copy()
         if dir_dofs.size:
             vals = self.dirichlet_values[dir_dofs]
@@ -427,13 +431,8 @@ class SaddleSystem:
         that order, and the pressure-mean multiplier comes last.  Entries
         are positions in the interior vector.
         """
-        n = self.n_nodes
         nodes = nested_dissection_order(self.mesh.nnx, self.mesh.nny, self.mesh.order)
-        dofs = (nodes[:, None] + n * np.arange(3)).ravel()
-        if self.has_multiplier:
-            dofs = np.append(dofs, 3 * n)
-        pos = self._interior_position[dofs]
-        return pos[pos >= 0]
+        return _node_major(nodes, self.n_nodes, self._interior_position)
 
     @cached_property
     def factor(self) -> Factorization:
@@ -492,7 +491,7 @@ class SaddleSystem:
         """
         full = np.zeros(self.n_dofs)
         if include_data:
-            dir_dofs = np.flatnonzero(self.kind == KIND_DIRICHLET)
+            dir_dofs = self.dirichlet_dofs
             full[dir_dofs] = self.dirichlet_values[dir_dofs]
         if g is not None:
             full[self.interface_dofs] = g
@@ -517,6 +516,22 @@ class SaddleSystem:
         """Active-area integral of the pressure field."""
         n = self.n_nodes
         return float(self.mass_scalar @ solution[2 * n : 3 * n])
+
+
+def _node_major(nodes: np.ndarray, n: int, position: np.ndarray) -> np.ndarray:
+    """Node-major elimination order of a constrained field-major vector.
+
+    ``position`` maps each field-major dof (``u_x``, ``u_y``, ``p`` at
+    offsets 0, ``n``, ``2 n``, then an optional multiplier at ``3 n``)
+    to its place in the constrained vector, or -1 if it is not there.
+    Each of ``nodes`` contributes its ``u_x``, ``u_y`` and ``p`` in turn,
+    and the multiplier comes last.
+    """
+    dofs = (nodes[:, None] + n * np.arange(3)).ravel()
+    if position.size > 3 * n:
+        dofs = np.append(dofs, 3 * n)
+    pos = position[dofs]
+    return pos[pos >= 0]
 
 
 def nodal_rows(parts) -> list[tuple]:
@@ -1103,15 +1118,22 @@ class CellSystem:
         pressure-mean multiplier).
     rhs : ndarray
         Matching right-hand side.
+    factor_order : ndarray of int
+        Node-major elimination order of the free reduced dofs: the
+        periodic master nodes in nested-dissection order with those on
+        the seam (the first node row and column, identified with the
+        opposite edges) last, each contributing its free ``u_x``,
+        ``u_y`` and ``p``, then the pressure-mean multiplier.
     expand : callable
-        Maps the constrained solution back to full nodal vectors
-        ``(u (n, 2), p (n,))`` on the cell mesh.
+        Maps the constrained solution back to the full nodal velocity
+        ``u`` of shape ``(n, 2)`` on the cell mesh.
     mass_scalar : ndarray
         Basis integrals over the fluid part of the cell.
     """
 
     matrix: sp.csc_matrix
     rhs: np.ndarray
+    factor_order: np.ndarray
     expand: object
     mass_scalar: np.ndarray
 
@@ -1179,14 +1201,24 @@ def assemble_cell_problem(cell_mesh: StructuredMesh, direction: int) -> CellSyst
     k_free = k_red[free][:, free].tocsc()
     f_free = f_red[free]
 
-    def expand(x_free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Node-major nested-dissection order over the masters.  The seam
+    # masters (first node row and column) also couple to the opposite
+    # edges they stand for, so they go last, as a top-level separator.
+    nodes = nested_dissection_order(cell_mesh.nnx, cell_mesh.nny, cell_mesh.order)
+    nodes = nodes[master[nodes] == nodes]
+    seam = (nodes % cell_mesh.nnx == 0) | (nodes < cell_mesh.nnx)
+    nodes = reduced_id[np.concatenate([nodes[~seam], nodes[seam]])]
+    position = np.full(3 * m + 1, -1)
+    position[free] = np.arange(free.size)
+    order = _node_major(nodes, m, position)
+
+    def expand(x_free: np.ndarray) -> np.ndarray:
         x_red = np.zeros(3 * m + 1)
         x_red[free] = x_free
         full = fold @ x_red
-        u = np.column_stack([full[:n], full[n : 2 * n]])
-        return u, full[2 * n : 3 * n]
+        return np.column_stack([full[:n], full[n : 2 * n]])
 
-    return CellSystem(k_free, f_free, expand, raw.mass_scalar)
+    return CellSystem(k_free, f_free, order, expand, raw.mass_scalar)
 
 
 def _periodic_masters(mesh: StructuredMesh) -> np.ndarray:

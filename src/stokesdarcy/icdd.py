@@ -27,7 +27,6 @@ import scipy.sparse as sp
 
 from .fem import (
     FemConfig,
-    Field,
     InterfaceSpec,
     SaddleSystem,
     assemble_darcy,

@@ -3,7 +3,8 @@
 Subdomain solves reuse one LU factorization across many right-hand
 sides, so the direct path wraps SuperLU.  A factorization either keeps
 a given symmetric elimination order (the node-by-node nested-dissection
-order of a :class:`~stokesdarcy.fem.SaddleSystem`), checked by the
+order of a :class:`~stokesdarcy.fem.SaddleSystem` or of the periodic
+:class:`~stokesdarcy.fem.CellSystem`), checked by the
 backward error of one solve with a warned fallback to COLAMD, or uses
 COLAMD directly; it records its ``ordering`` and ``backward_error``.
 
@@ -19,7 +20,7 @@ scale of the data.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp

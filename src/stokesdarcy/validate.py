@@ -494,7 +494,7 @@ def convergence_study(
     configuration : PorousConfiguration
         Microstructure row (must be meshable).
     ells : sequence of float
-        Periods, at least two.
+        Periods, at least two distinct ones; checked before any solve.
     fem_config : FemConfig, optional
         Discretization of the coupled solve (default order 2).
     hx : float
@@ -519,8 +519,8 @@ def convergence_study(
     StudyResult
     """
     ells = list(ells)
-    if len(ells) < 2:
-        raise ValueError("need at least two periods")
+    if np.unique(ells).size < 2:
+        raise ValueError("need at least two distinct periods")
     say = progress or (lambda msg: None)
     cell = _study_cell(configuration, cell_resolution, say)
 

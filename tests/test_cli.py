@@ -296,6 +296,21 @@ class TestFailureModes:
                 + "max_iterations = 1\n",
                 "interface solver failed",
             ),
+            (
+                "icdd",
+                ICDD_INI.replace("tolerance = 1e-10", "tolerance = nan"),
+                "[solver] tolerance must be finite",
+            ),
+            (
+                "icdd",
+                ICDD_INI.replace("hx = 0.1", "hx = inf"),
+                "[discretization] hx must be finite",
+            ),
+            (
+                "validate",
+                VALIDATE_INI.replace("ells = 0.25 0.125", "ells = 0.25 nan"),
+                "[study] ells must be finite",
+            ),
         ],
         ids=[
             "negative_tolerance",
@@ -304,6 +319,9 @@ class TestFailureModes:
             "zero_cell_resolution",
             "negative_cell_resolution",
             "no_convergence",
+            "nan_tolerance",
+            "inf_hx",
+            "nan_period",
         ],
     )
     def test_run_failure_exits_2_without_outputs(
@@ -330,6 +348,24 @@ class TestFailureModes:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_repeated_period_exits_2_before_any_solve(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        for name in ("solve_cell_problem", "solve_dns"):
+            monkeypatch.setattr(
+                validate, name, lambda *args, name=name, **kw: calls.append(name)
+            )
+        ini = VALIDATE_INI.replace("ells = 0.25 0.125", "ells = 0.25 0.25")
+        out = tmp_path / "out"
+        code = main(
+            ["validate", "--config", str(write_config(tmp_path, ini)), "--out", str(out)]
+        )
+        assert code == 2
+        assert "two distinct periods" in capsys.readouterr().err
+        assert calls == []
         assert not out.exists()
 
 

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stokesdarcy import homogenize
+from stokesdarcy.fem import assemble_cell_problem
 from stokesdarcy.homogenize import (
     DELTA_FIT_COEFFS,
     PeriodicCellField,
@@ -15,6 +17,7 @@ from stokesdarcy.homogenize import (
     permeability_dimensional,
     solve_cell_problem,
 )
+from stokesdarcy.linalg import BACKWARD_ERROR_BOUND, factorize
 from stokesdarcy.mesh import RectDomain
 from stokesdarcy.presets import CONFIGURATIONS
 
@@ -134,6 +137,49 @@ class TestCellProblem:
     def test_invalid_obstacle_raises(self, bad):
         with pytest.raises(ValueError):
             solve_cell_problem(bad, resolution=10)
+
+
+@pytest.mark.parametrize("s_hat", [0.4, 0.6, 0.8, 0.9])
+def test_cell_factored_in_nested_dissection_order(s_hat, monkeypatch):
+    factors = []
+
+    def recording(*args):
+        factors.append(factorize(*args))
+        return factors[-1]
+
+    monkeypatch.setattr(homogenize, "factorize", recording)
+    cell = solve_cell_problem(s_hat, resolution=20)
+    (factor,) = factors
+    assert factor.ordering == "nested-dissection"
+    assert factor.backward_error <= BACKWARD_ERROR_BOUND
+
+    mesh = cell.mesh
+    systems = [assemble_cell_problem(mesh, d) for d in (0, 1)]
+    order = systems[0].factor_order
+    n_free = systems[0].matrix.shape[0]
+    np.testing.assert_array_equal(np.sort(order), np.arange(n_free))
+    assert order[-1] == n_free - 1  # the pressure-mean multiplier
+
+    # The periodic seam (first node row and column, copied onto the last)
+    # lies in the fluid, so each of its master nodes has free u_x, u_y and
+    # p, and these are eliminated last.
+    i = np.arange(mesh.n_nodes) % mesh.nnx
+    j = np.arange(mesh.n_nodes) // mesh.nnx
+    on_seam = (i % (mesh.nnx - 1) == 0) | (j % (mesh.nny - 1) == 0)
+    n_seam = mesh.nnx + mesh.nny - 3
+    tail = np.zeros(n_free)
+    tail[order[-3 * n_seam - 1 : -1]] = 1.0
+    u_tail = systems[0].expand(tail)
+    np.testing.assert_array_equal(np.all(u_tail != 0.0, axis=1), on_seam)
+    assert not np.any(systems[0].expand(1.0 - tail)[on_seam])
+
+    colamd = factorize(systems[0].matrix)
+    assert colamd.ordering == "colamd"
+    k_hat = np.zeros((2, 2))
+    for d, system in enumerate(systems):
+        u = system.expand(colamd.solve(system.rhs))
+        k_hat[:, d] = system.mass_scalar @ u
+    np.testing.assert_allclose(cell.k_hat, k_hat, rtol=0, atol=1e-10 * k_hat.max())
 
 
 class TestPeriodicCellField:
