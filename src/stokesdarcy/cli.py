@@ -17,10 +17,8 @@ from __future__ import annotations
 import argparse
 import platform
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from configparser import ConfigParser
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -244,12 +242,68 @@ def _permeability_for(config, configuration, ell):
     return permeability_dimensional(cell.k_scalar(), ell), "computed"
 
 
+def _say(message: str) -> None:
+    """Print a message and its newline in a single write, flushed.
+
+    Study members in worker processes print their progress
+    concurrently; ``print`` writes the text and the newline apart,
+    which unbuffered output (``PYTHONUNBUFFERED``) passes on as two
+    writes that interleave with other workers' lines.
+    """
+    sys.stdout.write(message + "\n")
+    sys.stdout.flush()
+
+
+#: The study member a worker process runs; set by :func:`_start_worker`,
+#: in worker processes only.
+_member = None
+
+
+def _start_worker(member) -> None:
+    global _member
+    _member = member
+
+
+def _run_member(args: tuple):
+    return _member(*args)
+
+
 def _mapper(threads: int, pool_holder: list):
+    """``map`` over study members, in worker processes if ``threads > 1``.
+
+    Each call then forks ``min(threads, members)`` workers, added to
+    ``pool_holder`` for the caller to shut down.  Processes, because
+    members in threads of one process contend for the GIL: next to
+    another member's sparse factorization a coupled solve runs about
+    twice as long as alone.  The member function reaches the workers
+    through the fork (as the pool's initializer argument, which the
+    fork context does not pickle), with everything it captures shared
+    copy-on-write; only each member's arguments and result are pickled.
+    Each member's meshes and factors live in its own worker.
+    """
     if threads <= 1:
         return map
-    pool = ThreadPoolExecutor(max_workers=threads)
-    pool_holder.append(pool)
-    return pool.map
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    def mapped(fn, *iterables):
+        items = list(zip(*iterables))
+        pool = ProcessPoolExecutor(
+            max_workers=min(threads, len(items)),
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker,
+            initargs=(fn,),
+        )
+        pool_holder.append(pool)
+        try:
+            return list(pool.map(_run_member, items))
+        except BrokenProcessPool as err:
+            raise RuntimeError(
+                "a study worker process died without a result (for example, "
+                "killed for lack of memory)"
+            ) from err
+
+    return mapped
 
 
 @dataclass
@@ -270,9 +324,10 @@ class Outputs:
 def run(command: str, config: RunConfig, out_dir: Path, threads: int) -> None:
     """Run one command, then write its files and manifest.
 
-    The command gets a ``map``-like function for study members (a
-    thread pool's map when ``threads > 1``).  Nothing is written unless
-    it returns, so a failed run leaves no output directory.
+    The command gets a ``map``-like function for study members, which
+    runs them in ``threads`` worker processes (fork) when ``threads >
+    1`` (see :func:`_mapper`).  Nothing is written unless it returns, so
+    a failed run, a dead worker included, leaves no output directory.
 
     Raises
     ------
@@ -301,7 +356,7 @@ def run(command: str, config: RunConfig, out_dir: Path, threads: int) -> None:
         writer = write_csv if name.endswith(".csv") else write_vtk
         writer(out_dir / name, *args)
     write_manifest(out_dir / "manifest.json", manifest)
-    print(result.summary)
+    _say(result.summary)
 
 
 # ----------------------------------------------------------------------
@@ -449,7 +504,7 @@ def cmd_validate(config: RunConfig, mapper) -> Outputs:
         krylov=config.krylov(),
         cell_resolution=config.cell_resolution(),
         mapper=mapper,
-        progress=partial(print, flush=True),
+        progress=_say,
     )
     error_rows = [
         (r.configuration, r.ell, metric, value, r.relative(metric))
@@ -493,7 +548,7 @@ def cmd_sweep(config: RunConfig, mapper) -> Outputs:
         krylov=config.krylov(),
         cell_resolution=config.cell_resolution(),
         mapper=mapper,
-        progress=partial(print, flush=True),
+        progress=_say,
     )
     return Outputs(
         summary=(
@@ -549,7 +604,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=1,
-            help="worker threads for independent study members",
+            help=(
+                "worker processes (fork) for independent study members; "
+                "each member's memory lives in its own worker"
+            ),
         )
     return parser
 

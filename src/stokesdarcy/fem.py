@@ -409,17 +409,16 @@ class SaddleSystem:
     @cached_property
     def interface_matrix(self) -> sp.csr_matrix:
         """Coupling block mapping interface values into interior rows."""
-        return self.matrix[self.interior_dofs][:, self.interface_dofs].tocsr()
+        return self.matrix[:, self.interface_dofs][self.interior_dofs].tocsr()
 
     @cached_property
     def interior_rhs(self) -> np.ndarray:
         """Interior load including the exterior Dirichlet lift."""
-        dir_dofs = self.dirichlet_dofs
-        f = self.rhs[self.interior_dofs].copy()
-        if dir_dofs.size:
-            vals = self.dirichlet_values[dir_dofs]
-            if np.any(vals != 0.0):
-                f -= self.matrix[self.interior_dofs][:, dir_dofs] @ vals
+        f = self.rhs[self.interior_dofs]
+        lift = np.zeros(self.n_dofs)
+        lift[self.dirichlet_dofs] = self.dirichlet_values[self.dirichlet_dofs]
+        if np.any(lift != 0.0):
+            f -= (self.matrix @ lift)[self.interior_dofs]
         return f
 
     @cached_property
@@ -808,17 +807,7 @@ def assemble_stokes(
     ]
     del ks, b1, b2, cpp, px, py
 
-    fx, fy = _as_vector_callable(f)(*batch.qp_coords())
-    detj = batch.detj[:, None]
-    f_p = (-gamma / (2 * mu) * hx**2 * hy)[:, None] * batch.moments(fx, ref.dN_dxi)
-    f_p -= (gamma / (2 * mu) * hy**2 * hx)[:, None] * batch.moments(fy, ref.dN_deta)
-    rhs = np.concatenate(
-        [
-            batch.node_sums(detj * batch.moments(fx, ref.N)),
-            batch.node_sums(detj * batch.moments(fy, ref.N)),
-            batch.node_sums(f_p),
-        ]
-    )
+    rhs = _force_load(batch, mu, f)
     mass_scalar = batch.mass()
     sizes = [n, n, n]
     if null_mean_pressure:
@@ -847,6 +836,27 @@ def assemble_stokes(
         iface_nodes,
         mass_scalar,
         null_mean_pressure,
+    )
+
+
+def _force_load(batch: _ElementBatch, mu: float, f) -> np.ndarray:
+    """Stokes load ``(f, v)`` of a body force, stabilization term included.
+
+    Returns the ``u_x``, ``u_y`` and ``p`` rows, ``3 n`` entries.
+    """
+    ref = batch.ref
+    hx, hy = batch.hx, batch.hy
+    gamma = GAMMA_STAB
+    fx, fy = _as_vector_callable(f)(*batch.qp_coords())
+    detj = batch.detj[:, None]
+    f_p = (-gamma / (2 * mu) * hx**2 * hy)[:, None] * batch.moments(fx, ref.dN_dxi)
+    f_p -= (gamma / (2 * mu) * hy**2 * hx)[:, None] * batch.moments(fy, ref.dN_deta)
+    return np.concatenate(
+        [
+            batch.node_sums(detj * batch.moments(fx, ref.N)),
+            batch.node_sums(detj * batch.moments(fy, ref.N)),
+            batch.node_sums(f_p),
+        ]
     )
 
 
@@ -1109,15 +1119,15 @@ def assemble_darcy(
 
 @dataclass
 class CellSystem:
-    """Reduced periodic Stokes system for one unit-cell direction.
+    """Reduced periodic Stokes system of the unit cell.
 
     Attributes
     ----------
     matrix : csc_matrix
         Constrained periodic operator (free reduced dofs plus the
         pressure-mean multiplier).
-    rhs : ndarray
-        Matching right-hand side.
+    rhs : ndarray, shape (2, n_free)
+        Matching right-hand sides, one row per forcing direction.
     factor_order : ndarray of int
         Node-major elimination order of the free reduced dofs: the
         periodic master nodes in nested-dissection order with those on
@@ -1138,33 +1148,30 @@ class CellSystem:
     mass_scalar: np.ndarray
 
 
-def assemble_cell_problem(cell_mesh: StructuredMesh, direction: int) -> CellSystem:
-    """Assemble the periodic unit-cell Stokes problem for one direction.
+def assemble_cell_problem(cell_mesh: StructuredMesh) -> CellSystem:
+    """Assemble the periodic unit-cell Stokes problem for both directions.
 
-    Solves ``-lap(w) + grad q = e_d`` with unit viscosity on the fluid
-    part of the cell, no slip on the obstacle boundary, periodicity on
-    the outer edges (realized by identifying opposite boundary nodes)
-    and a zero pressure mean.
+    The problem ``-lap(w) + grad q = e_d`` with unit viscosity on the
+    fluid part of the cell, no slip on the obstacle boundary,
+    periodicity on the outer edges (realized by identifying opposite
+    boundary nodes) and a zero pressure mean has one operator for both
+    directions ``d``; only the load differs.
 
     Parameters
     ----------
     cell_mesh : StructuredMesh
-        Perforated unit-cell mesh (see ``build_perforated_mesh``).
-    direction : int
-        Forcing direction, 0 or 1; the discretization order is the
-        mesh's.
+        Perforated unit-cell mesh (see ``build_perforated_mesh``); the
+        discretization order is the mesh's.
 
     Returns
     -------
     CellSystem
     """
-    if direction not in (0, 1):
-        raise ValueError("direction must be 0 or 1")
-    force = (1.0, 0.0) if direction == 0 else (0.0, 1.0)
     raw = assemble_stokes(
-        cell_mesh, FemConfig(order=cell_mesh.order), mu=1.0, f=force,
+        cell_mesh, FemConfig(order=cell_mesh.order), mu=1.0,
         bc=BoundarySpec(), interface=None, null_mean_pressure=True,
     )
+    batch = _ElementBatch(cell_mesh, cell_mesh.order)
     n = cell_mesh.n_nodes
     n_dofs = raw.n_dofs
 
@@ -1184,7 +1191,10 @@ def assemble_cell_problem(cell_mesh: StructuredMesh, direction: int) -> CellSyst
         (np.ones(n_dofs), (rows, cols)), shape=(n_dofs, 3 * m + 1)
     ).tocsr()
     k_red = (fold.T @ raw.matrix @ fold).tocsr()
-    f_red = fold.T @ raw.rhs
+    f_red = [
+        fold.T @ np.append(_force_load(batch, 1.0, force), 0.0)
+        for force in ((1.0, 0.0), (0.0, 1.0))
+    ]
 
     # Constrained (free) reduced dofs: no-slip velocity on obstacle
     # boundaries, and zero values on dead nodes for every field.
@@ -1199,7 +1209,7 @@ def assemble_cell_problem(cell_mesh: StructuredMesh, direction: int) -> CellSyst
         fixed[dead_master + offset] = True
     free = np.flatnonzero(~fixed)
     k_free = k_red[free][:, free].tocsc()
-    f_free = f_red[free]
+    f_free = np.stack([f[free] for f in f_red])
 
     # Node-major nested-dissection order over the masters.  The seam
     # masters (first node row and column) also couple to the opposite

@@ -127,11 +127,11 @@ def solve_cell_problem(
 ) -> CellSolution:
     """Solve both unit-cell direction problems for a square obstacle.
 
-    The two directions differ only in their forcing, so one LU factor
-    serves both.  It is computed in the system's ``factor_order``
-    (nested dissection over the periodic master nodes, the seam last)
-    with a diagonal pivot threshold, and refactored with COLAMD, with a
-    warning, if its backward error exceeds
+    The two directions differ only in their forcing, so one assembly
+    and one LU factor serve both.  The factor is computed in the
+    system's ``factor_order`` (nested dissection over the periodic
+    master nodes, the seam last) with a diagonal pivot threshold, and
+    refactored with COLAMD, with a warning, if its backward error exceeds
     :data:`~stokesdarcy.linalg.BACKWARD_ERROR_BOUND`.
 
     Parameters
@@ -164,15 +164,13 @@ def solve_cell_problem(
     lattice = ObstacleLattice(1.0, s_hat, cell)
     mesh = build_perforated_mesh(cell, lattice, resolution, order=order)
 
+    system = assemble_cell_problem(mesh)
+    factor = factorize(system.matrix, system.factor_order)
+    mass = system.mass_scalar
     k_hat = np.zeros((2, 2))
     velocities = []
-    factor = None
-    for direction in (0, 1):
-        system = assemble_cell_problem(mesh, direction)
-        if factor is None:
-            factor = factorize(system.matrix, system.factor_order)
-        u = system.expand(factor.solve(system.rhs))
-        mass = system.mass_scalar
+    for direction, load in enumerate(system.rhs):
+        u = system.expand(factor.solve(load))
         k_hat[0, direction] = mass @ u[:, 0]
         k_hat[1, direction] = mass @ u[:, 1]
         velocities.append(Field(mesh, u, order))

@@ -510,9 +510,12 @@ def convergence_study(
     progress : callable, optional
         Called with a status string before each expensive step.
     mapper : callable
-        ``map``-like function used over the periods; pass an executor
-        map to run members concurrently (each member then holds its
-        own meshes and factorizations in memory).
+        ``map``-like function used over the periods.  The command line
+        passes a map over worker processes (fork) for ``--threads >
+        1``: each member then runs, and holds its meshes and
+        factorizations, in its own worker, which inherits the member
+        closure and the cell solution through the fork; only the
+        period and the :class:`ErrorReport` are pickled.
 
     Returns
     -------
@@ -605,8 +608,13 @@ def delta_sweep(
     Parameters
     ----------
     preset, configuration, fem_config, hx, dns_resolution, krylov,
-    cell_resolution, progress, mapper
+    cell_resolution, progress
         As in :func:`convergence_study`.
+    mapper : callable
+        ``map``-like function used over the factors, as in
+        :func:`convergence_study`; forked workers share the reference
+        solution copy-on-write, and only each factor and its error are
+        pickled.
     ell : float
         Period.
     factors : sequence of float

@@ -5,7 +5,10 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+import multiprocessing
+import os
 import re
+from concurrent.futures import process
 from pathlib import Path
 
 import pytest
@@ -241,6 +244,93 @@ def test_studies_use_configured_cell_resolution(tmp_path, monkeypatch, command, 
     argv = [command, "--config", str(write_config(tmp_path, ini))]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
     assert resolutions == [10]  # STUDY_DISCRETIZATION's cell_resolution
+
+
+class TestWorkerProcesses:
+    """``--threads N`` runs study members in forked worker processes."""
+
+    @staticmethod
+    def validate(tmp_path, threads):
+        config_path = write_config(tmp_path, VALIDATE_INI)
+        out = tmp_path / "out"
+        argv = ["validate", "--config", str(config_path), "--out", str(out)]
+        return main(argv + ["--threads", str(threads)]), out
+
+    def test_pool_capped_at_member_count(self, tmp_path, monkeypatch):
+        built = []
+
+        class PoolBuilt(Exception):
+            pass
+
+        def spy(*args, **kwargs):
+            built.append(kwargs)
+            raise PoolBuilt
+
+        monkeypatch.setattr(process, "ProcessPoolExecutor", spy)
+        with pytest.raises(PoolBuilt):
+            self.validate(tmp_path, 64)
+        assert [kw["max_workers"] for kw in built] == [2]  # two periods
+        assert built[0]["mp_context"].get_start_method() == "fork"
+
+    def test_members_run_in_separate_workers(self, tmp_path, monkeypatch):
+        # Each member waits for the other, so one worker cannot run both.
+        barrier = multiprocessing.get_context("fork").Barrier(2, timeout=60)
+        inner = validate.solve_dns
+
+        def reporting(preset, lattice, resolution):
+            (tmp_path / f"pid-{lattice.period:g}").write_text(str(os.getpid()))
+            barrier.wait()
+            return inner(preset, lattice, resolution)
+
+        monkeypatch.setattr(validate, "solve_dns", reporting)
+        code, _ = self.validate(tmp_path, 2)
+        assert code == 0
+        pids = [int(path.read_text()) for path in tmp_path.glob("pid-*")]
+        assert len(pids) == 2 and len(set(pids)) == 2
+        assert os.getpid() not in pids
+
+    def test_progress_lines_written_whole(self, tmp_path, monkeypatch):
+        # Workers share stdout; a line written in parts can interleave.
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr("sys.stdout", Recorder())
+        code, _ = self.validate(tmp_path, 1)
+        assert code == 0
+        assert writes[0] == "unit cell s_hat=0.8\n"
+        assert all(w.endswith("\n") for w in writes)
+        assert writes[-1].startswith("slope u_fluid = ")  # the summary, whole
+
+    @pytest.mark.parametrize(
+        ("killed", "message"),
+        [(True, "study worker process died"), (False, "no reference at ell=0.125")],
+        ids=["killed_worker", "raising_worker"],
+    )
+    def test_failed_member_exits_2_without_outputs(
+        self, tmp_path, capsys, monkeypatch, killed, message
+    ):
+        inner = validate.solve_dns
+
+        def failing(preset, lattice, resolution):
+            if lattice.period < 0.2:
+                if killed:  # as the kernel's out-of-memory killer would
+                    os._exit(137)
+                raise ValueError(f"no reference at ell={lattice.period:g}")
+            return inner(preset, lattice, resolution)
+
+        monkeypatch.setattr(validate, "solve_dns", failing)
+        code, out = self.validate(tmp_path, 2)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+        assert not out.exists()
 
 
 class TestFailureModes:
