@@ -282,20 +282,68 @@ class Field:
             Points falling in inactive elements evaluate to zero.
         """
         points = np.asarray(points, dtype=float)
-        squeeze = points.ndim == 1
-        if squeeze:
-            points = points[None, :]
-        elems, ref = self.mesh.locate(points)
-        N = basis_2d(self.order, ref)
-        nodal = self.values[self.mesh.element_nodes[elems]]
-        if nodal.ndim == 2:
-            out = np.einsum("pa,pa->p", N, nodal)
-        else:
-            out = np.einsum("pa,pac->pc", N, nodal)
-        inactive = ~self.mesh.active[elems]
-        if np.any(inactive):
-            out[inactive] = 0.0
-        return out[0] if squeeze else out
+        (out,) = eval_fields([self], points)
+        return out[0] if points.ndim == 1 else out
+
+
+def eval_fields(fields, points) -> list[np.ndarray]:
+    """Evaluate fields of one mesh at points, locating the points once.
+
+    Parameters
+    ----------
+    fields : sequence of Field
+        Fields sharing one mesh.
+    points : ndarray
+        Coordinates inside the mesh bounding box, shape ``(n, 2)``.
+
+    Returns
+    -------
+    list of ndarray
+        One array per field, as :meth:`Field.eval` returns it.
+    """
+    elems, ref = fields[0].mesh.locate(points)
+    return eval_located(fields, elems, ref[:, None, :])
+
+
+def eval_located(fields, elems: np.ndarray, ref: np.ndarray) -> list[np.ndarray]:
+    """Evaluate fields of one mesh at points whose host elements are known.
+
+    Points come in groups that share a host element, so each element's
+    nodal values are gathered once per group.
+
+    Parameters
+    ----------
+    fields : sequence of Field
+        Fields sharing one mesh.
+    elems : ndarray of int
+        Host element of each group, shape ``(m,)``.
+    ref : ndarray
+        Reference coordinates in ``[-1, 1]^2`` of the ``k`` points of each
+        group, shape ``(m, k, 2)``.
+
+    Returns
+    -------
+    list of ndarray
+        One array per field with the points group by group: shape
+        ``(m * k,)`` for scalar fields, ``(m * k, n_comp)`` otherwise.
+        Points in inactive elements evaluate to zero.
+    """
+    mesh = fields[0].mesh
+    if any(f.mesh is not mesh for f in fields):
+        raise ValueError("fields evaluated together must share one mesh")
+    m, k = ref.shape[:2]
+    N = basis_2d(mesh.order, ref.reshape(-1, 2)).reshape(m, k, -1)
+    nodes = mesh.element_nodes[elems]
+    inactive = ~mesh.active[elems]
+    out = []
+    for f in fields:
+        columns = f.values.reshape(f.values.shape[0], -1).T
+        values = np.stack(
+            [np.einsum("mka,ma->mk", N, col[nodes]) for col in columns], axis=-1
+        )
+        values[inactive] = 0.0
+        out.append(values.reshape(m * k, *f.values.shape[1:]))
+    return out
 
 
 # ----------------------------------------------------------------------

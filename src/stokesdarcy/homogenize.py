@@ -205,8 +205,12 @@ class PeriodicCellField:
         self.ell = ell
         self.origin = np.asarray(origin, dtype=float)
 
-    def eval(self, points) -> np.ndarray:
+    def cell_points(self, points) -> np.ndarray:
+        """Unit-cell coordinates of physical points."""
         points = np.asarray(points, dtype=float)
         local = (points - self.origin[None, :]) / self.ell
         local -= np.floor(local)
-        return self.field.eval(local)
+        return local
+
+    def eval(self, points) -> np.ndarray:
+        return self.field.eval(self.cell_points(points))

@@ -31,6 +31,7 @@ from .fem import (
     SaddleSystem,
     assemble_darcy,
     assemble_stokes,
+    eval_fields,
     nodal_rows,
 )
 from .linalg import KrylovConfig, bicgstab, factorize
@@ -106,6 +107,12 @@ class IcddProblem:
     trace_pressure : ndarray of int
         Indices into the free-flow solution vector returning its
         pressure at the porous control nodes.
+
+    Raises
+    ------
+    ValueError
+        If a subdomain has no interior or no interface unknowns (a mesh
+        too coarse for the overlap).
     """
 
     def __init__(
@@ -114,6 +121,15 @@ class IcddProblem:
         darcy: SaddleSystem,
         geometry: IcddGeometry,
     ):
+        for name, system in (("free-flow", stokes), ("porous", darcy)):
+            counts = (system.interior_dofs.size, system.n_interface)
+            if min(counts) == 0:
+                raise ValueError(
+                    f"hx = {geometry.hx:g} and delta = {geometry.delta:g} leave "
+                    f"the {name} subdomain with {counts[0]} interior and "
+                    f"{counts[1]} interface unknowns; each subdomain needs at "
+                    "least one of each, so use a smaller hx"
+                )
         self.stokes = stokes
         self.darcy = darcy
         self.geometry = geometry
@@ -305,28 +321,47 @@ class CompositeSolution:
         self.darcy_velocity = darcy.velocity(x_darcy)
         self.darcy_pressure = darcy.pressure(x_darcy)
 
-    def _split_points(self, points):
+    def evaluate(self, points, porous_velocity: bool = False):
+        """Velocity and pressure at points, locating each subdomain mesh
+        at most once for both fields.
+
+        Parameters
+        ----------
+        points : ndarray
+            Coordinates, shape ``(n, 2)``.
+        porous_velocity : bool
+            Return the porous velocity at every point instead of the
+            composite one (the points must then lie in the porous mesh).
+
+        Returns
+        -------
+        (velocity, pressure)
+            Shapes ``(n, 2)`` and ``(n,)``.
+        """
         points = np.asarray(points, dtype=float)
         in_stokes = points[:, 1] >= -self.delta
-        return points, in_stokes
+        velocity = np.empty((points.shape[0], 2))
+        pressure = np.empty(points.shape[0])
+        if np.any(in_stokes):
+            u, p = eval_fields(
+                [self.stokes_velocity, self.stokes_pressure], points[in_stokes]
+            )
+            velocity[in_stokes] = u
+            pressure[in_stokes] = p
+        in_darcy = np.ones_like(in_stokes) if porous_velocity else ~in_stokes
+        if np.any(in_darcy):
+            u, p = eval_fields(
+                [self.darcy_velocity, self.darcy_pressure], points[in_darcy]
+            )
+            velocity[in_darcy] = u
+            pressure[~in_stokes] = p[~in_stokes[in_darcy]]
+        return velocity, pressure
 
     def velocity(self, points) -> np.ndarray:
-        points, in_stokes = self._split_points(points)
-        out = np.empty((points.shape[0], 2))
-        if np.any(in_stokes):
-            out[in_stokes] = self.stokes_velocity.eval(points[in_stokes])
-        if np.any(~in_stokes):
-            out[~in_stokes] = self.darcy_velocity.eval(points[~in_stokes])
-        return out
+        return self.evaluate(points)[0]
 
     def pressure(self, points) -> np.ndarray:
-        points, in_stokes = self._split_points(points)
-        out = np.empty(points.shape[0])
-        if np.any(in_stokes):
-            out[in_stokes] = self.stokes_pressure.eval(points[in_stokes])
-        if np.any(~in_stokes):
-            out[~in_stokes] = self.darcy_pressure.eval(points[~in_stokes])
-        return out
+        return self.evaluate(points)[1]
 
     def sample_rows(self):
         """Nodal samples for tabular export.

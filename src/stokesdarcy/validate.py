@@ -6,7 +6,10 @@ restricted free-flow region above the lower interface, the porous
 region below it, and the porous region more than one period below the
 obstacle-top line (away from the transition layer).  All integrals run
 over the fluid part of the pore-scale mesh, so obstacle interiors never
-contribute.
+contribute.  Each region gets one Gauss rule, 3 points per direction on
+every pore-scale element it covers, and each field is evaluated once
+on it: the pore-scale fields straight from their own elements, every
+other field after one point location on its own mesh.
 
 In the porous slabs the macroscale velocity is not compared directly:
 it is first turned back into a pore-scale field by modulating it with
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dns import DnsResolution, DnsSolution, solve_dns
-from .fem import FemConfig
+from .fem import FemConfig, eval_fields, eval_located
 from .homogenize import (
     DEFAULT_CELL_RESOLUTION,
     CellSolution,
@@ -135,6 +138,21 @@ def region_quadrature(
     (points, weights)
         Flat arrays of shape ``(nq, 2)`` and ``(nq,)``.
     """
+    points, weights, _, _ = _region_rule(mesh, region, n_gauss)
+    return points, weights
+
+
+def _region_rule(mesh: StructuredMesh, region: RegionSpec, n_gauss: int = 3):
+    """Gauss rule of :func:`region_quadrature`, element by element.
+
+    Returns
+    -------
+    (points, weights, elems, ref)
+        ``points`` and ``weights`` as :func:`region_quadrature` returns
+        them, grouped by host element; ``elems`` holds the ``m`` host
+        elements and ``ref`` the reference coordinates of each element's
+        ``k = n_gauss**2`` points, shape ``(m, k, 2)``.
+    """
     elems = np.flatnonzero(mesh.active)
     ex = elems % mesh.nex
     ey = elems // mesh.nex
@@ -151,17 +169,40 @@ def region_quadrature(
     w = x_hi - x_lo
     h = y_hi - y_lo
     keep = (w > 1e-14) & (h > 1e-14)
+    elems, ex, ey = elems[keep], ex[keep], ey[keep]
     x_lo, y_lo, w, h = x_lo[keep], y_lo[keep], w[keep], h[keep]
-    if x_lo.size == 0:
+    if elems.size == 0:
         raise ValueError(f"region {region.kind!r} misses the active mesh")
     pts, wts = np.polynomial.legendre.leggauss(n_gauss)
     PX, PY = np.meshgrid(pts, pts, indexing="ij")
     WX, WY = np.meshgrid(wts, wts, indexing="ij")
-    px = x_lo[:, None] + 0.5 * (PX.ravel() + 1.0)[None, :] * w[:, None]
-    py = y_lo[:, None] + 0.5 * (PY.ravel() + 1.0)[None, :] * h[:, None]
+    tx = 0.5 * (PX.ravel() + 1.0)[None, :]
+    ty = 0.5 * (PY.ravel() + 1.0)[None, :]
+    px = x_lo[:, None] + tx * w[:, None]
+    py = y_lo[:, None] + ty * h[:, None]
     ww = 0.25 * (w * h)[:, None] * (WX * WY).ravel()[None, :]
+    # Offsets of the clipped box inside its element: reference
+    # coordinates without point location, also in clipped elements.
+    dx = (x_lo - mesh.xs[ex])[:, None]
+    dy = (y_lo - mesh.ys[ey])[:, None]
+    xi = 2.0 * (dx + tx * w[:, None]) / mesh.hx[ex][:, None] - 1.0
+    eta = 2.0 * (dy + ty * h[:, None]) / mesh.hy[ey][:, None] - 1.0
     points = np.column_stack([px.ravel(), py.ravel()])
-    return points, ww.ravel()
+    return points, ww.ravel(), elems, np.stack([xi, eta], axis=-1)
+
+
+def _weighted_l2(weights, va, vb, align_mean: bool = False) -> float:
+    """``sqrt(sum_q w_q |va_q - vb_q|^2)`` over a rule's values, after
+    subtracting each field's weighted mean if ``align_mean``."""
+    if va.shape != vb.shape:
+        raise ValueError("fields disagree on value shape")
+    if align_mean:
+        area = weights.sum()
+        va = va - (weights @ va) / area
+        vb = vb - (weights @ vb) / area
+    diff = va - vb
+    sq = diff**2 if diff.ndim == 1 else np.sum(diff**2, axis=1)
+    return float(np.sqrt(weights @ sq))
 
 
 def l2_error(
@@ -198,22 +239,7 @@ def l2_error(
     points, weights = region_quadrature(mesh, region, n_gauss)
     va = np.asarray(_as_point_fn(field_a)(points), dtype=float)
     vb = np.asarray(_as_point_fn(field_b)(points), dtype=float)
-    if va.shape != vb.shape:
-        raise ValueError("fields disagree on value shape")
-    if align_mean:
-        area = weights.sum()
-        if va.ndim == 1:
-            va = va - (weights @ va) / area
-            vb = vb - (weights @ vb) / area
-        else:
-            va = va - (weights @ va)[None, :] / area
-            vb = vb - (weights @ vb)[None, :] / area
-    diff = va - vb
-    if diff.ndim == 1:
-        sq = diff**2
-    else:
-        sq = np.sum(diff**2, axis=1)
-    return float(np.sqrt(weights @ sq))
+    return _weighted_l2(weights, va, vb, align_mean)
 
 
 def l2_norm(field_a, region: RegionSpec, mesh: StructuredMesh) -> float:
@@ -221,8 +247,7 @@ def l2_norm(field_a, region: RegionSpec, mesh: StructuredMesh) -> float:
     default Gauss rule of :func:`region_quadrature`."""
     points, weights = region_quadrature(mesh, region)
     v = np.asarray(_as_point_fn(field_a)(points), dtype=float)
-    sq = v**2 if v.ndim == 1 else np.sum(v**2, axis=1)
-    return float(np.sqrt(weights @ sq))
+    return _weighted_l2(weights, v, np.zeros_like(v))
 
 
 class ReconstructedVelocity:
@@ -255,10 +280,16 @@ class ReconstructedVelocity:
 
     def eval(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        u = np.asarray(self._macro(points), dtype=float)
-        c = u @ self._coef.T
-        w1 = self._w[0].eval(points)
-        w2 = self._w[1].eval(points)
+        return self.modulate(points, np.asarray(self._macro(points), dtype=float))
+
+    def modulate(self, points, macro: np.ndarray) -> np.ndarray:
+        """Reconstruction at points where the macroscale velocity is
+        already evaluated (``macro``, shape ``(n, 2)``).  Both ``w_j``
+        live on one cell mesh, which is located once."""
+        c = macro @ self._coef.T
+        w1, w2 = eval_fields(
+            [w.field for w in self._w], self._w[0].cell_points(points)
+        )
         return c[:, :1] * w1 + c[:, 1:2] * w2
 
 
@@ -352,7 +383,9 @@ def compare_solutions(
     region compares velocities directly.  Pressures are compared
     directly, after mean alignment per region when the preset pins the
     pressure level only up to a constant (``preset.pin_pressure``).
-    Every integral takes 3 Gauss points per direction and element.
+    Each region takes one rule of 3 Gauss points per direction and
+    element, every field is evaluated once on it, and the region's
+    errors and norms all come from those values.
 
     Parameters
     ----------
@@ -377,35 +410,22 @@ def compare_solutions(
     -------
     ErrorReport
     """
-    regions = validation_regions(preset, delta, ell)
-    mesh = dns.mesh
-    align = preset.pin_pressure
     recon = reconstruct_porous_velocity(
         composite.darcy_velocity, cell, ell, preset.porous_band
     )
     errors: dict[str, float] = {}
     norms: dict[str, float] = {}
-
-    errors["u_fluid"] = l2_error(
-        composite.velocity, dns.velocity, regions["fluid"], mesh
-    )
-    norms["u_fluid"] = l2_norm(dns.velocity, regions["fluid"], mesh)
-    errors["p_fluid"] = l2_error(
-        composite.pressure, dns.pressure, regions["fluid"], mesh, align_mean=align
-    )
-    norms["p_fluid"] = l2_norm(dns.pressure, regions["fluid"], mesh)
-
-    for key, region_key in (
-        ("porous", "porous"),
-        ("porous_deep", "porous_deep"),
-    ):
-        region = regions[region_key]
-        errors[f"u_{key}"] = l2_error(recon, dns.velocity, region, mesh)
-        norms[f"u_{key}"] = l2_norm(dns.velocity, region, mesh)
-        errors[f"p_{key}"] = l2_error(
-            composite.pressure, dns.pressure, region, mesh, align_mean=align
-        )
-        norms[f"p_{key}"] = l2_norm(dns.pressure, region, mesh)
+    for name, region in validation_regions(preset, delta, ell).items():
+        points, w, elems, ref = _region_rule(dns.mesh, region)
+        u_ref, p_ref = eval_located([dns.velocity, dns.pressure], elems, ref)
+        porous = name != "fluid"
+        u, p = composite.evaluate(points, porous_velocity=porous)
+        if porous:
+            u = recon.modulate(points, u)
+        errors[f"u_{name}"] = _weighted_l2(w, u, u_ref)
+        norms[f"u_{name}"] = _weighted_l2(w, u_ref, np.zeros_like(u_ref))
+        errors[f"p_{name}"] = _weighted_l2(w, p, p_ref, preset.pin_pressure)
+        norms[f"p_{name}"] = _weighted_l2(w, p_ref, np.zeros_like(p_ref))
 
     return ErrorReport(
         preset_id=preset.identifier,
@@ -542,6 +562,8 @@ def convergence_study(
             fem_config, IcddGeometry(delta=delta, hx=hx), physics
         )
         result = icdd_solve(problem, krylov)
+        problem.stokes.release_factor()
+        problem.darcy.release_factor()
         say(f"errors ell={ell}")
         return compare_solutions(
             result.composite,
@@ -612,9 +634,10 @@ def delta_sweep(
         As in :func:`convergence_study`.
     mapper : callable
         ``map``-like function used over the factors, as in
-        :func:`convergence_study`; forked workers share the reference
-        solution copy-on-write, and only each factor and its error are
-        pickled.
+        :func:`convergence_study`.  The error region's quadrature rule
+        and the reference velocity on it are computed once, before the
+        map; forked workers share them copy-on-write, and only each
+        factor and its error are pickled.
     ell : float
         Period.
     factors : sequence of float
@@ -634,6 +657,8 @@ def delta_sweep(
     dns = solve_dns(preset, lattice, dns_resolution)
     dns.system.release_factor()
     region = RegionSpec("fluid", -dstar, preset.domain.y1)
+    points, weights, elems, ref = _region_rule(dns.mesh, region)
+    (u_ref,) = eval_located([dns.velocity], elems, ref)
     physics = IcddPhysics(
         preset=preset,
         permeability=permeability_dimensional(cell.k_scalar(), ell),
@@ -646,7 +671,10 @@ def delta_sweep(
             fem_config, IcddGeometry(delta=delta, hx=hx), physics
         )
         result = icdd_solve(problem, krylov)
-        return l2_error(result.composite.velocity, dns.velocity, region, dns.mesh)
+        problem.stokes.release_factor()
+        problem.darcy.release_factor()
+        u, _ = result.composite.evaluate(points)
+        return _weighted_l2(weights, u, u_ref)
 
     errors = list(mapper(run_one, factors))
     deltas = [f * dstar for f in factors]

@@ -401,6 +401,11 @@ class TestFailureModes:
                 VALIDATE_INI.replace("ells = 0.25 0.125", "ells = 0.25 nan"),
                 "[study] ells must be finite",
             ),
+            (
+                "icdd",
+                ICDD_INI.replace("hx = 0.1", "hx = 0.9"),
+                "hx = 0.9 and delta = ",
+            ),
         ],
         ids=[
             "negative_tolerance",
@@ -412,6 +417,7 @@ class TestFailureModes:
             "nan_tolerance",
             "inf_hx",
             "nan_period",
+            "no_interface_unknowns",
         ],
     )
     def test_run_failure_exits_2_without_outputs(

@@ -19,6 +19,8 @@ from stokesdarcy.fem import (
     assemble_stokes,
     basis_1d,
     divergence_l2,
+    eval_fields,
+    eval_located,
     nodal_rows,
 )
 from stokesdarcy.mesh import (
@@ -166,6 +168,75 @@ class TestField:
         mesh = build_rect_mesh(UNIT, 0.5, order=1)
         with pytest.raises(ValueError):
             Field(mesh, np.ones(mesh.n_nodes + 1), order=1)
+
+
+class TestEvalFields:
+    """Several fields of one mesh evaluated together, against per-field
+    :meth:`Field.eval` and against the polynomials they interpolate."""
+
+    @staticmethod
+    def _fields(order):
+        band = RectDomain(0.0, 1.0, 0.0, 0.5)
+        lattice = ObstacleLattice(0.25, 0.6, band)
+        mesh = build_perforated_mesh(UNIT, lattice, n_per_cell=5, order=order)
+        x, y = mesh.node_coords.T
+        velocity = Field(mesh, np.column_stack([x + 2 * y, (x * y) ** order]), order)
+        pressure = Field(mesh, 1.0 - (x * y) ** order + y, order)
+        return mesh, velocity, pressure
+
+    @staticmethod
+    def _exact(mesh, points, order):
+        x, y = points.T
+        fluid = mesh.active[mesh.locate(points)[0]]
+        u = np.column_stack([x + 2 * y, (x * y) ** order]) * fluid[:, None]
+        return u, (1.0 - (x * y) ** order + y) * fluid
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_matches_field_eval(self, order):
+        mesh, velocity, pressure = self._fields(order)
+        rng = np.random.default_rng(3)
+        inside = rng.random((40, 2))
+        # Points on vertical and horizontal element edges, obstacle
+        # interiors (cell centers of the band) and the domain corners.
+        on_x = np.column_stack([mesh.xs[1::3], rng.random(mesh.xs[1::3].size)])
+        on_y = np.column_stack([rng.random(mesh.ys[1::3].size), mesh.ys[1::3]])
+        holes = np.array([[0.125, 0.125], [0.375, 0.375], [0.875, 0.125]])
+        corners = np.array([[0.0, 0.0], [1.0, 1.0]])
+        points = np.vstack([inside, on_x, on_y, holes, corners])
+        u, p = eval_fields([velocity, pressure], points)
+        np.testing.assert_array_equal(u, velocity.eval(points))
+        np.testing.assert_array_equal(p, pressure.eval(points))
+        in_holes = slice(-5, -2)
+        assert np.all(u[in_holes] == 0.0) and np.all(p[in_holes] == 0.0)
+        u_exact, p_exact = self._exact(mesh, points, order)
+        np.testing.assert_allclose(u, u_exact, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(p, p_exact, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_grouped_points_share_their_element(self, order):
+        mesh, velocity, pressure = self._fields(order)
+        rng = np.random.default_rng(4)
+        elems = rng.choice(mesh.n_elements, size=30, replace=False)
+        ref = rng.uniform(-1.0, 1.0, size=(30, 5, 2))
+        ref[:, 0] = [-1.0, 1.0]  # one point of each group on a corner
+        ex, ey = elems % mesh.nex, elems // mesh.nex
+        x = mesh.xs[ex][:, None] + 0.5 * (ref[..., 0] + 1.0) * mesh.hx[ex][:, None]
+        y = mesh.ys[ey][:, None] + 0.5 * (ref[..., 1] + 1.0) * mesh.hy[ey][:, None]
+        points = np.column_stack([x.ravel(), y.ravel()])
+        u, p = eval_located([velocity, pressure], elems, ref)
+        fluid = np.repeat(mesh.active[elems], 5)
+        assert not fluid.all() and fluid.any()
+        x, y = points.T
+        u_exact = np.column_stack([x + 2 * y, (x * y) ** order]) * fluid[:, None]
+        p_exact = (1.0 - (x * y) ** order + y) * fluid
+        np.testing.assert_allclose(u, u_exact, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(p, p_exact, rtol=0, atol=1e-12)
+
+    def test_fields_must_share_a_mesh(self):
+        a = Field(build_rect_mesh(UNIT, 0.5, order=1), np.zeros(9), order=1)
+        b = Field(build_rect_mesh(UNIT, 0.5, order=1), np.zeros(9), order=1)
+        with pytest.raises(ValueError, match="share one mesh"):
+            eval_fields([a, b], np.array([[0.5, 0.5]]))
 
 
 class TestDivergence:

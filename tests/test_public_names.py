@@ -10,6 +10,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "stokesdarcy"
 #: Public names whose only callers are tests, each with the reason it stays.
 TEST_ONLY = {
     "build_rect_mesh": "uniform meshes for the manufactured-solution checks",
+    "l2_error": "region error norm of the manufactured-solution and FEM tests",
+    "l2_norm": "region norm of the quadrature tests; compare_solutions reuses its kernel",
     "monolithic_solve": "independent direct-solve oracle of the interface solver",
     "read_csv": "reads the CLI outputs back in the output tests",
 }

@@ -9,7 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokesdarcy.fem import Field
+from stokesdarcy.dns import DnsResolution, solve_dns
+from stokesdarcy.fem import FemConfig, Field
+from stokesdarcy.homogenize import permeability_dimensional
+from stokesdarcy.icdd import IcddGeometry, IcddPhysics, assemble_problem, icdd_solve
+from stokesdarcy.linalg import KrylovConfig
 from stokesdarcy.mesh import (
     ObstacleLattice,
     RectDomain,
@@ -21,6 +25,7 @@ from stokesdarcy.validate import (
     ErrorReport,
     RegionSpec,
     SweepResult,
+    compare_solutions,
     error_slopes,
     l2_error,
     l2_norm,
@@ -225,3 +230,74 @@ class TestStudyHelpers:
             deltas=[0.01, 0.02, 0.03], errors=errors, delta_star=0.02
         )
         assert sweep.is_interior_minimum() is interior
+
+
+def per_metric_errors(composite, dns, cell, delta, ell, preset):
+    """Reference for :func:`compare_solutions`: every metric on its own
+    quadrature rule, each field evaluated by point location."""
+    regions = validation_regions(preset, delta, ell)
+    mesh = dns.mesh
+    align = preset.pin_pressure
+    recon = reconstruct_porous_velocity(
+        composite.darcy_velocity, cell, ell, preset.porous_band
+    )
+    errors, norms = {}, {}
+    for name, region in regions.items():
+        velocity = composite.velocity if name == "fluid" else recon
+        errors[f"u_{name}"] = l2_error(velocity, dns.velocity, region, mesh)
+        norms[f"u_{name}"] = l2_norm(dns.velocity, region, mesh)
+        errors[f"p_{name}"] = l2_error(
+            composite.pressure, dns.pressure, region, mesh, align_mean=align
+        )
+        norms[f"p_{name}"] = l2_norm(dns.pressure, region, mesh)
+    return errors, norms
+
+
+class TestCompareSolutions:
+    """The single-pass comparison against the per-metric reference."""
+
+    DNS_ELL = 0.25
+
+    @pytest.mark.parametrize(
+        ("preset_id", "dns_order", "delta", "ell"),
+        [
+            (1, 1, 0.0337, DNS_ELL),
+            (2, 2, 0.0337, DNS_ELL),
+            (1, 2, 0.08, 0.05),
+            (3, 1, 0.08, 0.05),
+        ],
+        ids=["pinned-q1", "free-q2", "pinned-q2-deep-straddles", "free-q1-deep-straddles"],
+    )
+    def test_matches_per_metric_reference(
+        self, cell_small, preset_id, dns_order, delta, ell
+    ):
+        preset = PRESETS[preset_id]
+        dns = solve_dns(
+            preset,
+            preset.lattice(self.DNS_ELL, cell_small.s_hat),
+            DnsResolution(n_per_cell=5, order=dns_order),
+        )
+        # Shift the reference pressure level: the comparison must remove
+        # it exactly when the preset fixes pressure only up to a constant.
+        dns.pressure = Field(dns.mesh, dns.pressure.values + 1e-8, dns_order)
+        # The lower interface cuts DNS elements, and with ell < delta the
+        # deep porous region reaches above it.
+        assert np.min(np.abs(dns.mesh.ys + delta)) > 1e-3
+        assert (ell < delta) == (ell == 0.05)
+        problem = assemble_problem(
+            FemConfig(order=1),
+            IcddGeometry(delta=delta, hx=1.0 / 8.0),
+            IcddPhysics(
+                preset, permeability_dimensional(cell_small.k_scalar(), ell)
+            ),
+        )
+        composite = icdd_solve(problem, KrylovConfig(tol=1e-8)).composite
+        report = compare_solutions(composite, dns, cell_small, delta, ell, preset)
+        errors, norms = per_metric_errors(
+            composite, dns, cell_small, delta, ell, preset
+        )
+        assert list(report.errors) == list(errors)
+        for key in errors:
+            assert report.errors[key] > 0.0
+            assert report.errors[key] == pytest.approx(errors[key], rel=1e-12)
+            assert report.norms[key] == pytest.approx(norms[key], rel=1e-12)
