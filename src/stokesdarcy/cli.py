@@ -430,6 +430,8 @@ def cmd_icdd(config: RunConfig, mapper) -> Outputs:
             "permeability_source": k_source,
             "matching_velocity": result.matching_velocity,
             "matching_pressure": result.matching_pressure,
+            "stokes_factor": problem.stokes.factor.health(),
+            "darcy_factor": problem.darcy.factor.health(),
         },
         files={
             "solution.csv": (SOLUTION_HEADER, sol.sample_rows()),
@@ -474,6 +476,7 @@ def cmd_dns(config: RunConfig, mapper) -> Outputs:
             "cells": solution.resolution.n_per_cell,
             "order": solution.resolution.order,
             "divergence_l2": divergence,
+            "factor": solution.system.factor.health(),
         },
         files={
             "solution.csv": (SOLUTION_HEADER, solution.sample_rows()),

@@ -367,8 +367,10 @@ class SaddleSystem:
 
     Attributes
     ----------
-    matrix : csr_matrix
-        Unconstrained operator over all degrees of freedom.
+    matrix : csc_matrix
+        Unconstrained operator over all degrees of freedom, in CSC form
+        so that the factor of the interior block gathers its columns
+        straight from it.
     rhs : ndarray
         Unconstrained load vector (volume forces plus natural boundary
         data).
@@ -390,7 +392,7 @@ class SaddleSystem:
         self,
         mesh: StructuredMesh,
         config: FemConfig,
-        matrix: sp.csr_matrix,
+        matrix: sp.csc_matrix,
         rhs: np.ndarray,
         kind: np.ndarray,
         dirichlet_values: np.ndarray,
@@ -483,7 +485,8 @@ class SaddleSystem:
 
     @cached_property
     def factor(self) -> Factorization:
-        return factorize(self.interior_matrix, self.factor_order)
+        """Factor of the interior block, gathered from :attr:`matrix`."""
+        return factorize(self.matrix, self.interior_dofs[self.factor_order])
 
     def release_factor(self) -> None:
         """Drop the cached factorization to free its fill-in memory."""
@@ -752,13 +755,13 @@ def divergence_l2(field: Field) -> float:
     return float(np.sqrt(total))
 
 
-def _block_grid(grid, sizes) -> sp.csr_matrix:
-    """Stack a grid of sparse blocks (``None`` for empty) into one CSR."""
+def _block_grid(grid, sizes) -> sp.csc_matrix:
+    """Stack a grid of sparse blocks (``None`` for empty) into one CSC."""
     blocks = [
         [sp.csr_matrix((r, c)) if b is None else b for b, c in zip(row, sizes)]
         for row, r in zip(grid, sizes)
     ]
-    matrix = sp.bmat(blocks, format="csr")
+    matrix = sp.bmat(blocks, format="csc")
     matrix.eliminate_zeros()
     return matrix
 

@@ -2,8 +2,9 @@
 
 Subdomain solves reuse one LU factorization across many right-hand
 sides, so the direct path wraps SuperLU.  A factorization either keeps
-a given symmetric elimination order (the node-by-node nested-dissection
-order of a :class:`~stokesdarcy.fem.SaddleSystem` or of the periodic
+a given symmetric elimination order over a principal submatrix (the
+node-by-node nested-dissection order of the interior unknowns of a
+:class:`~stokesdarcy.fem.SaddleSystem`, or of the periodic
 :class:`~stokesdarcy.fem.CellSystem`), checked by the
 backward error of one solve with a warned fallback to COLAMD, or uses
 COLAMD directly; it records its ``ordering`` and ``backward_error``.
@@ -64,49 +65,63 @@ class Factorization:
     Parameters
     ----------
     matrix : sparse matrix
-        Square system matrix; converted to CSC for the factorization.
+        Square system matrix.  A CSC matrix is read in place; any other
+        format is converted to CSC first.
     order : ndarray of int, optional
-        Symmetric elimination order, a permutation of ``range(n)``.
-        Without it SuperLU orders the columns by COLAMD with partial
+        Distinct indices of ``matrix``, in elimination order.  The
+        principal submatrix ``matrix[order][:, order]`` is factored
+        with this symmetric order.  Without it the whole matrix is
+        factored and SuperLU orders the columns by COLAMD with partial
         pivoting.
 
     Attributes
     ----------
+    shape : tuple of int
+        Shape of the factored matrix.
     ordering : str
         ``"nested-dissection"`` if the given order was used, otherwise
         ``"colamd"``.
     backward_error : float
         Normwise backward error ``|b - A x| / (|A| |x| + |b|)`` (infinity
-        norms) of the solve of ``A x = b`` with ``b = A 1``.
+        norms) of the solve of ``A x = b`` with ``b = A 1``, ``A`` the
+        factored matrix.
 
     Notes
     -----
-    A given order is factored as ``A[p][:, p]`` with a diagonal pivot
-    threshold of 0.01, so the order is mostly kept.  Such weak pivoting
-    is checked by one solve: if its backward error exceeds
-    :data:`BACKWARD_ERROR_BOUND`, the matrix is refactored with COLAMD
-    and partial pivoting and a :class:`RuntimeWarning` is issued.
+    A given order is factored as one copy, ``A[p][:, p]``, gathered in
+    CSC form straight from the columns of ``matrix``; apart from
+    ``matrix`` itself it is the only matrix alive while SuperLU
+    factors, and no matrix is kept once the constructor returns: only
+    the SuperLU factor and the order.  The pivot threshold on the
+    diagonal is 0.01, so the order is mostly kept.  Such weak pivoting
+    is checked by one solve with the permuted copy, whose infinity
+    norms are those of ``A``: if its backward error exceeds
+    :data:`BACKWARD_ERROR_BOUND`, the same copy is refactored with
+    COLAMD and partial pivoting, and a :class:`RuntimeWarning` is
+    issued.
     """
 
     def __init__(self, matrix, order=None):
-        matrix = sp.csc_matrix(matrix)
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"matrix must be square, got {matrix.shape}")
-        self.shape = matrix.shape
-        self.nnz = matrix.nnz
-        if order is not None:
-            order = np.asarray(order)
-            if not np.array_equal(np.sort(order), np.arange(self.shape[0])):
-                raise ValueError("order must be a permutation of the unknowns")
-            self._perm = order
+        matrix = sp.csc_matrix(matrix)
+        if order is None:
+            a, self._perm = matrix, None
+        else:
+            a, self._perm = _principal_csc(matrix, np.asarray(order))
+        # Free a CSC copy of a matrix given in another format before
+        # SuperLU runs.
+        del matrix
+        self.shape = a.shape
+        if self._perm is not None:
             self._lu = spla.splu(
-                matrix[order][:, order],
+                a,
                 permc_spec="NATURAL",
                 diag_pivot_thresh=0.01,
                 options={"SymmetricMode": True},
             )
             self.ordering = "nested-dissection"
-            self.backward_error = self._check(matrix)
+            self.backward_error = self._check(a)
             if self.backward_error <= BACKWARD_ERROR_BOUND:
                 return
             warnings.warn(
@@ -116,31 +131,78 @@ class Factorization:
                 RuntimeWarning,
                 stacklevel=3,
             )
-        self._perm = None
-        self._lu = spla.splu(matrix)
+            self._lu = None
+        self._lu = spla.splu(a)
         self.ordering = "colamd"
-        self.backward_error = self._check(matrix)
+        self.backward_error = self._check(a)
 
-    def _solve(self, b: np.ndarray) -> np.ndarray:
+    def _check(self, a) -> float:
+        b = a @ np.ones(self.shape[0])
+        x = self._lu.solve(b)
+        # Row sums of |A| from the CSC arrays, without a second matrix.
+        norm_a = np.bincount(
+            a.indices, weights=np.abs(a.data), minlength=self.shape[0]
+        ).max()
+        scale = norm_a * np.abs(x).max() + np.abs(b).max()
+        return float(np.abs(b - a @ x).max() / scale)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve ``A x = b`` for one right-hand side.
+
+        With an ``order``, ``b`` and ``x`` run over the ordered indices
+        in ascending order.
+        """
+        b = np.asarray(b, dtype=float)
+        if b.shape[0] != self.shape[0]:
+            raise ValueError(f"rhs length {b.shape[0]} != {self.shape[0]}")
         if self._perm is None:
             return self._lu.solve(b)
         x = np.empty_like(b)
         x[self._perm] = self._lu.solve(b[self._perm])
         return x
 
-    def _check(self, matrix) -> float:
-        b = matrix @ np.ones(self.shape[0])
-        x = self._solve(b)
-        norm_a = abs(matrix).sum(axis=1).max()
-        scale = norm_a * np.abs(x).max() + np.abs(b).max()
-        return float(np.abs(b - matrix @ x).max() / scale)
+    def health(self) -> dict:
+        """Deterministic record of the factor for a run manifest.
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve ``A x = b`` for one right-hand side."""
-        b = np.asarray(b, dtype=float)
-        if b.shape[0] != self.shape[0]:
-            raise ValueError(f"rhs length {b.shape[0]} != {self.shape[0]}")
-        return self._solve(b)
+        Keys ``unknowns``, ``lu_nnz`` (stored entries of ``L`` and
+        ``U``), ``ordering`` and ``backward_error``, the last as a
+        string at the fixed precision ``%.2e``.
+        """
+        return {
+            "unknowns": self.shape[0],
+            "lu_nnz": int(self._lu.nnz),
+            "ordering": self.ordering,
+            "backward_error": f"{self.backward_error:.2e}",
+        }
+
+
+def _principal_csc(matrix: sp.csc_matrix, order: np.ndarray):
+    """``matrix[order][:, order]`` in CSC form, gathered in one pass.
+
+    Returns the submatrix and, for each of its columns, the rank of its
+    index among the sorted ``order``: the position in the caller's
+    vectors, which run over the ordered indices in ascending order.
+    """
+    n = matrix.shape[0]
+    if order.ndim != 1 or (order.size and (order.min() < 0 or order.max() >= n)):
+        raise ValueError(f"order must hold indices in [0, {n})")
+    position = np.full(n, -1, dtype=np.intc)
+    position[order] = np.arange(order.size, dtype=np.intc)
+    if not np.array_equal(position[order], np.arange(order.size)):
+        raise ValueError("order must be a permutation of distinct indices")
+    # Entries of the selected columns, column after column.
+    starts = matrix.indptr[order]
+    counts = matrix.indptr[order + 1] - starts
+    ends = np.concatenate(([0], np.cumsum(counts)))
+    src = np.arange(ends[-1]) + np.repeat(starts - ends[:-1], counts)
+    rows = position[matrix.indices[src]]
+    keep = rows >= 0
+    indptr = np.concatenate(([0], np.cumsum(keep)))[ends].astype(np.intc)
+    sub = sp.csc_matrix(
+        (matrix.data[src[keep]], rows[keep], indptr), shape=(order.size,) * 2
+    )
+    rank = np.cumsum(position >= 0) - 1
+    return sub, rank[order]
 
 
 def factorize(matrix, order=None) -> Factorization:
@@ -149,25 +211,32 @@ def factorize(matrix, order=None) -> Factorization:
     Parameters
     ----------
     matrix : sparse matrix
-        Square, nonsingular system matrix.
+        Square system matrix.
     order : ndarray of int, optional
-        Symmetric elimination order; see :class:`Factorization`.
+        Distinct indices in elimination order; the principal submatrix
+        over them is factored.  See :class:`Factorization`.
 
     Returns
     -------
     Factorization
-        Object exposing ``solve(b)``, ``ordering`` and
-        ``backward_error``.
+        Object exposing ``solve(b)``, ``ordering``, ``backward_error``
+        and ``health()``.
 
     Raises
     ------
     RuntimeError
-        If the matrix is numerically singular.
+        If the factored matrix is numerically singular, or if SuperLU
+        runs out of memory (the message names the number of unknowns).
     """
     try:
         return Factorization(matrix, order)
     except RuntimeError as exc:
         raise RuntimeError(f"sparse factorization failed: {exc}") from exc
+    except MemoryError as exc:
+        n = matrix.shape[0] if order is None else len(order)
+        raise RuntimeError(
+            f"sparse factorization of {n} unknowns ran out of memory ({exc})"
+        ) from exc
 
 
 #: Magnitude, relative to the squared right-hand-side norm, below which

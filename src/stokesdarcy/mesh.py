@@ -525,9 +525,12 @@ def _obstacle_activity(
 # ----------------------------------------------------------------------
 
 #: Lattice blocks with no side longer than this many nodes are not split
-#: further.  Must be at least 3 so that every split block has a vertex
-#: line strictly inside it.
-ND_LEAF_SIZE = 8
+#: further.  Must be at least 4 so that every split block of a Q2
+#: lattice has a vertex line strictly inside it (a Q2 block of 4 node
+#: lines starting on a vertex line would be split on its first line).
+#: 4 rather than 8 leaves 7-15% less fill in every factor; see
+#: :func:`nested_dissection_order`.
+ND_LEAF_SIZE = 4
 
 
 def nested_dissection_order(nnx: int, nny: int, order: int = 1) -> np.ndarray:
@@ -540,7 +543,11 @@ def nested_dissection_order(nnx: int, nny: int, order: int = 1) -> np.ndarray:
     lines only: a Q2 element couples the three node lines it spans, so
     a line through element midpoints does not decouple the two halves.
     Blocks with no side longer than :data:`ND_LEAF_SIZE` nodes keep
-    lexicographic order.
+    lexicographic order.  Leaves of 4 nodes leave 7-15% fewer entries in
+    ``L + U`` than leaves of 8: 9,574,186 -> 8,542,158 for the Q2
+    pore-scale factor at period 1/10, 7,971,428 -> 7,402,236 for the Q1
+    one at period 1/20, 4,376,466 -> 3,714,064 for the Q2 free-flow
+    subdomain at period 1/10 with ``hx = 1/72``.
 
     Parameters
     ----------
@@ -559,10 +566,7 @@ def nested_dissection_order(nnx: int, nny: int, order: int = 1) -> np.ndarray:
         raise ValueError(f"lattice must be non-empty, got {nnx} x {nny}")
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    pieces = []
-
-    def block(i0, i1, j0, j1):
-        return (np.arange(j0, j1)[:, None] * nnx + np.arange(i0, i1)).ravel()
+    pieces = []  # node ranges (i0, i1, j0, j1) in elimination order
 
     def middle_line(lo, hi):
         # Middle of [lo, hi) rounded down to the order's line grid; for
@@ -572,20 +576,27 @@ def nested_dissection_order(nnx: int, nny: int, order: int = 1) -> np.ndarray:
 
     def dissect(i0, i1, j0, j1):
         if max(i1 - i0, j1 - j0) <= ND_LEAF_SIZE:
-            pieces.append(block(i0, i1, j0, j1))
+            pieces.append((i0, i1, j0, j1))
         elif i1 - i0 >= j1 - j0:
             m = middle_line(i0, i1)
             dissect(i0, m, j0, j1)
             dissect(m + 1, i1, j0, j1)
-            pieces.append(block(m, m + 1, j0, j1))
+            pieces.append((m, m + 1, j0, j1))
         else:
             m = middle_line(j0, j1)
             dissect(i0, i1, j0, m)
             dissect(i0, i1, m + 1, j1)
-            pieces.append(block(i0, i1, m, m + 1))
+            pieces.append((i0, i1, m, m + 1))
 
     dissect(0, nnx, 0, nny)
-    return np.concatenate(pieces)
+    # Each range in lexicographic order, all ranges in one pass.
+    i0, i1, j0, j1 = np.array(pieces).T
+    width = i1 - i0
+    sizes = width * (j1 - j0)
+    local = np.arange(nnx * nny) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    width = np.repeat(width, sizes)
+    rows = np.repeat(j0, sizes) + local // width
+    return rows * nnx + np.repeat(i0, sizes) + local % width
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from stokesdarcy import cli, validate
+from stokesdarcy import cli, linalg, validate
 from stokesdarcy.cli import CliError, load_run_config, main
 from stokesdarcy.io import format_value, read_csv
 
@@ -182,7 +182,26 @@ class TestIcddCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         # residuals.csv row 0 records the initial residual before iterating
         assert manifest["iterations"]["interface"] == len(res_rows) - 1
+        for name in ("stokes_factor", "darcy_factor"):
+            factor = manifest["parameters"][name]
+            assert sorted(factor) == [
+                "backward_error", "lu_nnz", "ordering", "unknowns"
+            ]
+            assert factor["ordering"] == "nested-dissection"
+            assert float(factor["backward_error"]) <= linalg.BACKWARD_ERROR_BOUND
+            assert re.fullmatch(r"\d\.\d\de[+-]\d\d", factor["backward_error"])
 
+
+DNS_INI = """\
+[case]
+preset = 1
+configuration = C2
+ell = 0.25
+
+[discretization]
+dns_cells = 5
+dns_order = 1
+"""
 
 STUDY_DISCRETIZATION = """\
 [discretization]
@@ -433,6 +452,35 @@ class TestFailureModes:
         assert message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        ("command", "ini", "threads"),
+        [("dns", DNS_INI, 1), ("validate", VALIDATE_INI, 2)],
+        ids=["dns", "validate_workers"],
+    )
+    def test_factor_out_of_memory_exits_2(
+        self, tmp_path, capsys, monkeypatch, command, ini, threads
+    ):
+        # With --threads 2 the unit cell is factored in this process and
+        # the members' factors run out of memory in the workers.
+        parent = os.getpid()
+        real = linalg.spla.splu
+
+        def exhausted(*args, **kwargs):
+            if threads > 1 and os.getpid() == parent:
+                return real(*args, **kwargs)
+            raise MemoryError("Can't expand MemType 1: jcol 0")
+
+        monkeypatch.setattr(linalg.spla, "splu", exhausted)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(write_config(tmp_path, ini))]
+        code = main(argv + ["--out", str(out), "--threads", str(threads)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.match(
+            r"error: sparse factorization of \d+ unknowns ran out of memory", err
+        )
+        assert not out.exists()
+
     def test_unaligned_dns_exits_2(self, tmp_path, capsys):
         ini = (
             "[case]\npreset = 1\nconfiguration = C1\nell = 0.2\n\n"
@@ -468,13 +516,9 @@ class TestFailureModes:
 class TestDnsCommand:
     def test_outputs(self, tmp_path, capsys, monkeypatch):
         solves = recording(monkeypatch, "solve_dns")
-        ini = (
-            "[case]\npreset = 1\nconfiguration = C2\nell = 0.25\n\n"
-            "[discretization]\ndns_cells = 5\ndns_order = 1\n"
-        )
         out = tmp_path / "out"
         code = main(
-            ["dns", "--config", str(write_config(tmp_path, ini)), "--out", str(out)]
+            ["dns", "--config", str(write_config(tmp_path, DNS_INI)), "--out", str(out)]
         )
         assert code == 0
         assert "dns:" in capsys.readouterr().out
@@ -483,6 +527,14 @@ class TestDnsCommand:
         assert {r[5] for r in rows} == {"dns"}
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["parameters"]["cells"] == 5
+        (solution,) = solves
+        factor = solution.system.factor
+        assert manifest["parameters"]["factor"] == {
+            "unknowns": solution.system.interior_dofs.size,
+            "lu_nnz": factor._lu.nnz,
+            "ordering": "nested-dissection",
+            "backward_error": f"{factor.backward_error:.2e}",
+        }
         assert (out / "solution.vtk").read_text().startswith(
             "# vtk DataFile Version 3.0"
         )
@@ -490,7 +542,6 @@ class TestDnsCommand:
         header, rows = read_csv(out / "speeds.csv")
         assert header == ["y", "mean_speed"]
         assert [r[0] for r in rows] == ["0.00000000e+00", "-2.50000000e-01"]
-        (solution,) = solves
         for y, speed in rows:
             assert speed == format_value(solution.mean_speed(float(y)))
         assert "speeds.csv" in manifest["outputs"]

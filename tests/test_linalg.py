@@ -2,19 +2,26 @@
 
 from __future__ import annotations
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokesdarcy import linalg
+from stokesdarcy import homogenize, linalg
+from stokesdarcy.dns import DnsResolution, solve_dns
+from stokesdarcy.fem import FemConfig
+from stokesdarcy.icdd import IcddGeometry, IcddPhysics, assemble_problem
 from stokesdarcy.linalg import (
     KrylovConfig,
     Factorization,
     bicgstab,
     factorize,
 )
+from stokesdarcy.presets import PRESETS
 
 
 def _random_system(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -77,6 +84,112 @@ class TestOrderedFactorization:
         a, _ = _random_system(5, 1)
         with pytest.raises(ValueError, match="permutation"):
             factorize(sp.csr_matrix(a), order=np.array([0, 1, 2, 3, 3]))
+
+    @pytest.mark.parametrize("bound", [linalg.BACKWARD_ERROR_BOUND, 0.0])
+    def test_principal_submatrix(self, monkeypatch, bound):
+        # The factor of a[order][:, order] solves over the ordered
+        # indices in ascending order, also after the COLAMD fallback.
+        monkeypatch.setattr(linalg, "BACKWARD_ERROR_BOUND", bound)
+        a, _ = _random_system(40, 7)
+        a[np.abs(a) < 1.0] = 0.0
+        order = np.array([17, 3, 30, 8, 25, 0, 39, 12, 21, 5])
+        kept = np.sort(order)
+        b = np.random.default_rng(8).standard_normal(order.size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            factor = factorize(sp.csc_matrix(a), order=order)
+        assert factor.ordering == ("colamd" if bound == 0.0 else "nested-dissection")
+        assert factor.shape == (order.size, order.size)
+        np.testing.assert_allclose(
+            factor.solve(b), np.linalg.solve(a[np.ix_(kept, kept)], b), rtol=1e-9
+        )
+
+    @pytest.mark.parametrize("order", [[0, 5], [-1, 2]])
+    def test_order_out_of_range_raises(self, order):
+        a, _ = _random_system(5, 1)
+        with pytest.raises(ValueError, match="indices"):
+            factorize(sp.csc_matrix(a), order=np.array(order))
+
+    def test_out_of_memory_names_unknowns(self, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Can't expand MemType 1: jcol 3")
+
+        monkeypatch.setattr(linalg.spla, "splu", exhausted)
+        a, _ = _random_system(6, 2)
+        with pytest.raises(RuntimeError, match="4 unknowns ran out of memory"):
+            factorize(sp.csc_matrix(a), order=np.array([0, 2, 4, 5]))
+
+
+class TestFactorCopies:
+    """While SuperLU factors, its argument is the only sparse matrix of
+    the factored size, apart from the system's own matrix."""
+
+    @staticmethod
+    def watch(monkeypatch):
+        """Record, per ``splu`` call, the other live matrices of its size."""
+        calls = []
+        real = linalg.spla.splu
+
+        def splu(a, *args, **kwargs):
+            gc.collect()
+            calls.append(
+                {
+                    id(o)
+                    for o in gc.get_objects()
+                    if sp.issparse(o) and o.shape == a.shape and o is not a
+                }
+            )
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg.spla, "splu", splu)
+        return calls
+
+    @staticmethod
+    def holds_no_matrix(factor):
+        return not any(sp.issparse(v) for v in vars(factor).values())
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_dns_factor(self, monkeypatch, order):
+        calls = self.watch(monkeypatch)
+        preset = PRESETS[1]
+        solution = solve_dns(
+            preset, preset.lattice(0.25, 0.6), DnsResolution(n_per_cell=5, order=order)
+        )
+        assert calls == [set()]
+        assert self.holds_no_matrix(solution.system.factor)
+
+    def test_icdd_subdomain_factors(self, monkeypatch):
+        calls = self.watch(monkeypatch)
+        problem = assemble_problem(
+            FemConfig(order=2),
+            IcddGeometry(delta=0.036, hx=0.1),
+            IcddPhysics(preset=PRESETS[1], permeability=7.231e-6),
+        )
+        for system in (problem.stokes, problem.darcy):
+            assert self.holds_no_matrix(system.factor)
+        assert calls == [set(), set()]
+
+    def test_cell_factor(self, monkeypatch):
+        calls = self.watch(monkeypatch)
+        systems = []
+        inner = homogenize.assemble_cell_problem
+
+        def recording(mesh):
+            systems.append(inner(mesh))
+            return systems[-1]
+
+        monkeypatch.setattr(homogenize, "assemble_cell_problem", recording)
+        factors = []
+
+        def recording_factorize(*args):
+            factors.append(factorize(*args))
+            return factors[-1]
+
+        monkeypatch.setattr(homogenize, "factorize", recording_factorize)
+        homogenize.solve_cell_problem(0.6, resolution=10)
+        (system,) = systems
+        assert calls == [{id(system.matrix)}]
+        assert self.holds_no_matrix(factors[0])
 
 
 class TestBicgstab:
