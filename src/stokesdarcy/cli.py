@@ -397,6 +397,7 @@ def cmd_cell(config: RunConfig, mapper) -> Outputs:
             "s_hat": cell.s_hat,
             "resolution": cell.resolution,
             "order": cell.order,
+            "cell_factor": cell.factor_health,
         },
         files={"cell.csv": (list(columns), [list(columns.values())])},
     )
@@ -523,6 +524,7 @@ def cmd_validate(config: RunConfig, mapper) -> Outputs:
             "preset": preset.identifier,
             "configuration": configuration.name,
             "ells": ells,
+            "cell_factor": study.cell.factor_health,
         },
         files={
             "errors.csv": (
@@ -564,6 +566,7 @@ def cmd_sweep(config: RunConfig, mapper) -> Outputs:
             "ell": ell,
             "delta_star": sweep.delta_star,
             "interior_minimum": sweep.is_interior_minimum(),
+            "cell_factor": sweep.cell.factor_health,
         },
         files={
             "sweep.csv": (

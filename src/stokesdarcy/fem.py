@@ -475,13 +475,20 @@ class SaddleSystem:
     def factor_order(self) -> np.ndarray:
         """Node-major elimination order of the interior unknowns.
 
-        Nodes follow :func:`~stokesdarcy.mesh.nested_dissection_order`;
-        each node contributes its interior ``u_x``, ``u_y`` and ``p`` in
-        that order, and the pressure-mean multiplier comes last.  Entries
-        are positions in the interior vector.
+        Nodes follow :func:`~stokesdarcy.mesh.nested_dissection_order`,
+        weighted by their interior unknowns, so separators cross the
+        obstacles of a perforated mesh rather than its fluid gaps; each
+        node contributes its interior ``u_x``, ``u_y`` and ``p`` in that
+        order, and the pressure-mean multiplier comes last.  Entries are
+        positions in the interior vector.
         """
-        nodes = nested_dissection_order(self.mesh.nnx, self.mesh.nny, self.mesh.order)
-        return _node_major(nodes, self.n_nodes, self._interior_position)
+        n = self.n_nodes
+        nodal = self.interior_dofs[self.interior_dofs < 3 * n]
+        nodes = nested_dissection_order(
+            self.mesh.nnx, self.mesh.nny, self.mesh.order,
+            weights=np.bincount(nodal % n, minlength=n),
+        )
+        return _node_major(nodes, n, self._interior_position)
 
     @cached_property
     def factor(self) -> Factorization:
@@ -1181,10 +1188,11 @@ class CellSystem:
         Matching right-hand sides, one row per forcing direction.
     factor_order : ndarray of int
         Node-major elimination order of the free reduced dofs: the
-        periodic master nodes in nested-dissection order with those on
-        the seam (the first node row and column, identified with the
-        opposite edges) last, each contributing its free ``u_x``,
-        ``u_y`` and ``p``, then the pressure-mean multiplier.
+        periodic master nodes in nested-dissection order, weighted by
+        their free unknowns, with those on the seam (the first node row
+        and column, identified with the opposite edges) last, each
+        contributing its free ``u_x``, ``u_y`` and ``p``, then the
+        pressure-mean multiplier.
     expand : callable
         Maps the constrained solution back to the full nodal velocity
         ``u`` of shape ``(n, 2)`` on the cell mesh.
@@ -1262,10 +1270,14 @@ def assemble_cell_problem(cell_mesh: StructuredMesh) -> CellSystem:
     k_free = k_red[free][:, free].tocsc()
     f_free = np.stack([f[free] for f in f_red])
 
-    # Node-major nested-dissection order over the masters.  The seam
-    # masters (first node row and column) also couple to the opposite
-    # edges they stand for, so they go last, as a top-level separator.
-    nodes = nested_dissection_order(cell_mesh.nnx, cell_mesh.nny, cell_mesh.order)
+    # Node-major nested-dissection order over the masters, weighted by
+    # their free unknowns.  The seam masters (first node row and column)
+    # also couple to the opposite edges they stand for, so they go last,
+    # as a top-level separator.
+    nodes = nested_dissection_order(
+        cell_mesh.nnx, cell_mesh.nny, cell_mesh.order,
+        weights=np.bincount(masters[free[free < 3 * m] % m], minlength=n),
+    )
     nodes = nodes[master[nodes] == nodes]
     seam = (nodes % cell_mesh.nnx == 0) | (nodes < cell_mesh.nnx)
     nodes = reduced_id[np.concatenate([nodes[~seam], nodes[seam]])]

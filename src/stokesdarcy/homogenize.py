@@ -99,6 +99,9 @@ class CellSolution:
         Elements per cell edge.
     order : int
         Polynomial order.
+    factor_health : dict
+        :meth:`~stokesdarcy.linalg.Factorization.health` of the factor
+        of the periodic operator.
     """
 
     k_hat: np.ndarray
@@ -109,6 +112,7 @@ class CellSolution:
     velocities: list
     resolution: int
     order: int
+    factor_health: dict
 
     def k_scalar(self) -> float:
         """Isotropic permeability value (mean of the diagonal)."""
@@ -130,9 +134,16 @@ def solve_cell_problem(
     The two directions differ only in their forcing, so one assembly
     and one LU factor serve both.  The factor is computed in the
     system's ``factor_order`` (nested dissection over the periodic
-    master nodes, the seam last) with a diagonal pivot threshold, and
-    refactored with COLAMD, with a warning, if its backward error exceeds
-    :data:`~stokesdarcy.linalg.BACKWARD_ERROR_BOUND`.
+    master nodes, weighted by their free unknowns, the seam last) with
+    the diagonal pivot threshold
+    :data:`~stokesdarcy.linalg.DIAG_PIVOT_THRESH`.  Although the cell
+    is solved at unit viscosity, that threshold keeps every row but the
+    pressure-mean multiplier's pair on the diagonal up to resolution 80.
+    The factor is refactored with COLAMD, with a warning, if its
+    backward error exceeds
+    :data:`~stokesdarcy.linalg.BACKWARD_ERROR_BOUND`.  Its
+    :meth:`~stokesdarcy.linalg.Factorization.health` is kept as
+    ``factor_health``.
 
     Parameters
     ----------
@@ -184,6 +195,7 @@ def solve_cell_problem(
         velocities=velocities,
         resolution=resolution,
         order=order,
+        factor_health=factor.health(),
     )
 
 

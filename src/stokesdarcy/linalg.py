@@ -58,6 +58,11 @@ class KrylovConfig:
 #: given order; above it the matrix is refactored with COLAMD.
 BACKWARD_ERROR_BOUND = 1e-12
 
+#: SuperLU's diagonal pivot threshold for a factor in a given order: the
+#: diagonal entry is kept as pivot unless it is below this fraction of
+#: the largest entry in its column.
+DIAG_PIVOT_THRESH = 1e-3
+
 
 class Factorization:
     """LU factorization of a sparse matrix with cached triangular solves.
@@ -93,12 +98,15 @@ class Factorization:
     ``matrix`` itself it is the only matrix alive while SuperLU
     factors, and no matrix is kept once the constructor returns: only
     the SuperLU factor and the order.  The pivot threshold on the
-    diagonal is 0.01, so the order is mostly kept.  Such weak pivoting
-    is checked by one solve with the permuted copy, whose infinity
-    norms are those of ``A``: if its backward error exceeds
-    :data:`BACKWARD_ERROR_BOUND`, the same copy is refactored with
-    COLAMD and partial pivoting, and a :class:`RuntimeWarning` is
-    issued.
+    diagonal is :data:`DIAG_PIVOT_THRESH`, so the order is kept up to
+    a row interchange or two (the pressure-mean multiplier has a zero
+    diagonal).  Every interchange moves a row off its diagonal and adds
+    fill; at 0.01 the unit-viscosity cell factor took 161-264 of them
+    and up to 2.5 times the entries.  Such weak pivoting is checked by
+    one solve with the permuted copy, whose infinity norms are those of
+    ``A``: if its backward error exceeds :data:`BACKWARD_ERROR_BOUND`,
+    the same copy is refactored with COLAMD and partial pivoting, and a
+    :class:`RuntimeWarning` is issued.
     """
 
     def __init__(self, matrix, order=None):
@@ -117,7 +125,7 @@ class Factorization:
             self._lu = spla.splu(
                 a,
                 permc_spec="NATURAL",
-                diag_pivot_thresh=0.01,
+                diag_pivot_thresh=DIAG_PIVOT_THRESH,
                 options={"SymmetricMode": True},
             )
             self.ordering = "nested-dissection"
@@ -165,12 +173,17 @@ class Factorization:
         """Deterministic record of the factor for a run manifest.
 
         Keys ``unknowns``, ``lu_nnz`` (stored entries of ``L`` and
-        ``U``), ``ordering`` and ``backward_error``, the last as a
-        string at the fixed precision ``%.2e``.
+        ``U``), ``row_interchanges`` (rows the pivoting moved off their
+        place, the count of ``perm_r != arange(n)``), ``ordering`` and
+        ``backward_error``, the last as a string at the fixed precision
+        ``%.2e``.
         """
+        n = self.shape[0]
+        moved = np.count_nonzero(self._lu.perm_r != np.arange(n))
         return {
-            "unknowns": self.shape[0],
+            "unknowns": n,
             "lu_nnz": int(self._lu.nnz),
+            "row_interchanges": int(moved),
             "ordering": self.ordering,
             "backward_error": f"{self.backward_error:.2e}",
         }

@@ -592,11 +592,14 @@ class SweepResult:
         Fluid-region velocity error at each thickness (fixed region).
     delta_star : float
         Thickness predicted by the porosity fit.
+    cell : CellSolution
+        Unit-cell solution behind the permeability.
     """
 
     deltas: list
     errors: list
     delta_star: float
+    cell: CellSolution = field(repr=False, default=None)
 
     def is_interior_minimum(self) -> bool:
         """Whether the predicted thickness beats both sweep neighbors."""
@@ -678,4 +681,4 @@ def delta_sweep(
 
     errors = list(mapper(run_one, factors))
     deltas = [f * dstar for f in factors]
-    return SweepResult(deltas=deltas, errors=errors, delta_star=dstar)
+    return SweepResult(deltas=deltas, errors=errors, delta_star=dstar, cell=cell)

@@ -11,6 +11,7 @@ import re
 from concurrent.futures import process
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stokesdarcy import cli, linalg, validate
@@ -144,6 +145,9 @@ class TestCellCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "cell"
         assert manifest["outputs"] == ["cell.csv", "manifest.json"]
+        cell_factor = manifest["parameters"]["cell_factor"]
+        assert cell_factor["ordering"] == "nested-dissection"
+        assert cell_factor["row_interchanges"] <= 2
         digest = hashlib.sha256(config_path.read_text().encode()).hexdigest()
         assert manifest["config_sha256"] == digest
         assert "stokesdarcy" in manifest["versions"]
@@ -185,9 +189,13 @@ class TestIcddCommand:
         for name in ("stokes_factor", "darcy_factor"):
             factor = manifest["parameters"][name]
             assert sorted(factor) == [
-                "backward_error", "lu_nnz", "ordering", "unknowns"
+                "backward_error", "lu_nnz", "ordering", "row_interchanges",
+                "unknowns",
             ]
             assert factor["ordering"] == "nested-dissection"
+            # Only the pressure-mean multiplier's pair, if any, leaves
+            # the diagonal.
+            assert factor["row_interchanges"] <= 2
             assert float(factor["backward_error"]) <= linalg.BACKWARD_ERROR_BOUND
             assert re.fullmatch(r"\d\.\d\de[+-]\d\d", factor["backward_error"])
 
@@ -250,19 +258,22 @@ def test_outputs_independent_of_thread_count(tmp_path, monkeypatch, command, ini
     ids=["validate", "sweep"],
 )
 def test_studies_use_configured_cell_resolution(tmp_path, monkeypatch, command, ini):
-    resolutions = []
+    resolutions, cells = [], []
     inner = validate.solve_cell_problem
 
     def wrapper(*args, **kwargs):
         bound = inspect.signature(inner).bind(*args, **kwargs)
         bound.apply_defaults()
         resolutions.append(bound.arguments["resolution"])
-        return inner(*args, **kwargs)
+        cells.append(inner(*args, **kwargs))
+        return cells[-1]
 
     monkeypatch.setattr(validate, "solve_cell_problem", wrapper)
     argv = [command, "--config", str(write_config(tmp_path, ini))]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
     assert resolutions == [10]  # STUDY_DISCRETIZATION's cell_resolution
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["parameters"]["cell_factor"] == cells[0].factor_health
 
 
 class TestWorkerProcesses:
@@ -529,12 +540,15 @@ class TestDnsCommand:
         assert manifest["parameters"]["cells"] == 5
         (solution,) = solves
         factor = solution.system.factor
+        n = solution.system.interior_dofs.size
         assert manifest["parameters"]["factor"] == {
-            "unknowns": solution.system.interior_dofs.size,
+            "unknowns": n,
             "lu_nnz": factor._lu.nnz,
+            "row_interchanges": int(np.sum(factor._lu.perm_r != np.arange(n))),
             "ordering": "nested-dissection",
             "backward_error": f"{factor.backward_error:.2e}",
         }
+        assert manifest["parameters"]["factor"]["row_interchanges"] <= 2
         assert (out / "solution.vtk").read_text().startswith(
             "# vtk DataFile Version 3.0"
         )

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokesdarcy import homogenize
 from stokesdarcy.fem import assemble_cell_problem
 from stokesdarcy.homogenize import (
     DELTA_FIT_COEFFS,
@@ -139,20 +138,14 @@ class TestCellProblem:
             solve_cell_problem(bad, resolution=10)
 
 
-@pytest.mark.parametrize("s_hat", [0.4, 0.6, 0.8, 0.9])
-def test_cell_factored_in_nested_dissection_order(s_hat, monkeypatch):
-    factors = []
+#: Published square obstacle side fractions; C1 and C2, the meshable
+#: configuration rows, are 0.8 and 0.6.
+SQUARE_SIDES = [0.4, 0.6, 0.8, 0.9]
 
-    def recording(*args):
-        factors.append(factorize(*args))
-        return factors[-1]
 
-    monkeypatch.setattr(homogenize, "factorize", recording)
+@pytest.mark.parametrize("s_hat", SQUARE_SIDES)
+def test_cell_factored_in_nested_dissection_order(s_hat):
     cell = solve_cell_problem(s_hat, resolution=20)
-    (factor,) = factors
-    assert factor.ordering == "nested-dissection"
-    assert factor.backward_error <= BACKWARD_ERROR_BOUND
-
     mesh = cell.mesh
     system = assemble_cell_problem(mesh)
     order = system.factor_order
@@ -180,6 +173,28 @@ def test_cell_factored_in_nested_dissection_order(s_hat, monkeypatch):
         u = system.expand(colamd.solve(load))
         k_hat[:, d] = system.mass_scalar @ u
     np.testing.assert_allclose(cell.k_hat, k_hat, rtol=0, atol=1e-10 * k_hat.max())
+
+
+@pytest.mark.parametrize("resolution", [20, 40])
+@pytest.mark.parametrize("s_hat", SQUARE_SIDES)
+def test_cell_factor_keeps_its_diagonal(s_hat, resolution):
+    # At unit viscosity a stabilized pressure diagonal starts at 0.55 h
+    # of its column's largest entry (0.014 at resolution 40) and shrinks
+    # during elimination: a 0.01 pivot threshold interchanged 161-264
+    # rows at resolution 40.  At DIAG_PIVOT_THRESH only the pressure-mean
+    # multiplier (a zero diagonal) and its partner row may be moved.
+    health = solve_cell_problem(s_hat, resolution=resolution).factor_health
+    assert health["ordering"] == "nested-dissection"
+    assert health["row_interchanges"] <= 2
+    assert float(health["backward_error"]) <= BACKWARD_ERROR_BOUND
+
+
+def test_fine_cell_factor_fill():
+    # C1 at resolution 80: 37.1M entries with 3,327 interchanges at a
+    # 0.01 pivot threshold, about 5.5M without them.
+    health = solve_cell_problem(0.8, resolution=80).factor_health
+    assert health["ordering"] == "nested-dissection"
+    assert health["lu_nnz"] < 8_000_000
 
 
 class TestPeriodicCellField:

@@ -22,6 +22,7 @@ from stokesdarcy.icdd import (
     schur_solve,
 )
 from stokesdarcy.linalg import KrylovConfig, factorize
+from stokesdarcy.mesh import nested_dissection_order
 from stokesdarcy.presets import PRESETS
 
 #: Coarse, fast instance used throughout this module.
@@ -134,6 +135,27 @@ class TestSubdomainFactors:
         b = np.random.default_rng(0).standard_normal(factor.shape[0])
         x_ref = factorize(system.interior_matrix).solve(b)
         assert np.abs(factor.solve(b) - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_factor_order_unchanged_by_weights(self, order):
+        # A subdomain is a rectangle without obstacles: the interior
+        # unknowns of a node depend only on the boundary sides it lies
+        # on, so all candidate separator lines of a block weigh the same
+        # and every separator stays the middle line.
+        physics = IcddPhysics(preset=PRESETS[1], permeability=7.231e-6)
+        problem = assemble_problem(
+            FemConfig(order=order), IcddGeometry(**COARSE), physics
+        )
+        for system in (problem.stokes, problem.darcy):
+            n = system.n_nodes
+            plain = nested_dissection_order(system.mesh.nnx, system.mesh.nny, order)
+            dofs = system.interior_dofs[system.factor_order]
+            nodes = dofs[dofs < 3 * n] % n
+            first = np.sort(np.unique(nodes, return_index=True)[1])
+            np.testing.assert_array_equal(
+                nodes[first], plain[np.isin(plain, nodes)]
+            )
 
 
 class TestSchurOperator:

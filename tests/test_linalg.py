@@ -104,6 +104,23 @@ class TestOrderedFactorization:
             factor.solve(b), np.linalg.solve(a[np.ix_(kept, kept)], b), rtol=1e-9
         )
 
+    @pytest.mark.parametrize(
+        ("diagonal", "interchanges"),
+        [
+            (2.0, 0),
+            (2.0 * linalg.DIAG_PIVOT_THRESH, 0),
+            (0.5 * linalg.DIAG_PIVOT_THRESH, 2),
+        ],
+    )
+    def test_row_interchanges_counted(self, diagonal, interchanges):
+        # A diagonal entry is kept as pivot down to DIAG_PIVOT_THRESH of
+        # the largest entry in its column; below that, its row and the
+        # largest entry's row trade places.
+        a = sp.csc_matrix([[diagonal, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
+        health = factorize(a, order=np.arange(3)).health()
+        assert health["row_interchanges"] == interchanges
+        assert health["ordering"] == "nested-dissection"
+
     @pytest.mark.parametrize("order", [[0, 5], [-1, 2]])
     def test_order_out_of_range_raises(self, order):
         a, _ = _random_system(5, 1)

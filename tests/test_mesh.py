@@ -236,9 +236,12 @@ class TestOverlapLineSet:
             overlap_line_set(-0.5, 1.0, 0.6, 0.01, h_max=0.2)
 
 
-def check_dissection(nodes, nnx, order, i0, i1, j0, j1):
+def check_dissection(nodes, nnx, order, i0, i1, j0, j1, weights=None):
     """Assert that ``nodes`` orders the block ``[i0, i1) x [j0, j1)`` by
-    nested dissection: halves first, then their separator line."""
+    nested dissection: halves first, then their separator line.  With
+    ``weights`` (an ``nny x nnx`` array), the separator is the lightest
+    line within a quarter of the block's extent from the middle, the
+    nearest to the middle among equals; without, it is the middle."""
     if max(i1 - i0, j1 - j0) <= ND_LEAF_SIZE:
         block = (np.arange(j0, j1)[:, None] * nnx + np.arange(i0, i1)).ravel()
         np.testing.assert_array_equal(nodes, block)
@@ -250,14 +253,27 @@ def check_dissection(nodes, nnx, order, i0, i1, j0, j1):
     m = coord[-1]
     assert np.all(coord[-line:] == m) and lo < m < hi - 1
     assert m % order == 0, "Q2 separators must lie on vertex lines"
+    mid = (lo + hi - 1) // 2 // order * order
+    if weights is None:
+        assert m == mid
+    else:
+        block = weights[j0:j1, i0:i1]
+        line_weight = block.sum(axis=0) if split_x else block.sum(axis=1)
+        lines = np.arange(lo, hi)
+        window = (lo < lines) & (lines < hi - 1) & (lines % order == 0)
+        window &= np.abs(lines - mid) <= (hi - lo) // 4
+        least = line_weight[window].min()
+        assert line_weight[m - lo] == least
+        ties = lines[window & (line_weight == least)]
+        assert abs(m - mid) == np.abs(ties - mid).min()
     n_low = (m - lo) * line
     assert np.all(coord[:n_low] < m) and np.all(coord[n_low:-line] > m)
     low, high = (lo, m), (m + 1, hi)
     for (a, b), part in ((low, nodes[:n_low]), (high, nodes[n_low:-line])):
         if split_x:
-            check_dissection(part, nnx, order, a, b, j0, j1)
+            check_dissection(part, nnx, order, a, b, j0, j1, weights)
         else:
-            check_dissection(part, nnx, order, i0, i1, a, b)
+            check_dissection(part, nnx, order, i0, i1, a, b, weights)
 
 
 class TestNestedDissection:
@@ -272,7 +288,53 @@ class TestNestedDissection:
         np.testing.assert_array_equal(np.sort(nodes), np.arange(nnx * nny))
         check_dissection(nodes, nnx, order, 0, nnx, 0, nny)
 
+    @given(
+        nnx=st.integers(1, 70),
+        nny=st.integers(1, 70),
+        order=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_weighted_separators_are_lightest_lines(self, nnx, nny, order, seed):
+        weights = np.random.default_rng(seed).integers(0, 4, size=nnx * nny)
+        nodes = nested_dissection_order(nnx, nny, order, weights=weights)
+        np.testing.assert_array_equal(np.sort(nodes), np.arange(nnx * nny))
+        check_dissection(
+            nodes, nnx, order, 0, nnx, 0, nny, weights.reshape(nny, nnx)
+        )
+
+    @given(
+        nnx=st.integers(1, 70),
+        nny=st.integers(1, 70),
+        order=st.sampled_from([1, 2]),
+        weight=st.integers(0, 3),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_uniform_weights_give_unweighted_order(self, nnx, nny, order, weight):
+        np.testing.assert_array_equal(
+            nested_dissection_order(
+                nnx, nny, order, weights=np.full(nnx * nny, weight)
+            ),
+            nested_dissection_order(nnx, nny, order),
+        )
+
+    def test_separators_cross_obstacles(self):
+        # A Q2 lattice of 4 x 4 cells of 20 node intervals each, with no
+        # unknowns strictly inside the obstacles (i % 20 in 3..17): the
+        # middle line i = 40 runs along cell edges, through the fluid;
+        # the nearest vertex lines through the obstacles are 36 and 44.
+        i = np.arange(81)
+        solid = (i % 20 > 2) & (i % 20 < 18)
+        weights = np.where(solid[None, :] & solid[:, None], 0, 3).ravel()
+        nodes = nested_dissection_order(81, 81, 2, weights=weights)
+        assert np.all(nodes[-81:] % 81 == 36)
+        assert np.all(nested_dissection_order(81, 81, 2)[-81:] % 81 == 40)
+
     @pytest.mark.parametrize(("nnx", "nny", "order"), [(0, 3, 1), (3, 3, 3)])
     def test_bad_arguments_raise(self, nnx, nny, order):
         with pytest.raises(ValueError):
             nested_dissection_order(nnx, nny, order)
+
+    def test_one_weight_per_node(self):
+        with pytest.raises(ValueError, match="one weight per node"):
+            nested_dissection_order(3, 3, 1, weights=np.ones(8))
