@@ -370,7 +370,11 @@ class SaddleSystem:
     matrix : csc_matrix
         Unconstrained operator over all degrees of freedom, in CSC form
         so that the factor of the interior block gathers its columns
-        straight from it.
+        straight from it.  Assembly writes it directly in canonical form
+        (sorted, unique rows per column, no stored zero) with int32
+        indices.  It is the only matrix the system holds until
+        :attr:`interior_matrix` or :attr:`interface_matrix` is asked
+        for; :attr:`factor` gathers its own copy and keeps none.
     rhs : ndarray
         Unconstrained load vector (volume forces plus natural boundary
         data).
@@ -644,7 +648,21 @@ def _as_scalar_callable(f):
 
 
 class _ElementBatch:
-    """Geometry of all active elements (axis-aligned rectangles)."""
+    """Geometry and node graph of all active elements (axis-aligned
+    rectangles).
+
+    The node graph (``_graph``) holds every pair of nodes that share an
+    active element, in CSC form: ``indptr`` and ``indices`` (both
+    int32), rows ascending within each column.  It is built once, on
+    first use, from the element stencil (a row node lies at most
+    ``order`` lattice steps from its column node in each direction),
+    with no sort.  Its ``slots`` (int32, shape ``(ne, nloc, nloc)``)
+    give every local entry ``(e, a, b)`` of an element matrix, row
+    ``a`` and column ``b``, its place among the graph's entries, so
+    :meth:`block` sums a block of element matrices into graph order
+    with one ``np.bincount``, and :func:`_field_csc` writes the blocks
+    into one matrix.
+    """
 
     def __init__(self, mesh: StructuredMesh, order: int):
         self.mesh = mesh
@@ -697,31 +715,48 @@ class _ElementBatch:
         """Integrals of the scalar basis functions, ``(n_nodes,)``."""
         return self.node_sums(self.detj[:, None] * (self.ref.weights @ self.ref.N))
 
-    def scatter(self, local: np.ndarray, paired: bool = False) -> sp.csr_matrix:
-        """Sum element matrices ``(ne, nloc, nloc)`` into a node-by-node CSR.
+    @cached_property
+    def _graph(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(indptr, indices, slots)`` of the node graph."""
+        mesh, k = self.mesh, self.mesh.order
+        n, width = mesh.n_nodes, 2 * k + 1
+        # Stencil place of row node a seen from column node b: the
+        # offset (dj, di) in [-k, k]^2, dj major, which within a column
+        # is ascending row order.
+        jj, ii = np.divmod(np.arange(self.nloc), k + 1)
+        stencil = (jj[:, None] - jj + k) * width + (ii[:, None] - ii + k)
+        key = self.nodes.astype(np.int64)[:, None, :] * width**2 + stencil
+        present = np.zeros(n * width**2, dtype=bool)
+        present[key] = True
+        nnz = int(np.count_nonzero(present))
+        if 2 * nnz > np.iinfo(np.int32).max:
+            raise ValueError(f"node graph of {nnz} entries exceeds 32-bit indices")
+        slots = (np.cumsum(present, dtype=np.int32) - 1)[key]
+        column, place = np.divmod(np.flatnonzero(present), width**2)
+        dj, di = np.divmod(place, width)
+        indices = (column + (dj - k) * mesh.nnx + di - k).astype(np.int32)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(present.reshape(n, -1).sum(axis=1), out=indptr[1:])
+        return indptr, indices, slots
+
+    def block(self, local: np.ndarray, paired: bool = False) -> np.ndarray:
+        """Sum element matrices ``(ne, nloc, nloc)`` into graph order.
 
         With ``paired`` the elements of even and of odd columns are summed
         apart and the two sums added last.  An entry then sums at most two
         contributions per class (elements above and below each other), so
         neighbour contributions that cancel in pairs, as first-derivative
-        couplings do across a shared line, give an exact zero whatever
-        order the sparse conversion sums in.
+        couplings do across a shared line, give an exact zero.
         """
-        n, nloc = self.mesh.n_nodes, self.nloc
-        groups = [slice(None)]
-        if paired:
-            column = self.elems % self.mesh.nex
-            groups = [column % 2 == 0, column % 2 == 1]
-        out = None
-        for group in groups:
-            nodes = self.nodes[group]
-            rows = np.repeat(nodes, nloc, axis=1).ravel()
-            cols = np.tile(nodes, (1, nloc)).ravel()
-            m = sp.coo_matrix(
-                (local[group].ravel(), (rows, cols)), shape=(n, n)
-            ).tocsr()
-            out = m if out is None else out + m
-        return out
+        _, indices, slots = self._graph
+        nnz = indices.size
+        if not paired:
+            return np.bincount(slots.ravel(), local.ravel(), minlength=nnz)
+        odd = (self.elems % self.mesh.nex % 2).astype(np.int32) * nnz
+        sums = np.bincount(
+            (slots + odd[:, None, None]).ravel(), local.ravel(), minlength=2 * nnz
+        )
+        return sums[:nnz] + sums[nnz:]
 
 
 def _scaled(scale: np.ndarray, ref_matrix: np.ndarray) -> np.ndarray:
@@ -762,13 +797,50 @@ def divergence_l2(field: Field) -> float:
     return float(np.sqrt(total))
 
 
-def _block_grid(grid, sizes) -> sp.csc_matrix:
-    """Stack a grid of sparse blocks (``None`` for empty) into one CSC."""
-    blocks = [
-        [sp.csr_matrix((r, c)) if b is None else b for b, c in zip(row, sizes)]
-        for row, r in zip(grid, sizes)
-    ]
-    matrix = sp.bmat(blocks, format="csc")
+def _field_csc(batch: _ElementBatch, grid, border=None) -> sp.csc_matrix:
+    """Field-major CSC matrix of a 3 x 3 grid of node blocks.
+
+    ``grid[i][j]`` holds the values of block ``(i, j)`` (rows of field
+    ``i``, columns of field ``j``) in the order of ``batch``'s node
+    graph, or None for an empty block.  ``border``, if given, holds the
+    pressure-mean weights, stored as row and column ``3 n``.  The arrays
+    are written straight into their final places, and stored zeros are
+    dropped last; the result is canonical (sorted, unique rows per
+    column) with int32 indices.
+    """
+    indptr_g, rows_g, _ = batch._graph
+    n = batch.mesh.n_nodes
+    degree = np.diff(indptr_g)
+    counts = [sum(b is not None for b in column) * degree for column in zip(*grid)]
+    if border is not None:
+        counts[2] = counts[2] + 1
+        counts.append(np.full(1, n))
+    indptr = np.zeros(sum(len(c) for c in counts) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    if indptr[-1] > np.iinfo(np.int32).max:
+        raise ValueError(f"matrix of {indptr[-1]} entries exceeds 32-bit indices")
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    # Each graph entry's place within its column, and its column's length.
+    within = np.arange(rows_g.size) - np.repeat(indptr_g[:-1], degree)
+    step = np.repeat(degree, degree)
+    for j, column in enumerate(zip(*grid)):
+        place = np.repeat(indptr[j * n : (j + 1) * n], degree) + within
+        for i, values in enumerate(column):
+            if values is not None:
+                data[place] = values
+                indices[place] = rows_g + i * n
+                place += step
+    if border is not None:
+        # Row 3 n ends every pressure column; column 3 n comes last.
+        last = indptr[2 * n + 1 : 3 * n + 1] - 1
+        data[last], indices[last] = border, 3 * n
+        tail = slice(indptr[3 * n], None)
+        data[tail], indices[tail] = border, 2 * n + np.arange(n)
+    size = len(indptr) - 1
+    matrix = sp.csc_matrix(
+        (data, indices, indptr.astype(np.int32)), shape=(size, size)
+    )
     matrix.eliminate_zeros()
     return matrix
 
@@ -837,46 +909,39 @@ def assemble_stokes(
 
     # Scales of the reference matrices: detj gx^2 = hy / hx, detj gx =
     # hy / 2, and tau_x detj gx^2 = gamma hx hy / mu (x and y alike).
-    ks = _scaled_sum(mu * hy / hx, ref.dxi_dxi, mu * hx / hy, ref.deta_deta)
-    b1 = _scaled(-0.5 * hy, ref.dxi_N)
-    b2 = _scaled(-0.5 * hx, ref.deta_N)
-    cpp = _scaled(-gamma * hx * hy / mu, ref.dxi_dxi + ref.deta_deta)
+    # Each block of element matrices is summed into graph order as soon
+    # as it is formed, so at most one is alive at a time.
+    k_uu = batch.block(
+        _scaled_sum(mu * hy / hx, ref.dxi_dxi, mu * hx / hy, ref.deta_deta)
+    )
+    b1 = batch.block(_scaled(-0.5 * hy, ref.dxi_N), paired=True)
+    b2 = batch.block(_scaled(-0.5 * hx, ref.deta_N), paired=True)
+    cpp = batch.block(_scaled(-gamma * hx * hy / mu, ref.dxi_dxi + ref.deta_deta))
     # Pressure rows: -(q, div u) plus, for order 2, the viscous part
     # mu tau_d (d_d q, lap u) of the stabilization residual.
     px = _scaled(-0.5 * hy, ref.N_dxi)
-    py = _scaled(-0.5 * hx, ref.N_deta)
     if order == 2:
         px += _scaled_sum(
             2 * gamma * hy, ref.dxi_dxi2, 2 * gamma * hx**2 / hy, ref.dxi_deta2
         )
+    px = batch.block(px, paired=True)
+    py = _scaled(-0.5 * hx, ref.N_deta)
+    if order == 2:
         py += _scaled_sum(
             2 * gamma * hy**2 / hx, ref.deta_dxi2, 2 * gamma * hx, ref.deta_deta2
         )
-
-    k_uu = batch.scatter(ks)
-    grid = [
-        [k_uu, None, batch.scatter(b1, paired=True)],
-        [None, k_uu, batch.scatter(b2, paired=True)],
-        [
-            batch.scatter(px, paired=True),
-            batch.scatter(py, paired=True),
-            batch.scatter(cpp),
-        ],
-    ]
-    del ks, b1, b2, cpp, px, py
+    py = batch.block(py, paired=True)
 
     rhs = _force_load(batch, mu, f)
     mass_scalar = batch.mass()
-    sizes = [n, n, n]
+    matrix = _field_csc(
+        batch,
+        [[k_uu, None, b1], [None, k_uu, b2], [px, py, cpp]],
+        mass_scalar if null_mean_pressure else None,
+    )
+    del k_uu, b1, b2, cpp, px, py
     if null_mean_pressure:
-        border = sp.csr_matrix(mass_scalar[None, :])
-        grid[0].append(None)
-        grid[1].append(None)
-        grid[2].append(border.T.tocsr())
-        grid.append([None, None, border, None])
-        sizes.append(1)
         rhs = np.append(rhs, 0.0)
-    matrix = _block_grid(grid, sizes)
     n_dofs = matrix.shape[0]
 
     _add_stress_loads(mesh, order, bc, rhs, n)
@@ -1121,21 +1186,14 @@ def assemble_darcy(
 
     # Scales of the reference matrices: detj gx^2 = hy / hx, detj gx =
     # hy / 2 (and alike in y).
-    mm = _scaled(batch.detj / kovermu, ref.N_N)
-    g1 = _scaled(0.5 * hy, ref.N_dxi)
-    g2 = _scaled(0.5 * hx, ref.N_deta)
-    kp = _scaled_sum(kovermu * hy / hx, ref.dxi_dxi, kovermu * hx / hy, ref.deta_deta)
-
-    m_uu = batch.scatter(mm)
-    matrix = _block_grid(
-        [
-            [m_uu, None, batch.scatter(g1, paired=True)],
-            [None, m_uu, batch.scatter(g2, paired=True)],
-            [None, None, batch.scatter(kp)],
-        ],
-        [n, n, n],
+    m_uu = batch.block(_scaled(batch.detj / kovermu, ref.N_N))
+    g1 = batch.block(_scaled(0.5 * hy, ref.N_dxi), paired=True)
+    g2 = batch.block(_scaled(0.5 * hx, ref.N_deta), paired=True)
+    kp = batch.block(
+        _scaled_sum(kovermu * hy / hx, ref.dxi_dxi, kovermu * hx / hy, ref.deta_deta)
     )
-    del mm, g1, g2, kp
+    matrix = _field_csc(batch, [[m_uu, None, g1], [None, m_uu, g2], [None, None, kp]])
+    del m_uu, g1, g2, kp
 
     xq, yq = batch.qp_coords()
     fx, fy = _as_vector_callable(f)(xq, yq)

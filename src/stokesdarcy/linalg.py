@@ -94,19 +94,26 @@ class Factorization:
     Notes
     -----
     A given order is factored as one copy, ``A[p][:, p]``, gathered in
-    CSC form straight from the columns of ``matrix``; apart from
-    ``matrix`` itself it is the only matrix alive while SuperLU
-    factors, and no matrix is kept once the constructor returns: only
-    the SuperLU factor and the order.  The pivot threshold on the
-    diagonal is :data:`DIAG_PIVOT_THRESH`, so the order is kept up to
-    a row interchange or two (the pressure-mean multiplier has a zero
-    diagonal).  Every interchange moves a row off its diagonal and adds
-    fill; at 0.01 the unit-viscosity cell factor took 161-264 of them
-    and up to 2.5 times the entries.  Such weak pivoting is checked by
-    one solve with the permuted copy, whose infinity norms are those of
-    ``A``: if its backward error exceeds :data:`BACKWARD_ERROR_BOUND`,
-    the same copy is refactored with COLAMD and partial pivoting, and a
-    :class:`RuntimeWarning` is issued.
+    CSC form with 32-bit indices straight from the columns of
+    ``matrix``, a bounded chunk of columns at a time; a copy that
+    would need more than ``2**31 - 1`` entries raises ``ValueError``.
+    The infinity norm of ``A`` that the backward error needs is taken
+    before SuperLU runs, a bounded chunk of entries at a time.  So
+    while SuperLU factors, the arrays alive are those of ``matrix``,
+    of the copy (which SuperLU reads in place) and vectors of one
+    entry per unknown, and no matrix is kept once the constructor
+    returns: only the SuperLU factor and the order.
+
+    The pivot threshold on the diagonal is :data:`DIAG_PIVOT_THRESH`, so
+    the order is kept up to a row interchange or two (the pressure-mean
+    multiplier has a zero diagonal).  Every interchange moves a row off
+    its diagonal and adds fill; at 0.01 the unit-viscosity cell factor
+    took 161-264 of them and up to 2.5 times the entries.  Such weak
+    pivoting is checked by one solve with the permuted copy, whose
+    infinity norms are those of ``A``: if its backward error exceeds
+    :data:`BACKWARD_ERROR_BOUND`, the same copy is refactored with
+    COLAMD and partial pivoting, and a :class:`RuntimeWarning` is
+    issued.
     """
 
     def __init__(self, matrix, order=None):
@@ -121,6 +128,7 @@ class Factorization:
         # SuperLU runs.
         del matrix
         self.shape = a.shape
+        norm_a = _row_sum_norm(a)
         if self._perm is not None:
             self._lu = spla.splu(
                 a,
@@ -129,7 +137,7 @@ class Factorization:
                 options={"SymmetricMode": True},
             )
             self.ordering = "nested-dissection"
-            self.backward_error = self._check(a)
+            self.backward_error = self._check(a, norm_a)
             if self.backward_error <= BACKWARD_ERROR_BOUND:
                 return
             warnings.warn(
@@ -142,15 +150,11 @@ class Factorization:
             self._lu = None
         self._lu = spla.splu(a)
         self.ordering = "colamd"
-        self.backward_error = self._check(a)
+        self.backward_error = self._check(a, norm_a)
 
-    def _check(self, a) -> float:
+    def _check(self, a, norm_a: float) -> float:
         b = a @ np.ones(self.shape[0])
         x = self._lu.solve(b)
-        # Row sums of |A| from the CSC arrays, without a second matrix.
-        norm_a = np.bincount(
-            a.indices, weights=np.abs(a.data), minlength=self.shape[0]
-        ).max()
         scale = norm_a * np.abs(x).max() + np.abs(b).max()
         return float(np.abs(b - a @ x).max() / scale)
 
@@ -189,33 +193,71 @@ class Factorization:
         }
 
 
-def _principal_csc(matrix: sp.csc_matrix, order: np.ndarray):
-    """``matrix[order][:, order]`` in CSC form, gathered in one pass.
+#: Columns gathered per pass of :func:`_principal_csc` and entries
+#: summed per pass of :func:`_row_sum_norm`; they bound the temporaries
+#: of both to a few megabytes.
+_CHUNK_COLUMNS = 1 << 11
+_CHUNK_ENTRIES = 1 << 18
 
-    Returns the submatrix and, for each of its columns, the rank of its
-    index among the sorted ``order``: the position in the caller's
-    vectors, which run over the ordered indices in ascending order.
+
+def _principal_csc(matrix: sp.csc_matrix, order: np.ndarray):
+    """``matrix[order][:, order]`` in CSC form with 32-bit indices.
+
+    The columns are gathered a chunk at a time into arrays sized for
+    all entries of the selected columns, so no temporary spans the
+    whole matrix.  Returns the submatrix and, for each of its columns,
+    the rank of its index among the sorted ``order``: the position in
+    the caller's vectors, which run over the ordered indices in
+    ascending order.
     """
     n = matrix.shape[0]
     if order.ndim != 1 or (order.size and (order.min() < 0 or order.max() >= n)):
         raise ValueError(f"order must hold indices in [0, {n})")
+    m = order.size
     position = np.full(n, -1, dtype=np.intc)
-    position[order] = np.arange(order.size, dtype=np.intc)
-    if not np.array_equal(position[order], np.arange(order.size)):
+    position[order] = np.arange(m, dtype=np.intc)
+    if not np.array_equal(position[order], np.arange(m)):
         raise ValueError("order must be a permutation of distinct indices")
-    # Entries of the selected columns, column after column.
     starts = matrix.indptr[order]
     counts = matrix.indptr[order + 1] - starts
-    ends = np.concatenate(([0], np.cumsum(counts)))
-    src = np.arange(ends[-1]) + np.repeat(starts - ends[:-1], counts)
-    rows = position[matrix.indices[src]]
-    keep = rows >= 0
-    indptr = np.concatenate(([0], np.cumsum(keep)))[ends].astype(np.intc)
-    sub = sp.csc_matrix(
-        (matrix.data[src[keep]], rows[keep], indptr), shape=(order.size,) * 2
-    )
+    total = int(counts.sum(dtype=np.int64))
+    if max(total, int(matrix.indptr[-1])) > np.iinfo(np.intc).max:
+        raise ValueError(f"factored copy of {total} entries exceeds 32-bit indices")
+    data = np.empty(total)
+    indices = np.empty(total, dtype=np.intc)
+    indptr = np.zeros(m + 1, dtype=np.intc)
+    nnz = 0
+    for lo in range(0, m, _CHUNK_COLUMNS):
+        hi = min(lo + _CHUNK_COLUMNS, m)
+        c = counts[lo:hi]
+        ends = np.cumsum(c, dtype=np.intc)
+        # Entries of these columns in ``matrix``, column after column.
+        src = np.repeat(starts[lo:hi] - ends + c, c).astype(np.intc, copy=False)
+        src += np.arange(ends[-1], dtype=np.intc)
+        rows = position[matrix.indices[src]]
+        keep = rows >= 0
+        kept = np.concatenate(([0], np.cumsum(keep, dtype=np.intc)))
+        indptr[lo + 1 : hi + 1] = nnz + kept[ends]
+        end = nnz + int(kept[-1])
+        data[nnz:end] = matrix.data[src[keep]]
+        indices[nnz:end] = rows[keep]
+        nnz = end
+    sub = sp.csc_matrix((data[:nnz], indices[:nnz], indptr), shape=(m, m))
     rank = np.cumsum(position >= 0) - 1
     return sub, rank[order]
+
+
+def _row_sum_norm(a: sp.csc_matrix) -> float:
+    """Infinity norm of ``a``: its largest absolute row sum, from the
+    CSC arrays a chunk of entries at a time."""
+    sums = np.zeros(a.shape[0])
+    for lo in range(0, a.nnz, _CHUNK_ENTRIES):
+        sums += np.bincount(
+            a.indices[lo : lo + _CHUNK_ENTRIES],
+            np.abs(a.data[lo : lo + _CHUNK_ENTRIES]),
+            minlength=a.shape[0],
+        )
+    return float(sums.max(initial=0.0))
 
 
 def factorize(matrix, order=None) -> Factorization:

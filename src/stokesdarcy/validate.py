@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dns import DnsResolution, DnsSolution, solve_dns
-from .fem import FemConfig, eval_fields, eval_located
+from .dns import DnsResolution, solve_dns
+from .fem import FemConfig, Field, eval_fields, eval_located
 from .homogenize import (
     DEFAULT_CELL_RESOLUTION,
     CellSolution,
@@ -334,6 +334,25 @@ def reconstruct_porous_velocity(
 # ----------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class PoreScaleReference:
+    """What a study keeps of a pore-scale solve: its mesh and fields.
+
+    These are all that :func:`compare_solutions` reads.  The solve's
+    system (matrix, load and factor) is dropped before a study member
+    assembles its coupled problem, so the two never share the memory.
+    """
+
+    mesh: StructuredMesh
+    velocity: Field
+    pressure: Field
+
+
+def _pore_scale_reference(preset, lattice, resolution) -> PoreScaleReference:
+    dns = solve_dns(preset, lattice, resolution)
+    return PoreScaleReference(dns.mesh, dns.velocity, dns.pressure)
+
+
 @dataclass
 class ErrorReport:
     """Error norms of one coupled solve against one pore-scale solve.
@@ -368,7 +387,7 @@ class ErrorReport:
 
 def compare_solutions(
     composite,
-    dns: DnsSolution,
+    dns: PoreScaleReference,
     cell: CellSolution,
     delta: float,
     ell: float,
@@ -391,8 +410,9 @@ def compare_solutions(
     ----------
     composite : CompositeSolution
         Coupled solution.
-    dns : DnsSolution
-        Pore-scale reference at the same period.
+    dns : PoreScaleReference or DnsSolution
+        Pore-scale reference at the same period; only its ``mesh``,
+        ``velocity`` and ``pressure`` are read.
     cell : CellSolution
         Unit-cell solution for the reconstruction.
     delta : float
@@ -506,6 +526,8 @@ def convergence_study(
     geometry (permeability and modulation fields from a single
     unit-cell solve, layer thickness from the porosity fit); errors are
     measured region by region and log-log slopes fitted at the end.
+    Of the reference only its :class:`PoreScaleReference` outlives the
+    pore-scale solve.
 
     Parameters
     ----------
@@ -550,8 +572,7 @@ def convergence_study(
     def run_one(ell: float) -> ErrorReport:
         lattice = preset.lattice(ell, configuration.size_ratio)
         say(f"pore-scale reference ell={ell}")
-        dns = solve_dns(preset, lattice, dns_resolution)
-        dns.system.release_factor()
+        dns = _pore_scale_reference(preset, lattice, dns_resolution)
         say(f"coupled solve ell={ell}")
         delta = delta_star(configuration.porosity, ell)
         physics = IcddPhysics(
@@ -625,7 +646,8 @@ def delta_sweep(
 ) -> SweepResult:
     """Sweep the layer thickness and measure the fluid-region error.
 
-    One pore-scale reference is solved once; the coupled problem is
+    One pore-scale reference is solved once, and only its
+    :class:`PoreScaleReference` is kept; the coupled problem is
     re-solved with the lower interface at each multiple of the
     predicted thickness.  The error region is fixed at the predicted
     thickness for every run so the sweep compares like with like.
@@ -657,8 +679,7 @@ def delta_sweep(
     dstar = delta_star(configuration.porosity, ell)
     lattice = preset.lattice(ell, configuration.size_ratio)
     say(f"pore-scale reference ell={ell}")
-    dns = solve_dns(preset, lattice, dns_resolution)
-    dns.system.release_factor()
+    dns = _pore_scale_reference(preset, lattice, dns_resolution)
     region = RegionSpec("fluid", -dstar, preset.domain.y1)
     points, weights, elems, ref = _region_rule(dns.mesh, region)
     (u_ref,) = eval_located([dns.velocity], elems, ref)

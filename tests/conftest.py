@@ -4,10 +4,39 @@ from __future__ import annotations
 
 import pytest
 
+from stokesdarcy.dns import DnsResolution, dns_line_set
+from stokesdarcy.fem import FemConfig, assemble_stokes
 from stokesdarcy.homogenize import solve_cell_problem
+from stokesdarcy.mesh import build_perforated_mesh
+from stokesdarcy.presets import CONFIGURATIONS, PRESETS
 
 
 @pytest.fixture(scope="session")
 def cell_small():
     """Coarse unit-cell solution (s_hat = 0.6, 10 elements per edge)."""
     return solve_cell_problem(0.6, resolution=10)
+
+
+@pytest.fixture(scope="session")
+def assemble_dns_q2():
+    """Function assembling, afresh at each call, the pore-scale system
+    of ``configs/dns.ini``: preset 1, C1 at period 1/10, Q2 with 10
+    elements per cell edge."""
+    preset = PRESETS[1]
+    lattice = preset.lattice(0.1, CONFIGURATIONS["C1"].size_ratio)
+    resolution = DnsResolution(n_per_cell=10, order=2)
+    mesh = build_perforated_mesh(
+        preset.domain,
+        lattice,
+        resolution.n_per_cell,
+        order=2,
+        y_lines=dns_line_set(preset.domain, lattice, resolution),
+    )
+    return lambda: assemble_stokes(
+        mesh,
+        FemConfig(order=2),
+        mu=preset.mu,
+        f=preset.force,
+        bc=preset.dns_bc(),
+        null_mean_pressure=preset.pin_pressure,
+    )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -604,6 +606,62 @@ class TestReferenceKernels:
         system, (matrix, _, _) = generic_case(seed)
         assert relative_gap(system.matrix, matrix) <= 1e-13
         assert system.matrix.nnz <= count_significant(matrix, system.n_nodes)
+
+
+@st.composite
+def assembled_systems(draw):
+    """Stokes (with or without the pressure-mean multiplier) or Darcy
+    systems of order 1 or 2 on graded, plain or perforated meshes."""
+    order = draw(st.sampled_from([1, 2]))
+    nex, ney = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    steps = st.floats(0.05, 1.0)
+    xs = np.cumsum([0.0] + [draw(steps) for _ in range(nex)])
+    ys = np.cumsum([0.0] + [draw(steps) for _ in range(ney)])
+    active = None
+    if draw(st.booleans()):
+        cells = nex * ney
+        active = np.array(draw(st.lists(st.booleans(), min_size=cells, max_size=cells)))
+        active[draw(st.integers(0, cells - 1))] = True
+    mesh = StructuredMesh(xs, ys, order, active)
+    config = FemConfig(order=order)
+    kind = draw(st.sampled_from(["stokes", "stokes-mean", "darcy"]))
+    if kind == "darcy":
+        return assemble_darcy(mesh, config, MU, KAPPA, f=(1.0, -0.5))
+    return assemble_stokes(
+        mesh, config, MU, f=(1.0, -0.5), null_mean_pressure=kind == "stokes-mean"
+    )
+
+
+@given(system=assembled_systems())
+@settings(max_examples=60, deadline=None)
+def test_assembled_matrix_is_canonical_csc(system):
+    """Sorted, unique int32 row indices in every column, no stored zero."""
+    matrix = system.matrix
+    assert matrix.format == "csc"
+    assert matrix.indices.dtype == np.int32
+    assert matrix.indptr.dtype == np.int32
+    columns = np.repeat(np.arange(matrix.shape[1]), np.diff(matrix.indptr))
+    same_column = columns[1:] == columns[:-1]
+    assert np.all(np.diff(matrix.indices)[same_column] > 0)
+    assert matrix.indices.min(initial=0) >= 0
+    assert matrix.indices.max(initial=0) < matrix.shape[0]
+    assert np.all(matrix.data != 0.0)
+
+
+def test_assembly_peak_memory(assemble_dns_q2):
+    """At the size of ``configs/dns.ini``, the numpy memory that
+    assembly holds at its peak stays within 3 times the bytes of the
+    matrix it returns."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        system = assemble_dns_q2()
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    matrix = system.matrix
+    size = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+    assert peak <= 3.0 * size, f"peak {peak / size:.2f} times the matrix"
 
 
 def reference_rows(parts):

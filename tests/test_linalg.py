@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import gc
+import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -207,6 +209,34 @@ class TestFactorCopies:
         (system,) = systems
         assert calls == [{id(system.matrix)}]
         assert self.holds_no_matrix(factors[0])
+
+
+def test_factorization_peak_memory(assemble_dns_q2):
+    """Above its level on entry, the numpy memory that factorizing the
+    pore-scale system of ``configs/dns.ini`` holds at its peak (the
+    permuted copy and the temporaries that build and check it; SuperLU's
+    own arrays are not numpy's) stays within 1.5 times the bytes of the
+    system's matrix."""
+    system = assemble_dns_q2()
+    order = system.interior_dofs[system.factor_order]
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        factorize(system.matrix, order)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    matrix = system.matrix
+    size = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+    assert peak <= 1.5 * size, f"peak {peak / size:.2f} times the matrix"
+
+
+def test_factored_copy_beyond_32_bits_raises():
+    huge = SimpleNamespace(
+        shape=(3, 3), indptr=np.array([0, 2**30, 2**31, 2**31 + 5], dtype=np.int64)
+    )
+    with pytest.raises(ValueError, match="exceeds 32-bit indices"):
+        linalg._principal_csc(huge, np.arange(3))
 
 
 class TestBicgstab:

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stokesdarcy import validate
 from stokesdarcy.dns import DnsResolution, solve_dns
 from stokesdarcy.fem import FemConfig, Field
 from stokesdarcy.homogenize import permeability_dimensional
@@ -20,7 +23,7 @@ from stokesdarcy.mesh import (
     build_perforated_mesh,
     build_rect_mesh,
 )
-from stokesdarcy.presets import PRESETS
+from stokesdarcy.presets import CONFIGURATIONS, PRESETS
 from stokesdarcy.validate import (
     ErrorReport,
     RegionSpec,
@@ -301,3 +304,76 @@ class TestCompareSolutions:
             assert report.errors[key] > 0.0
             assert report.errors[key] == pytest.approx(errors[key], rel=1e-12)
             assert report.norms[key] == pytest.approx(norms[key], rel=1e-12)
+
+
+def holds_sparse_matrix(obj) -> bool:
+    """Whether a sparse matrix is reachable from ``obj`` through
+    instance attributes and containers."""
+    seen, stack = set(), [obj]
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if sp.issparse(item):
+            return True
+        if isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif isinstance(item, dict):
+            stack.extend(item.values())
+        elif hasattr(item, "__dict__") and not isinstance(item, type):
+            stack.extend(vars(item).values())
+    return False
+
+
+class TestStudyMembers:
+    """A study member drops the pore-scale system before it assembles
+    its coupled problem, and compares against mesh and fields alone."""
+
+    STUDY = dict(
+        fem_config=FemConfig(order=1),
+        hx=0.125,
+        dns_resolution=DnsResolution(n_per_cell=10, order=1),
+        cell_resolution=10,
+    )
+
+    @staticmethod
+    def watch(monkeypatch):
+        """For each coupled assembly, whether each pore-scale system
+        solved so far has been freed."""
+        systems, freed = [], []
+        solve, assemble = validate.solve_dns, validate.assemble_problem
+
+        def recording_solve(*args):
+            solution = solve(*args)
+            systems.append(weakref.ref(solution.system))
+            return solution
+
+        def checking_assemble(*args):
+            freed.append([ref() is None for ref in systems])
+            return assemble(*args)
+
+        monkeypatch.setattr(validate, "solve_dns", recording_solve)
+        monkeypatch.setattr(validate, "assemble_problem", checking_assemble)
+        return freed
+
+    def test_convergence_study(self, monkeypatch):
+        freed = self.watch(monkeypatch)
+        references = []
+        compare = validate.compare_solutions
+
+        def recording_compare(composite, dns, *args, **kwargs):
+            references.append(holds_sparse_matrix(dns))
+            return compare(composite, dns, *args, **kwargs)
+
+        monkeypatch.setattr(validate, "compare_solutions", recording_compare)
+        validate.convergence_study(
+            PRESETS[1], CONFIGURATIONS["C1"], [0.25, 0.125], **self.STUDY
+        )
+        assert references == [False, False]
+        assert freed == [[True], [True, True]]
+
+    def test_delta_sweep(self, monkeypatch):
+        freed = self.watch(monkeypatch)
+        validate.delta_sweep(PRESETS[1], CONFIGURATIONS["C2"], 0.25, **self.STUDY)
+        assert freed == [[True]] * 3
