@@ -182,8 +182,8 @@ class _RefData:
     integral that is odd under ``t -> -t`` is an exact zero.
     """
 
-    def __init__(self, order: int, n_quad: int):
-        pts, wts = np.polynomial.legendre.leggauss(n_quad)
+    def __init__(self, order: int):
+        pts, wts = np.polynomial.legendre.leggauss(order + 1)
         XI, ETA = np.meshgrid(pts, pts, indexing="ij")
         self.ref = np.column_stack([XI.ravel(), ETA.ravel()])
         WX, WY = np.meshgrid(wts, wts, indexing="ij")
@@ -224,15 +224,13 @@ class _RefData:
         self.deta_deta2 = np.kron(d_dd, mass)
 
 
-_REF_CACHE: dict[tuple[int, int], _RefData] = {}
+_REF_CACHE: dict[int, _RefData] = {}
 
 
-def _ref_data(order: int, n_quad: int | None = None) -> _RefData:
-    nq = n_quad if n_quad is not None else order + 1
-    key = (order, nq)
-    if key not in _REF_CACHE:
-        _REF_CACHE[key] = _RefData(order, nq)
-    return _REF_CACHE[key]
+def _ref_data(order: int) -> _RefData:
+    if order not in _REF_CACHE:
+        _REF_CACHE[order] = _RefData(order)
+    return _REF_CACHE[order]
 
 
 # ----------------------------------------------------------------------
@@ -248,9 +246,8 @@ class Field:
     mesh : StructuredMesh
         Host mesh.
     values : ndarray
-        Nodal values, shape ``(n_nodes,)`` or ``(n_nodes, n_comp)``.
-    order : int
-        Polynomial order of the nodal lattice.
+        Nodal values, shape ``(n_nodes,)`` or ``(n_nodes, n_comp)``, on
+        the mesh's nodal lattice of order ``mesh.order``.
 
     Notes
     -----
@@ -258,22 +255,20 @@ class Field:
     realizes the trivial zero-extension of fields on perforated meshes.
     """
 
-    def __init__(self, mesh: StructuredMesh, values: np.ndarray, order: int):
+    def __init__(self, mesh: StructuredMesh, values: np.ndarray):
         values = np.asarray(values, dtype=float)
         if values.shape[0] != mesh.n_nodes:
             raise ValueError("nodal value array does not match the mesh")
-        if order != mesh.order:
-            raise ValueError("field order must match the mesh order")
         self.mesh = mesh
         self.values = values
-        self.order = order
 
     @property
     def n_components(self) -> int:
         return 1 if self.values.ndim == 1 else self.values.shape[1]
 
     def eval(self, points) -> np.ndarray:
-        """Evaluate at arbitrary points inside the mesh bounding box.
+        """Evaluate at points of shape ``(n, 2)`` inside the mesh bounding
+        box.
 
         Returns
         -------
@@ -281,9 +276,7 @@ class Field:
             Shape ``(n,)`` for scalar fields, ``(n, n_comp)`` otherwise.
             Points falling in inactive elements evaluate to zero.
         """
-        points = np.asarray(points, dtype=float)
-        (out,) = eval_fields([self], points)
-        return out[0] if points.ndim == 1 else out
+        return eval_fields([self], points)[0]
 
 
 def eval_fields(fields, points) -> list[np.ndarray]:
@@ -395,7 +388,6 @@ class SaddleSystem:
     def __init__(
         self,
         mesh: StructuredMesh,
-        config: FemConfig,
         matrix: sp.csc_matrix,
         rhs: np.ndarray,
         kind: np.ndarray,
@@ -403,10 +395,8 @@ class SaddleSystem:
         interface_dofs: np.ndarray,
         interface_nodes: np.ndarray,
         mass_scalar: np.ndarray,
-        has_multiplier: bool,
     ):
         self.mesh = mesh
-        self.config = config
         self.matrix = matrix
         self.rhs = rhs
         self.kind = kind
@@ -414,7 +404,6 @@ class SaddleSystem:
         self.interface_dofs = interface_dofs
         self.interface_nodes = interface_nodes
         self.mass_scalar = mass_scalar
-        self.has_multiplier = has_multiplier
         self.n_nodes = mesh.n_nodes
         self.n_dofs = matrix.shape[0]
 
@@ -564,19 +553,12 @@ class SaddleSystem:
     def velocity(self, solution: np.ndarray) -> Field:
         n = self.n_nodes
         return Field(
-            self.mesh,
-            np.column_stack([solution[:n], solution[n : 2 * n]]),
-            self.config.order,
+            self.mesh, np.column_stack([solution[:n], solution[n : 2 * n]])
         )
 
     def pressure(self, solution: np.ndarray) -> Field:
         n = self.n_nodes
-        return Field(self.mesh, solution[2 * n : 3 * n], self.config.order)
-
-    def pressure_mean(self, solution: np.ndarray) -> float:
-        """Active-area integral of the pressure field."""
-        n = self.n_nodes
-        return float(self.mass_scalar @ solution[2 * n : 3 * n])
+        return Field(self.mesh, solution[2 * n : 3 * n])
 
 
 def _node_major(nodes: np.ndarray, n: int, position: np.ndarray) -> np.ndarray:
@@ -655,7 +637,7 @@ class _ElementBatch:
     active element, in CSC form: ``indptr`` and ``indices`` (both
     int32), rows ascending within each column.  It is built once, on
     first use, from the element stencil (a row node lies at most
-    ``order`` lattice steps from its column node in each direction),
+    ``mesh.order`` lattice steps from its column node in each direction),
     with no sort.  Its ``slots`` (int32, shape ``(ne, nloc, nloc)``)
     give every local entry ``(e, a, b)`` of an element matrix, row
     ``a`` and column ``b``, its place among the graph's entries, so
@@ -664,9 +646,9 @@ class _ElementBatch:
     into one matrix.
     """
 
-    def __init__(self, mesh: StructuredMesh, order: int):
+    def __init__(self, mesh: StructuredMesh):
         self.mesh = mesh
-        self.ref = _ref_data(order)
+        self.ref = _ref_data(mesh.order)
         self.elems = np.flatnonzero(mesh.active)
         hx, hy = mesh.element_sizes()
         self.hx = hx[self.elems]
@@ -786,7 +768,7 @@ def divergence_l2(field: Field) -> float:
     """
     if field.n_components != 2:
         raise ValueError("divergence needs a two-component field")
-    batch = _ElementBatch(field.mesh, field.order)
+    batch = _ElementBatch(field.mesh)
     ux = field.values[:, 0][batch.nodes]
     uy = field.values[:, 1][batch.nodes]
     total = 0.0
@@ -879,7 +861,7 @@ def assemble_stokes(
     mesh : StructuredMesh
         Computational mesh (possibly perforated).
     config : FemConfig
-        Polynomial order.
+        Polynomial order; must equal ``mesh.order``.
     mu : float
         Dynamic viscosity.
     f : pair, callable or None
@@ -896,12 +878,13 @@ def assemble_stokes(
     -------
     SaddleSystem
     """
+    _check_order(mesh, config)
     if bc is None:
         bc = BoundarySpec()
     if interface is not None and interface.side in bc.sides:
         raise ValueError("interface side must not carry exterior conditions")
-    order = config.order
-    batch = _ElementBatch(mesh, order)
+    order = mesh.order
+    batch = _ElementBatch(mesh)
     ref = batch.ref
     n = mesh.n_nodes
     hx, hy = batch.hx, batch.hy
@@ -944,22 +927,22 @@ def assemble_stokes(
         rhs = np.append(rhs, 0.0)
     n_dofs = matrix.shape[0]
 
-    _add_stress_loads(mesh, order, bc, rhs, n)
+    _add_stress_loads(mesh, bc, rhs, n)
     kind, values, iface_dofs, iface_nodes = _classify_dofs(
         mesh, bc, interface, n_dofs
     )
     return SaddleSystem(
-        mesh,
-        config,
-        matrix,
-        rhs,
-        kind,
-        values,
-        iface_dofs,
-        iface_nodes,
-        mass_scalar,
-        null_mean_pressure,
+        mesh, matrix, rhs, kind, values, iface_dofs, iface_nodes, mass_scalar
     )
+
+
+def _check_order(mesh: StructuredMesh, config: FemConfig) -> None:
+    """Reject a discretization order that differs from the mesh's."""
+    if config.order != mesh.order:
+        raise ValueError(
+            f"FemConfig order {config.order} does not match the mesh order "
+            f"{mesh.order}; build the mesh with order={config.order}"
+        )
 
 
 def _force_load(batch: _ElementBatch, mu: float, f) -> np.ndarray:
@@ -983,8 +966,9 @@ def _force_load(batch: _ElementBatch, mu: float, f) -> np.ndarray:
     )
 
 
-def _add_stress_loads(mesh, order, bc, rhs, n) -> None:
+def _add_stress_loads(mesh, bc, rhs, n) -> None:
     """Add natural traction integrals to the load vector."""
+    order = mesh.order
     for side, cond in bc.sides.items():
         if cond.kind != "normal_stress" or cond.value is None:
             continue
@@ -1152,7 +1136,7 @@ def assemble_darcy(
     mesh : StructuredMesh
         Computational mesh.
     config : FemConfig
-        Polynomial order.
+        Polynomial order; must equal ``mesh.order``.
     mu : float
         Dynamic viscosity.
     permeability : float
@@ -1171,14 +1155,14 @@ def assemble_darcy(
     -------
     SaddleSystem
     """
+    _check_order(mesh, config)
     if bc is None:
         bc = BoundarySpec()
     if interface is not None and interface.side in bc.sides:
         raise ValueError("interface side must not carry exterior conditions")
     if permeability <= 0:
         raise ValueError("permeability must be positive")
-    order = config.order
-    batch = _ElementBatch(mesh, order)
+    batch = _ElementBatch(mesh)
     ref = batch.ref
     n = mesh.n_nodes
     hx, hy = batch.hx, batch.hy
@@ -1215,16 +1199,7 @@ def assemble_darcy(
         mesh, bc, interface, n_dofs
     )
     return SaddleSystem(
-        mesh,
-        config,
-        matrix,
-        rhs,
-        kind,
-        values,
-        iface_dofs,
-        iface_nodes,
-        mass_scalar,
-        False,
+        mesh, matrix, rhs, kind, values, iface_dofs, iface_nodes, mass_scalar
     )
 
 
@@ -1288,7 +1263,7 @@ def assemble_cell_problem(cell_mesh: StructuredMesh) -> CellSystem:
         cell_mesh, FemConfig(order=cell_mesh.order), mu=1.0,
         bc=BoundarySpec(), interface=None, null_mean_pressure=True,
     )
-    batch = _ElementBatch(cell_mesh, cell_mesh.order)
+    batch = _ElementBatch(cell_mesh)
     n = cell_mesh.n_nodes
     n_dofs = raw.n_dofs
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .fem import Field, assemble_cell_problem
 from .linalg import factorize
-from .mesh import ObstacleLattice, RectDomain, StructuredMesh, build_perforated_mesh
+from .mesh import ObstacleLattice, RectDomain, build_perforated_mesh
 
 #: Quadratic fit of the dimensionless layer thickness against porosity.
 DELTA_FIT_COEFFS = (0.3847, 0.0255, 0.0344)
@@ -91,10 +91,9 @@ class CellSolution:
         Fluid fraction from summing active element areas (cross-check).
     s_hat : float
         Obstacle side over the period.
-    mesh : StructuredMesh
-        Perforated unit-cell mesh.
     velocities : list of Field
-        Cell velocity fields ``w_1`` and ``w_2`` (two components each).
+        Cell velocity fields ``w_1`` and ``w_2`` (two components each),
+        both on the perforated unit-cell mesh over ``(0, 1)^2``.
     resolution : int
         Elements per cell edge.
     order : int
@@ -108,7 +107,6 @@ class CellSolution:
     porosity: float
     porosity_quadrature: float
     s_hat: float
-    mesh: StructuredMesh
     velocities: list
     resolution: int
     order: int
@@ -184,45 +182,16 @@ def solve_cell_problem(
         u = system.expand(factor.solve(load))
         k_hat[0, direction] = mass @ u[:, 0]
         k_hat[1, direction] = mass @ u[:, 1]
-        velocities.append(Field(mesh, u, order))
+        velocities.append(Field(mesh, u))
 
     return CellSolution(
         k_hat=k_hat,
         porosity=1.0 - s_hat**2,
         porosity_quadrature=mesh.active_area / cell.area,
         s_hat=s_hat,
-        mesh=mesh,
         velocities=velocities,
         resolution=resolution,
         order=order,
         factor_health=factor.health(),
     )
 
-
-class PeriodicCellField:
-    """Evaluate a unit-cell field at physical points by periodic mapping.
-
-    Parameters
-    ----------
-    field : Field
-        Field on the unit-cell mesh over ``(0, 1)^2``.
-    ell : float
-        Physical period.
-    origin : tuple
-        Physical coordinates mapped to the cell origin.
-    """
-
-    def __init__(self, field: Field, ell: float, origin: tuple):
-        self.field = field
-        self.ell = ell
-        self.origin = np.asarray(origin, dtype=float)
-
-    def cell_points(self, points) -> np.ndarray:
-        """Unit-cell coordinates of physical points."""
-        points = np.asarray(points, dtype=float)
-        local = (points - self.origin[None, :]) / self.ell
-        local -= np.floor(local)
-        return local
-
-    def eval(self, points) -> np.ndarray:
-        return self.field.eval(self.cell_points(points))

@@ -230,6 +230,18 @@ def assemble_problem(
 # ----------------------------------------------------------------------
 
 
+def _homogeneous_solves(
+    problem: IcddProblem, g: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Free-flow and porous solutions driven only by the stacked
+    controls ``g`` (all other data zero)."""
+    g_f, g_p = problem.split(g)
+    return (
+        problem.stokes.solve(g=g_f, include_data=False),
+        problem.darcy.solve(g=g_p, include_data=False),
+    )
+
+
 def schur_rhs(problem: IcddProblem) -> np.ndarray:
     """Right-hand side of the interface system.
 
@@ -238,13 +250,8 @@ def schur_rhs(problem: IcddProblem) -> np.ndarray:
     again driven only by ``c`` as control data; the right-hand side is
     ``c`` plus the traces of the second pair of solves.
     """
-    x_f = problem.stokes.solve()
-    x_p = problem.darcy.solve()
-    c = problem.traces(x_f, x_p)
-    c_f, c_p = problem.split(c)
-    y_f = problem.stokes.solve(g=c_f, include_data=False)
-    y_p = problem.darcy.solve(g=c_p, include_data=False)
-    return c + problem.traces(y_f, y_p)
+    c = problem.traces(problem.stokes.solve(), problem.darcy.solve())
+    return c + problem.traces(*_homogeneous_solves(problem, c))
 
 
 def schur_apply(problem: IcddProblem, g: np.ndarray) -> np.ndarray:
@@ -254,14 +261,9 @@ def schur_apply(problem: IcddProblem, g: np.ndarray) -> np.ndarray:
     data, forms the interface mismatch ``lambda = g - traces``, solves
     both subdomains again driven by the mismatch and adds those traces.
     """
-    g_f, g_p = problem.split(np.asarray(g, dtype=float))
-    x_f = problem.stokes.solve(g=g_f, include_data=False)
-    x_p = problem.darcy.solve(g=g_p, include_data=False)
-    lam = g - problem.traces(x_f, x_p)
-    lam_f, lam_p = problem.split(lam)
-    y_f = problem.stokes.solve(g=lam_f, include_data=False)
-    y_p = problem.darcy.solve(g=lam_p, include_data=False)
-    return lam + problem.traces(y_f, y_p)
+    g = np.asarray(g, dtype=float)
+    lam = g - problem.traces(*_homogeneous_solves(problem, g))
+    return lam + problem.traces(*_homogeneous_solves(problem, lam))
 
 
 def schur_solve(
@@ -357,12 +359,6 @@ class CompositeSolution:
             pressure[~in_stokes] = p[~in_stokes[in_darcy]]
         return velocity, pressure
 
-    def velocity(self, points) -> np.ndarray:
-        return self.evaluate(points)[0]
-
-    def pressure(self, points) -> np.ndarray:
-        return self.evaluate(points)[1]
-
     def sample_rows(self):
         """Nodal samples for tabular export.
 
@@ -391,8 +387,6 @@ class IcddResult:
     ----------
     composite : CompositeSolution
         Stitched two-field solution.
-    g : ndarray
-        Converged stacked interface controls.
     info : dict
         Krylov diagnostics (iterations, residual history, status).
     matching_velocity : float
@@ -410,7 +404,6 @@ class IcddResult:
     """
 
     composite: CompositeSolution
-    g: np.ndarray
     info: dict
     matching_velocity: float
     matching_pressure: float
@@ -437,16 +430,12 @@ def _result_from_solution(problem, g, x_f, x_p, info) -> IcddResult:
     g_f, g_p = problem.split(g)
     tau = problem.traces(x_f, x_p)
     tau_f, tau_p = problem.split(tau)
-    lam = g - tau
-    lam_f, lam_p = problem.split(lam)
-    y_f = problem.stokes.solve(g=lam_f, include_data=False)
-    y_p = problem.darcy.solve(g=lam_p, include_data=False)
+    y_f, y_p = _homogeneous_solves(problem, g - tau)
     composite = CompositeSolution(
         problem.stokes, x_f, problem.darcy, x_p, problem.geometry.delta
     )
     return IcddResult(
         composite=composite,
-        g=g,
         info=info,
         matching_velocity=_relative_mismatch(g_f, tau_f),
         matching_pressure=_relative_mismatch(g_p, tau_p),
@@ -463,10 +452,9 @@ def icdd_solve(
     Returns
     -------
     IcddResult
-        Composite solution, converged controls, Krylov diagnostics,
-        interface matching residuals and auxiliary-solution norms, all
-        recomputed from fresh subdomain solves at the converged
-        controls.
+        Composite solution, Krylov diagnostics, interface matching
+        residuals and auxiliary-solution norms, all recomputed from
+        fresh subdomain solves at the converged controls.
     """
     g, info = schur_solve(problem, krylov)
     g_f, g_p = problem.split(g)

@@ -98,11 +98,6 @@ class ObstacleLattice:
     def cells_y(self) -> int:
         return round(self.band.height / self.period)
 
-    @property
-    def porosity(self) -> float:
-        """Fluid volume fraction of one cell, exact for aligned squares."""
-        return 1.0 - self.s_hat**2
-
     def edge_offsets(self, n_per_cell: int) -> tuple[int, int]:
         """Obstacle edge positions in sub-cell grid units.
 
@@ -353,8 +348,6 @@ class StructuredMesh:
             Reference coordinates in ``[-1, 1]^2``, shape ``(n, 2)``.
         """
         pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
         x, y = pts[:, 0], pts[:, 1]
         dom = self.domain
         tol_x = LINE_RTOL * max(1.0, abs(dom.x0), abs(dom.x1))

@@ -22,9 +22,8 @@ from .mesh import ObstacleLattice, RectDomain
 #: Depth of the porous band below the interface plane y = 0.
 POROUS_DEPTH = 0.5
 
-#: Shared physical parameters: viscosity [kg/(m s)] and density [kg/m^3].
+#: Shared dynamic viscosity [kg/(m s)].
 VISCOSITY = 1e-3
-DENSITY = 1e3
 
 #: Peak lid velocity of the cavity case [m/s].
 LID_SCALE = 1e-6
@@ -54,8 +53,6 @@ class TestCasePreset:
         Body force per unit volume, applied in every subdomain.
     mu : float
         Dynamic viscosity.
-    rho : float
-        Fluid density (metadata; the Stokes regime needs no inertia).
     pin_pressure : bool
         Whether the pressure level is fixed by a zero-mean constraint
         (True when every exterior condition is essential).
@@ -66,7 +63,6 @@ class TestCasePreset:
     domain: RectDomain
     force: tuple
     mu: float = VISCOSITY
-    rho: float = DENSITY
     pin_pressure: bool = False
 
     @property

@@ -31,7 +31,6 @@ from .fem import FemConfig, Field, eval_fields, eval_located
 from .homogenize import (
     DEFAULT_CELL_RESOLUTION,
     CellSolution,
-    PeriodicCellField,
     delta_star,
     permeability_dimensional,
     solve_cell_problem,
@@ -41,9 +40,9 @@ from .linalg import KrylovConfig
 from .mesh import StructuredMesh
 from .presets import POROUS_DEPTH, PorousConfiguration, TestCasePreset
 
-#: Positions where errors are measured, as (kind, depends on) pairs:
-#: ``fluid`` spans (-delta*, top), ``porous`` spans (-depth, -delta*)
-#: and ``porous_deep`` spans (-depth, -period).
+#: Kinds of slab where errors are measured: ``fluid`` spans (-delta*,
+#: top), ``porous`` spans (-depth, -delta*) and ``porous_deep`` spans
+#: (-depth, -period).
 REGION_KINDS = ("fluid", "porous", "porous_deep")
 
 
@@ -54,7 +53,7 @@ class RegionSpec:
     Parameters
     ----------
     kind : str
-        Region label (one of :data:`REGION_KINDS`, or ``custom``).
+        Region label, one of :data:`REGION_KINDS`.
     y0, y1 : float
         Vertical extent, ``y0 < y1``.
     x0, x1 : float or None
@@ -68,10 +67,9 @@ class RegionSpec:
     x1: float | None = None
 
     def __post_init__(self):
-        if self.kind not in REGION_KINDS and self.kind != "custom":
+        if self.kind not in REGION_KINDS:
             raise ValueError(
-                f"unknown region kind {self.kind!r}; use one of "
-                f"{REGION_KINDS} or 'custom'"
+                f"unknown region kind {self.kind!r}; use one of {REGION_KINDS}"
             )
         if not self.y1 > self.y0:
             raise ValueError("empty region")
@@ -253,18 +251,16 @@ def l2_norm(field_a, region: RegionSpec, mesh: StructuredMesh) -> float:
 class ReconstructedVelocity:
     """Pore-scale velocity rebuilt from a macroscale field.
 
-    At a point ``x`` in the porous band the reconstruction evaluates
-    the macroscale velocity ``u(x)``, maps ``x`` into the unit cell of
-    its period tile and modulates: ``u_rec_i = sum_j w_j_i(cell(x)) *
-    (C u(x))_j`` with the unit-cell velocities ``w_j``.  ``C`` is the
+    At a point ``x`` in the porous band, given the macroscale velocity
+    ``u(x)``, the reconstruction maps ``x`` into the unit cell of its
+    period tile and modulates: ``u_rec_i = sum_j w_j_i(cell(x)) * (C
+    u(x))_j`` with the unit-cell velocities ``w_j``.  ``C`` is the
     inverse dimensionless permeability, so the cell average of the
     reconstruction equals the macroscale velocity for locally constant
     fields.
 
     Parameters
     ----------
-    macro_velocity : evaluable
-        Macroscale (porous) velocity field.
     cell : CellSolution
         Solved unit-cell problems.
     ell : float
@@ -273,38 +269,31 @@ class ReconstructedVelocity:
         Physical point mapped to the unit-cell origin (a band corner).
     """
 
-    def __init__(self, macro_velocity, cell, ell, origin):
-        self._macro = _as_point_fn(macro_velocity)
-        self._w = [PeriodicCellField(v, ell, origin) for v in cell.velocities]
+    def __init__(self, cell, ell, origin):
+        self._w = cell.velocities
+        self._ell = ell
+        self._origin = np.asarray(origin, dtype=float)
         self._coef = np.linalg.inv(cell.k_hat)
 
-    def eval(self, points) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        return self.modulate(points, np.asarray(self._macro(points), dtype=float))
-
     def modulate(self, points, macro: np.ndarray) -> np.ndarray:
-        """Reconstruction at points where the macroscale velocity is
-        already evaluated (``macro``, shape ``(n, 2)``).  Both ``w_j``
-        live on one cell mesh, which is located once."""
+        """Reconstruction at points, shape ``(n, 2)``, where the
+        macroscale velocity is already evaluated (``macro``, shape ``(n,
+        2)``).  Both ``w_j`` live on one cell mesh, which is located
+        once."""
+        local = (np.asarray(points, dtype=float) - self._origin) / self._ell
+        local -= np.floor(local)
         c = macro @ self._coef.T
-        w1, w2 = eval_fields(
-            [w.field for w in self._w], self._w[0].cell_points(points)
-        )
+        w1, w2 = eval_fields(self._w, local)
         return c[:, :1] * w1 + c[:, 1:2] * w2
 
 
 def reconstruct_porous_velocity(
-    macro_velocity,
-    cell: CellSolution,
-    ell: float,
-    band,
+    cell: CellSolution, ell: float, band
 ) -> ReconstructedVelocity:
-    """Modulate a macroscale porous velocity with unit-cell solutions.
+    """Modulation of macroscale porous velocities with unit-cell solutions.
 
     Parameters
     ----------
-    macro_velocity : evaluable
-        Macroscale (porous) velocity field.
     cell : CellSolution
         Unit-cell solution providing the modulation fields and the
         permeability used for normalization.
@@ -326,7 +315,7 @@ def reconstruct_porous_velocity(
         ratio = extent / ell
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             raise ValueError(f"band {name} {extent} is not a multiple of {ell}")
-    return ReconstructedVelocity(macro_velocity, cell, ell, (band.x0, band.y0))
+    return ReconstructedVelocity(cell, ell, (band.x0, band.y0))
 
 
 # ----------------------------------------------------------------------
@@ -359,8 +348,6 @@ class ErrorReport:
 
     Attributes
     ----------
-    preset_id : int
-        Scenario number.
     configuration : str
         Microstructure label.
     ell : float
@@ -374,7 +361,6 @@ class ErrorReport:
         Interface-solver iterations of the coupled run.
     """
 
-    preset_id: int
     configuration: str
     ell: float
     errors: dict
@@ -430,9 +416,7 @@ def compare_solutions(
     -------
     ErrorReport
     """
-    recon = reconstruct_porous_velocity(
-        composite.darcy_velocity, cell, ell, preset.porous_band
-    )
+    recon = reconstruct_porous_velocity(cell, ell, preset.porous_band)
     errors: dict[str, float] = {}
     norms: dict[str, float] = {}
     for name, region in validation_regions(preset, delta, ell).items():
@@ -448,7 +432,6 @@ def compare_solutions(
         norms[f"p_{name}"] = _weighted_l2(w, p_ref, np.zeros_like(p_ref))
 
     return ErrorReport(
-        preset_id=preset.identifier,
         configuration=configuration,
         ell=ell,
         errors=errors,

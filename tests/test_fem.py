@@ -152,7 +152,7 @@ class TestField:
     def test_eval_reproduces_nodal_values(self):
         mesh = build_rect_mesh(UNIT, 0.25, order=2)
         values = mesh.node_coords[:, 0] ** 2
-        field = Field(mesh, values, order=2)
+        field = Field(mesh, values)
         probe = mesh.node_coords[:: 7]
         np.testing.assert_allclose(
             field.eval(probe), probe[:, 0] ** 2, atol=1e-12
@@ -162,14 +162,14 @@ class TestField:
         band = RectDomain(0.0, 1.0, 0.0, 0.5)
         lattice = ObstacleLattice(0.5, 0.6, band)
         mesh = build_perforated_mesh(UNIT, lattice, n_per_cell=10, order=1)
-        field = Field(mesh, np.ones(mesh.n_nodes), order=1)
+        field = Field(mesh, np.ones(mesh.n_nodes))
         centers = np.array([[0.25, 0.25], [0.75, 0.25]])
         np.testing.assert_allclose(field.eval(centers), 0.0, atol=0.0)
 
     def test_shape_mismatch_raises(self):
         mesh = build_rect_mesh(UNIT, 0.5, order=1)
         with pytest.raises(ValueError):
-            Field(mesh, np.ones(mesh.n_nodes + 1), order=1)
+            Field(mesh, np.ones(mesh.n_nodes + 1))
 
 
 class TestEvalFields:
@@ -182,8 +182,8 @@ class TestEvalFields:
         lattice = ObstacleLattice(0.25, 0.6, band)
         mesh = build_perforated_mesh(UNIT, lattice, n_per_cell=5, order=order)
         x, y = mesh.node_coords.T
-        velocity = Field(mesh, np.column_stack([x + 2 * y, (x * y) ** order]), order)
-        pressure = Field(mesh, 1.0 - (x * y) ** order + y, order)
+        velocity = Field(mesh, np.column_stack([x + 2 * y, (x * y) ** order]))
+        pressure = Field(mesh, 1.0 - (x * y) ** order + y)
         return mesh, velocity, pressure
 
     @staticmethod
@@ -235,8 +235,8 @@ class TestEvalFields:
         np.testing.assert_allclose(p, p_exact, rtol=0, atol=1e-12)
 
     def test_fields_must_share_a_mesh(self):
-        a = Field(build_rect_mesh(UNIT, 0.5, order=1), np.zeros(9), order=1)
-        b = Field(build_rect_mesh(UNIT, 0.5, order=1), np.zeros(9), order=1)
+        a = Field(build_rect_mesh(UNIT, 0.5, order=1), np.zeros(9))
+        b = Field(build_rect_mesh(UNIT, 0.5, order=1), np.zeros(9))
         with pytest.raises(ValueError, match="share one mesh"):
             eval_fields([a, b], np.array([[0.5, 0.5]]))
 
@@ -247,7 +247,7 @@ class TestDivergence:
         values = np.column_stack(
             [mesh.node_coords[:, 0], np.zeros(mesh.n_nodes)]
         )
-        field = Field(mesh, values, order=1)
+        field = Field(mesh, values)
         # div u = 1 everywhere, so the L2 norm is sqrt(area) = sqrt(2).
         assert divergence_l2(field) == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
@@ -258,7 +258,7 @@ class TestDivergence:
             [np.sin(np.pi * x) * np.sin(np.pi * y),
              np.cos(np.pi * x) * np.cos(np.pi * y)]
         )
-        field = Field(mesh, values, order=2)
+        field = Field(mesh, values)
         assert divergence_l2(field) < 2e-2
 
 
@@ -276,7 +276,8 @@ class TestStokesSolver:
 
     def test_pressure_mean_pinned(self):
         system, x = solve_stokes_manufactured(8, 2)
-        assert abs(system.pressure_mean(x)) < 1e-10
+        n = system.n_nodes
+        assert abs(system.mass_scalar @ x[2 * n : 3 * n]) < 1e-10
 
     @pytest.mark.parametrize(
         ("order", "expected"), [(1, 2.0), (2, 3.0)]
@@ -646,6 +647,22 @@ def test_assembled_matrix_is_canonical_csc(system):
     assert matrix.indices.min(initial=0) >= 0
     assert matrix.indices.max(initial=0) < matrix.shape[0]
     assert np.all(matrix.data != 0.0)
+
+
+@pytest.mark.parametrize(
+    "assemble",
+    [
+        lambda mesh, config: assemble_stokes(mesh, config, 1.0),
+        lambda mesh, config: assemble_darcy(mesh, config, 1.0, 1.0),
+    ],
+    ids=["stokes", "darcy"],
+)
+@pytest.mark.parametrize(("mesh_order", "fem_order"), [(1, 2), (2, 1)])
+def test_assembly_order_mismatch_raises(assemble, mesh_order, fem_order):
+    mesh = build_rect_mesh(UNIT, 0.5, order=mesh_order)
+    match = f"FemConfig order {fem_order} .* mesh order {mesh_order}"
+    with pytest.raises(ValueError, match=match):
+        assemble(mesh, FemConfig(order=fem_order))
 
 
 def test_assembly_peak_memory(assemble_dns_q2):

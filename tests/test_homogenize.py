@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from stokesdarcy.fem import assemble_cell_problem
 from stokesdarcy.homogenize import (
     DELTA_FIT_COEFFS,
-    PeriodicCellField,
     delta_star,
     delta_star_hat,
     permeability_dimensional,
@@ -19,6 +18,7 @@ from stokesdarcy.homogenize import (
 from stokesdarcy.linalg import BACKWARD_ERROR_BOUND, factorize
 from stokesdarcy.mesh import RectDomain
 from stokesdarcy.presets import CONFIGURATIONS
+from stokesdarcy.validate import reconstruct_porous_velocity
 
 #: Published layer depths (meters) per configuration and period.
 PUBLISHED_DELTA_STAR = [
@@ -122,7 +122,7 @@ class TestCellProblem:
         assert cell_small.k_scalar() == pytest.approx(6.326e-3, rel=0.05)
 
     def test_cell_velocity_vanishes_on_obstacle(self, cell_small):
-        mesh = cell_small.mesh
+        mesh = cell_small.velocities[0].mesh
         rim = mesh.obstacle_boundary_nodes
         assert rim.size > 0
         for velocity in cell_small.velocities:
@@ -146,7 +146,7 @@ SQUARE_SIDES = [0.4, 0.6, 0.8, 0.9]
 @pytest.mark.parametrize("s_hat", SQUARE_SIDES)
 def test_cell_factored_in_nested_dissection_order(s_hat):
     cell = solve_cell_problem(s_hat, resolution=20)
-    mesh = cell.mesh
+    mesh = cell.velocities[0].mesh
     system = assemble_cell_problem(mesh)
     order = system.factor_order
     n_free = system.matrix.shape[0]
@@ -197,24 +197,36 @@ def test_fine_cell_factor_fill():
     assert health["lu_nnz"] < 8_000_000
 
 
-class TestPeriodicCellField:
+class TestPeriodicCellModulation:
+    """The reconstruction maps physical points into the unit cell by
+    periodic repetition of the cell velocities."""
+
+    BAND = RectDomain(-0.5, 0.5, -0.5, 0.0)
+
+    @staticmethod
+    def first_cell_velocity(cell, n):
+        """Macroscale velocities whose modulation is ``w_1`` alone."""
+        return np.tile(cell.k_hat[:, 0], (n, 1))
+
     def test_periodic_wrap(self, cell_small):
-        band = RectDomain(-0.5, 0.5, -0.5, 0.0)
         ell = 0.25
-        field = PeriodicCellField(
-            cell_small.velocities[0], ell, origin=(band.x0, band.y0)
-        )
-        base = np.array([[-0.45, -0.45], [-0.35, -0.15]])
+        recon = reconstruct_porous_velocity(cell_small, ell, self.BAND)
+        # Fluid points at (0.08, 0.52) and (0.68, 0.04) of their cells.
+        base = np.array([[-0.48, -0.37], [-0.33, -0.49]])
         shifted = base + np.array([[2 * ell, ell]])
+        macro = self.first_cell_velocity(cell_small, len(base))
+        values = recon.modulate(base, macro)
+        assert np.all(np.abs(values[:, 0]) > 1e-4)
         np.testing.assert_allclose(
-            field.eval(base), field.eval(shifted), atol=1e-12
+            values, recon.modulate(shifted, macro), rtol=1e-10, atol=1e-16
         )
+        w1 = cell_small.velocities[0].eval(np.array([[0.08, 0.52], [0.68, 0.04]]))
+        np.testing.assert_allclose(values, w1, rtol=1e-10, atol=1e-16)
 
     def test_zero_inside_obstacle_image(self, cell_small):
         ell = 0.25
-        field = PeriodicCellField(
-            cell_small.velocities[0], ell, origin=(-0.5, -0.5)
-        )
+        recon = reconstruct_porous_velocity(cell_small, ell, self.BAND)
         # Cell centers are obstacle interiors for a centered square.
         centers = np.array([[-0.375, -0.375], [-0.125, -0.125]])
-        np.testing.assert_allclose(field.eval(centers), 0.0, atol=1e-14)
+        macro = self.first_cell_velocity(cell_small, len(centers))
+        np.testing.assert_allclose(recon.modulate(centers, macro), 0.0, atol=1e-14)

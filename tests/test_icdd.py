@@ -222,12 +222,13 @@ class TestCoupledSolutions:
     def test_icdd_matches_monolithic(self, problem):
         result = icdd_solve(problem, KrylovConfig(tol=1e-12))
         reference = monolithic_solve(problem)
-        for attr in ("velocity", "pressure"):
-            a = getattr(result.composite, attr)
-            b = getattr(reference.composite, attr)
-            pts = problem.stokes.mesh.node_coords[::5]
-            num = np.linalg.norm(a(pts) - b(pts))
-            den = np.linalg.norm(b(pts)) + 1e-300
+        pts = problem.stokes.mesh.node_coords[::5]
+        fields = zip(
+            result.composite.evaluate(pts), reference.composite.evaluate(pts)
+        )
+        for a, b in fields:
+            num = np.linalg.norm(a - b)
+            den = np.linalg.norm(b) + 1e-300
             assert num / den < 1e-8
 
     def test_matching_residuals_small(self, problem):
@@ -253,12 +254,12 @@ class TestCoupledSolutions:
         above = np.array([[0.2, 0.5]])
         below = np.array([[0.2, -0.3]])
         np.testing.assert_allclose(
-            comp.velocity(above),
+            comp.evaluate(above)[0],
             comp.stokes_velocity.eval(above),
             atol=0.0,
         )
         np.testing.assert_allclose(
-            comp.pressure(below),
+            comp.evaluate(below)[1],
             comp.darcy_pressure.eval(below),
             atol=0.0,
         )

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import weakref
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -100,16 +99,16 @@ class TestL2Error:
 
     def test_identical_fields_zero(self):
         mesh = self._mesh()
-        field = Field(mesh, mesh.node_coords[:, 0] ** 2, order=2)
+        field = Field(mesh, mesh.node_coords[:, 0] ** 2)
         region = RegionSpec("fluid", 0.0, 1.0)
         assert l2_error(field, field, region, mesh) == 0.0
 
     def test_linear_field_analytic(self):
         # || x - 0 || over the unit square is 1/sqrt(3).
         mesh = self._mesh()
-        field = Field(mesh, mesh.node_coords[:, 0], order=2)
+        field = Field(mesh, mesh.node_coords[:, 0])
         region = RegionSpec("fluid", 0.0, 1.0)
-        zero = Field(mesh, np.zeros(mesh.n_nodes), order=2)
+        zero = Field(mesh, np.zeros(mesh.n_nodes))
         assert l2_error(field, zero, region, mesh) == pytest.approx(
             1.0 / np.sqrt(3.0), rel=1e-12
         )
@@ -121,15 +120,15 @@ class TestL2Error:
         mesh = self._mesh()
         region = RegionSpec("fluid", 0.0, 1.0)
         base = mesh.node_coords[:, 0] ** 2
-        a = Field(mesh, base, order=2)
-        b = Field(mesh, base + 3.7, order=2)
+        a = Field(mesh, base)
+        b = Field(mesh, base + 3.7)
         assert l2_error(a, b, region, mesh) == pytest.approx(3.7, rel=1e-12)
         assert l2_error(a, b, region, mesh, align_mean=True) < 1e-12
 
     def test_pythagorean_split(self):
         mesh = self._mesh()
-        field = Field(mesh, np.sin(3 * mesh.node_coords[:, 1]), order=2)
-        zero = Field(mesh, np.zeros(mesh.n_nodes), order=2)
+        field = Field(mesh, np.sin(3 * mesh.node_coords[:, 1]))
+        zero = Field(mesh, np.zeros(mesh.n_nodes))
         whole = l2_error(field, zero, RegionSpec("fluid", 0.0, 1.0), mesh)
         lower = l2_error(field, zero, RegionSpec("fluid", 0.0, 0.5), mesh)
         upper = l2_error(field, zero, RegionSpec("fluid", 0.5, 1.0), mesh)
@@ -140,7 +139,7 @@ class TestL2Error:
         values = np.column_stack(
             [mesh.node_coords[:, 0], 2.0 * mesh.node_coords[:, 1]]
         )
-        field = Field(mesh, values, order=2)
+        field = Field(mesh, values)
         region = RegionSpec("fluid", 0.0, 1.0)
 
         def exact(points):
@@ -150,8 +149,8 @@ class TestL2Error:
 
     def test_shape_mismatch_raises(self):
         mesh = self._mesh()
-        scalar = Field(mesh, mesh.node_coords[:, 0], order=2)
-        vector = Field(mesh, mesh.node_coords.copy(), order=2)
+        scalar = Field(mesh, mesh.node_coords[:, 0])
+        vector = Field(mesh, mesh.node_coords.copy())
         with pytest.raises(ValueError, match="shape"):
             l2_error(scalar, vector, RegionSpec("fluid", 0.0, 1.0), mesh)
 
@@ -160,33 +159,27 @@ class TestReconstruction:
     def test_cell_average_identity(self, cell_small):
         """Averaging the reconstruction over one period returns the input."""
         ell = 0.25
-        macro = SimpleNamespace(
-            eval=lambda pts: np.tile([3.0e-4, -2.0e-4], (len(pts), 1))
-        )
-        recon = reconstruct_porous_velocity(macro, cell_small, ell, BAND)
+        recon = reconstruct_porous_velocity(cell_small, ell, BAND)
         # Nested quadrature host: 20 elements per period nests the
         # 10-element cell mesh exactly.
         host = build_rect_mesh(BAND, ell / 20.0, order=1)
         pts, wts = region_quadrature(
             host, RegionSpec("porous", *[-0.5, 0.0]), n_gauss=3
         )
-        values = recon.eval(pts)
+        values = recon.modulate(pts, np.tile([3.0e-4, -2.0e-4], (len(pts), 1)))
         avg = (wts[:, None] * values).sum(axis=0) / BAND.area
         np.testing.assert_allclose(avg, [3.0e-4, -2.0e-4], rtol=1e-10)
 
     def test_vanishes_on_obstacle_images(self, cell_small):
         ell = 0.25
-        macro = SimpleNamespace(
-            eval=lambda pts: np.tile([1.0e-3, 5.0e-4], (len(pts), 1))
-        )
-        recon = reconstruct_porous_velocity(macro, cell_small, ell, BAND)
+        recon = reconstruct_porous_velocity(cell_small, ell, BAND)
         centers = np.array([[-0.375, -0.375], [0.125, -0.125]])
-        np.testing.assert_allclose(recon.eval(centers), 0.0, atol=1e-15)
+        macro = np.tile([1.0e-3, 5.0e-4], (len(centers), 1))
+        np.testing.assert_allclose(recon.modulate(centers, macro), 0.0, atol=1e-15)
 
     def test_untileable_band_raises(self, cell_small):
-        macro = SimpleNamespace(eval=lambda pts: np.zeros((len(pts), 2)))
         with pytest.raises(ValueError):
-            reconstruct_porous_velocity(macro, cell_small, 0.3, BAND)
+            reconstruct_porous_velocity(cell_small, 0.3, BAND)
 
 
 class TestStudyHelpers:
@@ -194,7 +187,6 @@ class TestStudyHelpers:
         ells = [0.1, 0.05, 0.025]
         reports = [
             ErrorReport(
-                preset_id=1,
                 configuration="C1",
                 ell=ell,
                 errors={"u_fluid": 2.0 * ell**1.5, "p_fluid": 0.3 * ell**0.5},
@@ -208,15 +200,13 @@ class TestStudyHelpers:
 
     def test_error_slopes_flag_degenerate_values(self):
         reports = [
-            ErrorReport(1, "C1", ell, {"u_fluid": 0.0}, {"u_fluid": 1.0})
+            ErrorReport("C1", ell, {"u_fluid": 0.0}, {"u_fluid": 1.0})
             for ell in (0.1, 0.05)
         ]
         assert np.isnan(error_slopes(reports)["u_fluid"])
 
     def test_relative_reading(self):
-        report = ErrorReport(
-            1, "C1", 0.1, {"u_fluid": 0.02}, {"u_fluid": 4.0}
-        )
+        report = ErrorReport("C1", 0.1, {"u_fluid": 0.02}, {"u_fluid": 4.0})
         assert report.relative("u_fluid") == pytest.approx(0.005)
 
     @pytest.mark.parametrize(
@@ -241,16 +231,24 @@ def per_metric_errors(composite, dns, cell, delta, ell, preset):
     regions = validation_regions(preset, delta, ell)
     mesh = dns.mesh
     align = preset.pin_pressure
-    recon = reconstruct_porous_velocity(
-        composite.darcy_velocity, cell, ell, preset.porous_band
-    )
+    recon = reconstruct_porous_velocity(cell, ell, preset.porous_band)
+
+    def velocity(points):
+        return composite.evaluate(points)[0]
+
+    def pressure(points):
+        return composite.evaluate(points)[1]
+
+    def reconstructed(points):
+        return recon.modulate(points, composite.darcy_velocity.eval(points))
+
     errors, norms = {}, {}
     for name, region in regions.items():
-        velocity = composite.velocity if name == "fluid" else recon
-        errors[f"u_{name}"] = l2_error(velocity, dns.velocity, region, mesh)
+        u = velocity if name == "fluid" else reconstructed
+        errors[f"u_{name}"] = l2_error(u, dns.velocity, region, mesh)
         norms[f"u_{name}"] = l2_norm(dns.velocity, region, mesh)
         errors[f"p_{name}"] = l2_error(
-            composite.pressure, dns.pressure, region, mesh, align_mean=align
+            pressure, dns.pressure, region, mesh, align_mean=align
         )
         norms[f"p_{name}"] = l2_norm(dns.pressure, region, mesh)
     return errors, norms
@@ -282,7 +280,7 @@ class TestCompareSolutions:
         )
         # Shift the reference pressure level: the comparison must remove
         # it exactly when the preset fixes pressure only up to a constant.
-        dns.pressure = Field(dns.mesh, dns.pressure.values + 1e-8, dns_order)
+        dns.pressure = Field(dns.mesh, dns.pressure.values + 1e-8)
         # The lower interface cuts DNS elements, and with ell < delta the
         # deep porous region reaches above it.
         assert np.min(np.abs(dns.mesh.ys + delta)) > 1e-3
