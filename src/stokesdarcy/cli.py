@@ -467,7 +467,7 @@ def cmd_dns(config: RunConfig, mapper) -> Outputs:
     lines = lattice.band.y1 - lattice.period * np.arange(lattice.cells_y)
     return Outputs(
         summary=(
-            f"dns: {solution.system.n_dofs} unknowns, "
+            f"dns: {solution.n_dofs} unknowns, "
             f"divergence={divergence:.3e}"
         ),
         parameters={
@@ -477,7 +477,7 @@ def cmd_dns(config: RunConfig, mapper) -> Outputs:
             "cells": solution.resolution.n_per_cell,
             "order": solution.resolution.order,
             "divergence_l2": divergence,
-            "factor": solution.system.factor.health(),
+            "factor": solution.factor_health,
         },
         files={
             "solution.csv": (SOLUTION_HEADER, solution.sample_rows()),

@@ -84,19 +84,27 @@ def dns_line_set(
 class DnsSolution:
     """Solved pore-scale flow on a perforated mesh.
 
+    It keeps no matrix, load or factor of the solve: the system it is
+    built from is freed once :func:`solve_dns` returns.
+
     Attributes
     ----------
     mesh : StructuredMesh
         Perforated mesh (inactive elements are obstacles).
     velocity, pressure : Field
         Solution fields; both evaluate to zero inside obstacles.
+    n_dofs : int
+        Unknowns of the system, constrained ones included.
+    factor_health : dict
+        :meth:`~stokesdarcy.linalg.Factorization.health` of its factor.
     """
 
     def __init__(self, system, x, resolution):
-        self.system = system
         self.x = x
         self.resolution = resolution
         self.mesh = system.mesh
+        self.n_dofs = system.n_dofs
+        self.factor_health = system.factor.health()
         self.velocity = system.velocity(x)
         self.pressure = system.pressure(x)
 
@@ -133,7 +141,7 @@ class DnsSolution:
         Solid (inactive) nodes are skipped; the domain tag is ``"dns"``.
         """
         nodes = np.flatnonzero(self.mesh.node_active)
-        return nodal_rows([(self.system, self.x, nodes, "dns")])
+        return nodal_rows([(self.mesh, self.x, nodes, "dns")])
 
 
 def solve_dns(

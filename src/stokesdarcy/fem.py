@@ -488,10 +488,6 @@ class SaddleSystem:
         """Factor of the interior block, gathered from :attr:`matrix`."""
         return factorize(self.matrix, self.interior_dofs[self.factor_order])
 
-    def release_factor(self) -> None:
-        """Drop the cached factorization to free its fill-in memory."""
-        self.__dict__.pop("factor", None)
-
     def solve(self, g: np.ndarray | None = None, include_data: bool = True) -> np.ndarray:
         """Solve for the interior unknowns given interface values.
 
@@ -582,9 +578,10 @@ def nodal_rows(parts) -> list[tuple]:
 
     Parameters
     ----------
-    parts : iterable of (SaddleSystem, ndarray, ndarray, str)
-        System, its full solution vector, the nodes to sample and the
-        tag of their rows.  Rows at equal ``(y, x)`` keep the order in
+    parts : iterable of (StructuredMesh, ndarray, ndarray, str)
+        Mesh, the full field-major solution vector of a system on it
+        (see :class:`SaddleSystem`), the nodes to sample and the tag of
+        their rows.  Rows at equal ``(y, x)`` keep the order in
         which ``parts`` and their nodes list them.
 
     Returns
@@ -593,9 +590,9 @@ def nodal_rows(parts) -> list[tuple]:
         Values as Python floats, tag last.
     """
     tables, tags = [], []
-    for system, solution, nodes, tag in parts:
-        fields = solution[: 3 * system.n_nodes].reshape(3, -1)[:, nodes].T
-        tables.append(np.column_stack([system.mesh.node_coords[nodes], fields]))
+    for mesh, solution, nodes, tag in parts:
+        fields = solution[: 3 * mesh.n_nodes].reshape(3, -1)[:, nodes].T
+        tables.append(np.column_stack([mesh.node_coords[nodes], fields]))
         tags += [tag] * nodes.size
     table = np.concatenate(tables)
     order = np.lexsort((table[:, 0], table[:, 1]))

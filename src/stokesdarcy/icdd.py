@@ -300,7 +300,8 @@ class CompositeSolution:
     """Two-field solution stitched over the full domain.
 
     The free-flow fields win on the closed overlap (``y >= -delta``);
-    the porous fields describe the rest of the band.
+    the porous fields describe the rest of the band.  Of the subdomain
+    systems it keeps only their meshes, through the fields.
 
     Parameters
     ----------
@@ -313,9 +314,7 @@ class CompositeSolution:
     """
 
     def __init__(self, stokes, x_stokes, darcy, x_darcy, delta):
-        self.stokes = stokes
         self.x_stokes = x_stokes
-        self.darcy = darcy
         self.x_darcy = x_darcy
         self.delta = delta
         self.stokes_velocity = stokes.velocity(x_stokes)
@@ -369,12 +368,12 @@ class CompositeSolution:
             nodes and the porous nodes strictly below the overlap,
             sorted by y then x.
         """
-        dcoords = self.darcy.mesh.node_coords
-        below = np.flatnonzero(dcoords[:, 1] < -self.delta - 1e-12)
+        smesh, dmesh = self.stokes_velocity.mesh, self.darcy_velocity.mesh
+        below = np.flatnonzero(dmesh.node_coords[:, 1] < -self.delta - 1e-12)
         return nodal_rows(
             [
-                (self.stokes, self.x_stokes, np.arange(self.stokes.n_nodes), "stokes"),
-                (self.darcy, self.x_darcy, below, "darcy"),
+                (smesh, self.x_stokes, np.arange(smesh.n_nodes), "stokes"),
+                (dmesh, self.x_darcy, below, "darcy"),
             ]
         )
 

@@ -84,10 +84,11 @@ class ObstacleLattice:
             raise ValueError(f"period must be positive, got {self.period}")
         for extent, axis in ((self.band.width, "x"), (self.band.height, "y")):
             ratio = extent / self.period
-            if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+            cells = round(ratio)
+            if cells < 1 or abs(ratio - cells) > 1e-9 * max(1.0, ratio):
                 raise ValueError(
-                    f"band {axis}-extent {extent} is not an integer multiple "
-                    f"of the period {self.period}"
+                    f"band {axis}-extent {extent} is not a positive integer "
+                    f"multiple of the period {self.period}"
                 )
 
     @property

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dns import DnsResolution, solve_dns
-from .fem import FemConfig, Field, eval_fields, eval_located
+from .dns import DnsResolution, DnsSolution, solve_dns
+from .fem import FemConfig, eval_fields, eval_located
 from .homogenize import (
     DEFAULT_CELL_RESOLUTION,
     CellSolution,
@@ -35,7 +35,7 @@ from .homogenize import (
     permeability_dimensional,
     solve_cell_problem,
 )
-from .icdd import IcddGeometry, IcddPhysics, assemble_problem, icdd_solve
+from .icdd import IcddGeometry, IcddPhysics, IcddResult, assemble_problem, icdd_solve
 from .linalg import KrylovConfig
 from .mesh import StructuredMesh
 from .presets import POROUS_DEPTH, PorousConfiguration, TestCasePreset
@@ -323,25 +323,6 @@ def reconstruct_porous_velocity(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PoreScaleReference:
-    """What a study keeps of a pore-scale solve: its mesh and fields.
-
-    These are all that :func:`compare_solutions` reads.  The solve's
-    system (matrix, load and factor) is dropped before a study member
-    assembles its coupled problem, so the two never share the memory.
-    """
-
-    mesh: StructuredMesh
-    velocity: Field
-    pressure: Field
-
-
-def _pore_scale_reference(preset, lattice, resolution) -> PoreScaleReference:
-    dns = solve_dns(preset, lattice, resolution)
-    return PoreScaleReference(dns.mesh, dns.velocity, dns.pressure)
-
-
 @dataclass
 class ErrorReport:
     """Error norms of one coupled solve against one pore-scale solve.
@@ -373,7 +354,7 @@ class ErrorReport:
 
 def compare_solutions(
     composite,
-    dns: PoreScaleReference,
+    dns: DnsSolution,
     cell: CellSolution,
     delta: float,
     ell: float,
@@ -396,7 +377,7 @@ def compare_solutions(
     ----------
     composite : CompositeSolution
         Coupled solution.
-    dns : PoreScaleReference or DnsSolution
+    dns : DnsSolution
         Pore-scale reference at the same period; only its ``mesh``,
         ``velocity`` and ``pressure`` are read.
     cell : CellSolution
@@ -478,16 +459,54 @@ class StudyResult:
     cell: CellSolution = field(repr=False, default=None)
 
 
+def _reject_repeats(values: list, what: str) -> None:
+    """Raise if a study lists a member value twice."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(
+                f"{what} {value:g} is given twice; each {what} is one study member"
+            )
+
+
 def _study_cell(
-    configuration: PorousConfiguration, cell_resolution: int, say
+    preset: TestCasePreset,
+    configuration: PorousConfiguration,
+    members,
+    hx: float,
+    dns_resolution: DnsResolution,
+    cell_resolution: int,
+    say,
 ) -> CellSolution:
-    """Check that a study's microstructure is meshable; solve its cell."""
+    """Check every member of a study, then solve the study's unit cell.
+
+    ``members`` yields each member's period and layer thickness.  Its
+    obstacle lattice must tile the band and align with the pore-scale
+    mesh, and its overlap must fit the band, so that a bad member stops
+    the study before any solve.
+    """
     if not configuration.meshable:
         raise ValueError(
             f"configuration {configuration.name} cannot be meshed directly"
         )
+    for ell, delta in members:
+        lattice = preset.lattice(ell, configuration.size_ratio)
+        lattice.edge_offsets(dns_resolution.n_per_cell)
+        IcddGeometry(delta=delta, hx=hx)
     say(f"unit cell s_hat={configuration.size_ratio}")
     return solve_cell_problem(configuration.size_ratio, resolution=cell_resolution)
+
+
+def _coupled_solve(preset, cell, ell, delta, fem_config, hx, krylov) -> IcddResult:
+    """Assemble and solve one member's coupled problem.
+
+    The subdomain systems, with their matrices and factors, live only
+    inside this call; the result holds meshes, fields and vectors.
+    """
+    k = permeability_dimensional(cell.k_scalar(), ell)
+    problem = assemble_problem(
+        fem_config, IcddGeometry(delta=delta, hx=hx), IcddPhysics(preset, k)
+    )
+    return icdd_solve(problem, krylov)
 
 
 def convergence_study(
@@ -509,8 +528,9 @@ def convergence_study(
     geometry (permeability and modulation fields from a single
     unit-cell solve, layer thickness from the porosity fit); errors are
     measured region by region and log-log slopes fitted at the end.
-    Of the reference only its :class:`PoreScaleReference` outlives the
-    pore-scale solve.
+    Every member is checked before the cell solve.  Each solve's
+    matrices and factors are freed when it returns, before any error
+    is computed.
 
     Parameters
     ----------
@@ -519,7 +539,8 @@ def convergence_study(
     configuration : PorousConfiguration
         Microstructure row (must be meshable).
     ells : sequence of float
-        Periods, at least two distinct ones; checked before any solve.
+        Periods, at least two and none repeated; checked before any
+        solve.
     fem_config : FemConfig, optional
         Discretization of the coupled solve (default order 2).
     hx : float
@@ -535,12 +556,13 @@ def convergence_study(
     progress : callable, optional
         Called with a status string before each expensive step.
     mapper : callable
-        ``map``-like function used over the periods.  The command line
-        passes a map over worker processes (fork) for ``--threads >
-        1``: each member then runs, and holds its meshes and
-        factorizations, in its own worker, which inherits the member
-        closure and the cell solution through the fork; only the
-        period and the :class:`ErrorReport` are pickled.
+        ``map``-like function used over the periods and their layer
+        thicknesses.  The command line passes a map over worker
+        processes (fork) for ``--threads > 1``: each member then runs,
+        and holds its meshes and factorizations, in its own worker,
+        which inherits the member closure and the cell solution through
+        the fork; only the period, its thickness and the
+        :class:`ErrorReport` are pickled.
 
     Returns
     -------
@@ -549,25 +571,20 @@ def convergence_study(
     ells = list(ells)
     if np.unique(ells).size < 2:
         raise ValueError("need at least two distinct periods")
+    _reject_repeats(ells, "period")
     say = progress or (lambda msg: None)
-    cell = _study_cell(configuration, cell_resolution, say)
+    deltas = [delta_star(configuration.porosity, ell) for ell in ells]
+    members = zip(ells, deltas)
+    cell = _study_cell(
+        preset, configuration, members, hx, dns_resolution, cell_resolution, say
+    )
 
-    def run_one(ell: float) -> ErrorReport:
+    def run_one(ell: float, delta: float) -> ErrorReport:
         lattice = preset.lattice(ell, configuration.size_ratio)
         say(f"pore-scale reference ell={ell}")
-        dns = _pore_scale_reference(preset, lattice, dns_resolution)
+        dns = solve_dns(preset, lattice, dns_resolution)
         say(f"coupled solve ell={ell}")
-        delta = delta_star(configuration.porosity, ell)
-        physics = IcddPhysics(
-            preset=preset,
-            permeability=permeability_dimensional(cell.k_scalar(), ell),
-        )
-        problem = assemble_problem(
-            fem_config, IcddGeometry(delta=delta, hx=hx), physics
-        )
-        result = icdd_solve(problem, krylov)
-        problem.stokes.release_factor()
-        problem.darcy.release_factor()
+        result = _coupled_solve(preset, cell, ell, delta, fem_config, hx, krylov)
         say(f"errors ell={ell}")
         return compare_solutions(
             result.composite,
@@ -580,7 +597,7 @@ def convergence_study(
             iterations=result.info["iterations"],
         )
 
-    reports = list(mapper(run_one, ells))
+    reports = list(mapper(run_one, ells, deltas))
     return StudyResult(reports=reports, slopes=error_slopes(reports), cell=cell)
 
 
@@ -606,9 +623,10 @@ class SweepResult:
     cell: CellSolution = field(repr=False, default=None)
 
     def is_interior_minimum(self) -> bool:
-        """Whether the predicted thickness beats both sweep neighbors."""
-        i = int(np.argmin(np.abs(np.asarray(self.deltas) - self.delta_star)))
-        e = self.errors
+        """Whether the predicted thickness beats both of its neighbors
+        in thickness order, whatever order the sweep lists them in."""
+        deltas, e = zip(*sorted(zip(self.deltas, self.errors)))
+        i = int(np.argmin(np.abs(np.asarray(deltas) - self.delta_star)))
         left = e[i] <= e[i - 1] if i > 0 else True
         right = e[i] <= e[i + 1] if i + 1 < len(e) else True
         return left and right
@@ -629,11 +647,11 @@ def delta_sweep(
 ) -> SweepResult:
     """Sweep the layer thickness and measure the fluid-region error.
 
-    One pore-scale reference is solved once, and only its
-    :class:`PoreScaleReference` is kept; the coupled problem is
+    One pore-scale reference is solved once; the coupled problem is
     re-solved with the lower interface at each multiple of the
     predicted thickness.  The error region is fixed at the predicted
     thickness for every run so the sweep compares like with like.
+    Every thickness is checked before the cell solve.
 
     Parameters
     ----------
@@ -645,44 +663,40 @@ def delta_sweep(
         :func:`convergence_study`.  The error region's quadrature rule
         and the reference velocity on it are computed once, before the
         map; forked workers share them copy-on-write, and only each
-        factor and its error are pickled.
+        thickness and its error are pickled.
     ell : float
         Period.
     factors : sequence of float
-        Multiples of the predicted thickness to try (must include 1).
+        Multiples of the predicted thickness to try (must include 1,
+        none repeated).
 
     Returns
     -------
     SweepResult
     """
+    factors = list(factors)
     if not any(abs(f - 1.0) < 1e-12 for f in factors):
         raise ValueError("factors must include 1.0")
+    _reject_repeats(factors, "factor")
     say = progress or (lambda msg: None)
-    cell = _study_cell(configuration, cell_resolution, say)
     dstar = delta_star(configuration.porosity, ell)
+    deltas = [f * dstar for f in factors]
+    members = [(ell, delta) for delta in deltas]
+    cell = _study_cell(
+        preset, configuration, members, hx, dns_resolution, cell_resolution, say
+    )
     lattice = preset.lattice(ell, configuration.size_ratio)
     say(f"pore-scale reference ell={ell}")
-    dns = _pore_scale_reference(preset, lattice, dns_resolution)
+    dns = solve_dns(preset, lattice, dns_resolution)
     region = RegionSpec("fluid", -dstar, preset.domain.y1)
     points, weights, elems, ref = _region_rule(dns.mesh, region)
     (u_ref,) = eval_located([dns.velocity], elems, ref)
-    physics = IcddPhysics(
-        preset=preset,
-        permeability=permeability_dimensional(cell.k_scalar(), ell),
-    )
 
-    def run_one(factor: float) -> float:
-        delta = factor * dstar
+    def run_one(delta: float) -> float:
         say(f"coupled solve delta={delta:.4e}")
-        problem = assemble_problem(
-            fem_config, IcddGeometry(delta=delta, hx=hx), physics
-        )
-        result = icdd_solve(problem, krylov)
-        problem.stokes.release_factor()
-        problem.darcy.release_factor()
+        result = _coupled_solve(preset, cell, ell, delta, fem_config, hx, krylov)
         u, _ = result.composite.evaluate(points)
         return _weighted_l2(weights, u, u_ref)
 
-    errors = list(mapper(run_one, factors))
-    deltas = [f * dstar for f in factors]
+    errors = list(mapper(run_one, deltas))
     return SweepResult(deltas=deltas, errors=errors, delta_star=dstar, cell=cell)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from stokesdarcy import dns
 from stokesdarcy.dns import DnsResolution, dns_line_set
 from stokesdarcy.fem import FemConfig, assemble_stokes
 from stokesdarcy.homogenize import solve_cell_problem
@@ -15,6 +16,21 @@ from stokesdarcy.presets import CONFIGURATIONS, PRESETS
 def cell_small():
     """Coarse unit-cell solution (s_hat = 0.6, 10 elements per edge)."""
     return solve_cell_problem(0.6, resolution=10)
+
+
+@pytest.fixture
+def dns_systems(monkeypatch):
+    """The pore-scale systems that ``solve_dns`` assembles during a
+    test, in order; its results keep none of them."""
+    systems = []
+    inner = dns.assemble_stokes
+
+    def recording(*args, **kwargs):
+        systems.append(inner(*args, **kwargs))
+        return systems[-1]
+
+    monkeypatch.setattr(dns, "assemble_stokes", recording)
+    return systems
 
 
 @pytest.fixture(scope="session")

@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import inspect
+import io
 import json
 import multiprocessing
 import os
 import re
+import tempfile
 from concurrent.futures import process
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stokesdarcy import cli, linalg, validate
 from stokesdarcy.cli import CliError, load_run_config, main
@@ -508,39 +513,125 @@ class TestFailureModes:
     def test_repeated_period_exits_2_before_any_solve(
         self, tmp_path, capsys, monkeypatch
     ):
+        """Every study member is checked before the cell solve: a
+        repeated period or factor, a period that does not tile the band,
+        a pore-scale mesh that misses the obstacle edges and an overlap
+        outside the band all stop the run before it."""
         calls = []
         for name in ("solve_cell_problem", "solve_dns"):
             monkeypatch.setattr(
                 validate, name, lambda *args, name=name, **kw: calls.append(name)
             )
-        ini = VALIDATE_INI.replace("ells = 0.25 0.125", "ells = 0.25 0.25")
-        out = tmp_path / "out"
-        code = main(
-            ["validate", "--config", str(write_config(tmp_path, ini)), "--out", str(out)]
-        )
-        assert code == 2
-        assert "two distinct periods" in capsys.readouterr().err
-        assert calls == []
+        ells = "ells = 0.25 0.125"
+        cases = [
+            ("validate", VALIDATE_INI.replace(ells, "ells = 0.25 0.25"),
+             "two distinct periods"),
+            ("validate", VALIDATE_INI.replace(ells, "ells = 0.25 0.125 0.25"),
+             "period 0.25 is given twice"),
+            ("validate", VALIDATE_INI.replace(ells, "ells = 0.1 0.03"),
+             "not a positive integer multiple of the period 0.03"),
+            ("validate", VALIDATE_INI.replace("dns_cells = 10", "dns_cells = 5"),
+             "does not align with 5 elements per cell"),
+            ("sweep", SWEEP_INI + "\n[study]\nfactors = 1 0.5 1\n",
+             "factor 1 is given twice"),
+            ("sweep", SWEEP_INI + "\n[study]\nfactors = 1 -0.5\n",
+             "overlap thickness must be positive"),
+            ("sweep", SWEEP_INI + "\n[study]\nfactors = 1 10\n",
+             "overlap must stay inside the porous band"),
+            ("sweep", SWEEP_INI.replace("C2", "C1").replace("cells = 10", "cells = 5"),
+             "does not align with 5 elements per cell"),
+        ]
+        for i, (command, ini, message) in enumerate(cases):
+            out = tmp_path / f"out{i}"
+            config = write_config(tmp_path, ini, name=f"run{i}.ini")
+            code = main([command, "--config", str(config), "--out", str(out)])
+            assert code == 2, ini
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err, err
+            assert calls == []
+            assert not out.exists()
+
+
+class SolveReached(Exception):
+    """Raised by a stubbed solver: the run got past every check."""
+
+
+#: Study values that the property test below draws from: the ones
+#: that a study of ``VALIDATE_INI``/``SWEEP_INI`` accepts, then edge
+#: values (zero, negative, not finite, huge, and for periods, ones that
+#: do not tile the 1 x 0.5 band).
+STUDY_VALUES = {
+    "validate": ("ells", (0.25, 0.125, 0.1), (0.0, -0.25, 0.03, 0.3, 1e300)),
+    "sweep": ("factors", (0.5, 1.0, 1.5), (0.0, -0.5, 10.0, 1e300)),
+}
+NON_FINITE = (float("nan"), float("inf"), -float("inf"))
+
+
+@pytest.mark.parametrize("command", ["validate", "sweep"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_study_list_exits_2_or_reaches_first_solve(command, data):
+    """A study list either fails its checks (exit 2, ``error:``, no
+    solve, no output directory) or is valid and reaches the first
+    solve: at least two periods, or a factor 1, none repeated, every
+    one accepted."""
+    key, good, bad = STUDY_VALUES[command]
+    values = data.draw(
+        st.lists(st.sampled_from(good + bad + NON_FINITE), min_size=1, max_size=4)
+    )
+    valid = (
+        all(v in good for v in values)
+        and len(set(values)) == len(values)
+        and (len(values) >= 2 if command == "validate" else 1.0 in values)
+    )
+    listed = f"{key} = {' '.join(map(repr, values))}"
+    if command == "validate":
+        ini = VALIDATE_INI.replace("ells = 0.25 0.125", listed)
+    else:
+        ini = f"{SWEEP_INI}\n[study]\n{listed}\n"
+    calls, err = [], io.StringIO()
+
+    def stub(*args, **kwargs):
+        calls.append(1)
+        raise SolveReached
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(validate, "solve_cell_problem", stub)
+        mp.setattr(validate, "solve_dns", stub)
+        config, out = write_config(Path(tmp), ini), Path(tmp) / "out"
+        argv = [command, "--config", str(config), "--out", str(out)]
+        with contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SolveReached:
+                code = None
         assert not out.exists()
+    if valid:
+        assert code is None and calls == [1], err.getvalue()
+    else:
+        assert code == 2 and calls == [], ini
+        assert err.getvalue().startswith("error: ")
 
 
 class TestDnsCommand:
-    def test_outputs(self, tmp_path, capsys, monkeypatch):
+    def test_outputs(self, tmp_path, capsys, monkeypatch, dns_systems):
         solves = recording(monkeypatch, "solve_dns")
         out = tmp_path / "out"
         code = main(
             ["dns", "--config", str(write_config(tmp_path, DNS_INI)), "--out", str(out)]
         )
         assert code == 0
-        assert "dns:" in capsys.readouterr().out
+        printed = capsys.readouterr().out
         header, rows = read_csv(out / "solution.csv")
         assert header == ["x", "y", "u1", "u2", "p", "domain"]
         assert {r[5] for r in rows} == {"dns"}
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["parameters"]["cells"] == 5
         (solution,) = solves
-        factor = solution.system.factor
-        n = solution.system.interior_dofs.size
+        (system,) = dns_systems
+        assert printed.startswith(f"dns: {system.n_dofs} unknowns,")
+        factor = system.factor
+        n = system.interior_dofs.size
         assert manifest["parameters"]["factor"] == {
             "unknowns": n,
             "lu_nnz": factor._lu.nnz,
@@ -575,3 +666,17 @@ def test_readme_commands_cover_every_config():
         load_run_config(REPO / path)
     configs = {f"configs/{p.name}" for p in (REPO / "configs").glob("*.ini")}
     assert configs <= {path for _, path in lines}
+
+
+def test_readme_config_keys_match_schema():
+    """README's "Config keys" block lists exactly the sections and keys
+    that the parser accepts, in the order of :data:`cli.SCHEMA`."""
+    readme = (REPO / "README.md").read_text()
+    block = re.search(r"Config keys.*?```ini\n(.*?)```", readme, re.S).group(1)
+    listed = {}
+    for line in block.splitlines():
+        if header := re.fullmatch(r"\[(\w+)\]", line.strip()):
+            keys = listed.setdefault(header.group(1), [])
+        elif line.strip():
+            keys.append(line.split("=")[0].strip())
+    assert list(listed.items()) == [(s, list(k)) for s, k in cli.SCHEMA.items()]

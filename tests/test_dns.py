@@ -77,11 +77,12 @@ class TestSolution:
 
 
 @pytest.mark.parametrize("order", [1, 2])
-def test_nested_dissection_factor_matches_colamd(order):
+def test_nested_dissection_factor_matches_colamd(order, dns_systems):
     preset = PRESETS[1]
-    system = solve_dns(
+    solve_dns(
         preset, preset.lattice(0.25, 0.6), DnsResolution(n_per_cell=10, order=order)
-    ).system
+    )
+    (system,) = dns_systems
     factor = system.factor
     assert factor.ordering == "nested-dissection"
     b = np.random.default_rng(order).standard_normal(factor.shape[0])

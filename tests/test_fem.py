@@ -684,9 +684,9 @@ def test_assembly_peak_memory(assemble_dns_q2):
 def reference_rows(parts):
     """Per-node loop and key sort that :func:`nodal_rows` replaced."""
     rows = []
-    for system, x, nodes, tag in parts:
-        n = system.n_nodes
-        coords = system.mesh.node_coords
+    for mesh, x, nodes, tag in parts:
+        n = mesh.n_nodes
+        coords = mesh.node_coords
         for i in nodes:
             rows.append(
                 (coords[i, 0], coords[i, 1], x[i], x[i + n], x[i + 2 * n], tag)
@@ -710,6 +710,6 @@ def test_nodal_rows_match_sorted_loop(nex, ney, order, seed):
     for mesh, tag in ((upper, "upper"), (lower, "lower")):
         system = assemble_darcy(mesh, FemConfig(order=order), MU, KAPPA)
         nodes = np.flatnonzero(rng.random(mesh.n_nodes) < 0.7)
-        parts.append((system, rng.standard_normal(system.n_dofs), nodes, tag))
+        parts.append((mesh, rng.standard_normal(system.n_dofs), nodes, tag))
     # The meshes share the line y = 0, so equal (y, x) keys occur.
     assert nodal_rows(parts) == reference_rows(parts)

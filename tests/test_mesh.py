@@ -108,6 +108,14 @@ class TestObstacleLattice:
         with pytest.raises(ValueError, match="integer multiple"):
             ObstacleLattice(0.15, 0.6, band)
 
+    @pytest.mark.parametrize("period", [1e10, 1e300])
+    def test_period_beyond_band_raises(self, period):
+        """A period far above the band rounds to zero cells, within any
+        relative tolerance of an integer; a lattice needs one cell."""
+        band = RectDomain(-0.5, 0.5, -0.5, 0.0)
+        with pytest.raises(ValueError, match="positive integer multiple"):
+            ObstacleLattice(period, 0.6, band)
+
     @pytest.mark.parametrize(
         ("s_hat", "n_per_cell", "ok"),
         [

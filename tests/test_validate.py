@@ -10,11 +10,18 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stokesdarcy import dns as dns_module
 from stokesdarcy import validate
 from stokesdarcy.dns import DnsResolution, solve_dns
 from stokesdarcy.fem import FemConfig, Field
 from stokesdarcy.homogenize import permeability_dimensional
-from stokesdarcy.icdd import IcddGeometry, IcddPhysics, assemble_problem, icdd_solve
+from stokesdarcy.icdd import (
+    CompositeSolution,
+    IcddGeometry,
+    IcddPhysics,
+    assemble_problem,
+    icdd_solve,
+)
 from stokesdarcy.linalg import KrylovConfig
 from stokesdarcy.mesh import (
     ObstacleLattice,
@@ -224,6 +231,15 @@ class TestStudyHelpers:
         )
         assert sweep.is_interior_minimum() is interior
 
+    def test_interior_minimum_in_thickness_order(self):
+        """Factors 1, 1.5, 0.5: the neighbors of the predicted thickness
+        are the ones next to it in size, not in the list."""
+        deltas = [0.052, 0.078, 0.026]
+        beaten = SweepResult(deltas, [5.7e-8, 6.0e-8, 5.4e-8], delta_star=0.052)
+        assert beaten.is_interior_minimum() is False
+        best = SweepResult(deltas, [5.4e-8, 6.0e-8, 5.7e-8], delta_star=0.052)
+        assert best.is_interior_minimum() is True
+
 
 def per_metric_errors(composite, dns, cell, delta, ell, preset):
     """Reference for :func:`compare_solutions`: every metric on its own
@@ -325,8 +341,10 @@ def holds_sparse_matrix(obj) -> bool:
 
 
 class TestStudyMembers:
-    """A study member drops the pore-scale system before it assembles
-    its coupled problem, and compares against mesh and fields alone."""
+    """A study member has freed the pore-scale system before it
+    assembles its coupled problem, and the subdomain systems before it
+    evaluates the coupled solution: errors are computed from meshes and
+    fields alone."""
 
     STUDY = dict(
         fem_config=FemConfig(order=1),
@@ -338,40 +356,56 @@ class TestStudyMembers:
     @staticmethod
     def watch(monkeypatch):
         """For each coupled assembly, whether each pore-scale system
-        solved so far has been freed."""
-        systems, freed = [], []
-        solve, assemble = validate.solve_dns, validate.assemble_problem
+        assembled so far has been freed; for each evaluation of a
+        coupled solution, whether the solution holds a sparse matrix
+        and whether every coupled problem assembled so far has been
+        freed."""
+        systems, problems, freed, evaluated = [], [], [], []
+        assemble_dns, assemble = dns_module.assemble_stokes, validate.assemble_problem
+        evaluate = CompositeSolution.evaluate
 
-        def recording_solve(*args):
-            solution = solve(*args)
-            systems.append(weakref.ref(solution.system))
-            return solution
+        def recording_dns(*args, **kwargs):
+            system = assemble_dns(*args, **kwargs)
+            systems.append(weakref.ref(system))
+            return system
 
         def checking_assemble(*args):
             freed.append([ref() is None for ref in systems])
-            return assemble(*args)
+            problem = assemble(*args)
+            problems.append(weakref.ref(problem))
+            return problem
 
-        monkeypatch.setattr(validate, "solve_dns", recording_solve)
+        def checking_evaluate(composite, *args, **kwargs):
+            dead = all(ref() is None for ref in problems)
+            evaluated.append((holds_sparse_matrix(composite), dead))
+            return evaluate(composite, *args, **kwargs)
+
+        monkeypatch.setattr(dns_module, "assemble_stokes", recording_dns)
         monkeypatch.setattr(validate, "assemble_problem", checking_assemble)
-        return freed
+        monkeypatch.setattr(CompositeSolution, "evaluate", checking_evaluate)
+        return freed, evaluated
 
     def test_convergence_study(self, monkeypatch):
-        freed = self.watch(monkeypatch)
+        freed, evaluated = self.watch(monkeypatch)
         references = []
         compare = validate.compare_solutions
 
-        def recording_compare(composite, dns, *args, **kwargs):
-            references.append(holds_sparse_matrix(dns))
-            return compare(composite, dns, *args, **kwargs)
+        def recording_compare(composite, reference, *args, **kwargs):
+            references.append(holds_sparse_matrix(reference))
+            references.append(holds_sparse_matrix(composite))
+            return compare(composite, reference, *args, **kwargs)
 
         monkeypatch.setattr(validate, "compare_solutions", recording_compare)
         validate.convergence_study(
             PRESETS[1], CONFIGURATIONS["C1"], [0.25, 0.125], **self.STUDY
         )
-        assert references == [False, False]
+        assert references == [False, False, False, False]
         assert freed == [[True], [True, True]]
+        # Three regions per member.
+        assert evaluated == [(False, True)] * 6
 
     def test_delta_sweep(self, monkeypatch):
-        freed = self.watch(monkeypatch)
+        freed, evaluated = self.watch(monkeypatch)
         validate.delta_sweep(PRESETS[1], CONFIGURATIONS["C2"], 0.25, **self.STUDY)
         assert freed == [[True]] * 3
+        assert evaluated == [(False, True)] * 3
