@@ -33,7 +33,13 @@ from .homogenize import (
     permeability_dimensional,
     solve_cell_problem,
 )
-from .icdd import IcddGeometry, IcddPhysics, assemble_problem, icdd_solve
+from .icdd import (
+    IcddGeometry,
+    IcddPhysics,
+    assemble_problem,
+    icdd_solve,
+    subdomain_meshes,
+)
 from .io import config_digest, write_csv, write_manifest, write_vtk
 from .linalg import KrylovConfig
 from .presets import CONFIGURATIONS, PRESETS, PorousConfiguration
@@ -408,11 +414,13 @@ def cmd_icdd(config: RunConfig, mapper) -> Outputs:
     configuration = config.configuration(need_mesh=False)
     ell = config.ell()
     delta = delta_star(configuration.porosity, ell)
+    fem = config.fem_config()
+    geometry = IcddGeometry(delta=delta, hx=config.hx())
+    # Check the subdomains before a unit-cell solve can run.
+    subdomain_meshes(fem.order, geometry, preset)
     permeability, k_source = _permeability_for(config, configuration, ell)
     problem = assemble_problem(
-        config.fem_config(),
-        IcddGeometry(delta=delta, hx=config.hx()),
-        IcddPhysics(preset=preset, permeability=permeability),
+        fem, geometry, IcddPhysics(preset=preset, permeability=permeability)
     )
     result = icdd_solve(problem, config.krylov())
     sol = result.composite

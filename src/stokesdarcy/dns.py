@@ -5,9 +5,9 @@ resolved obstacle by obstacle: a single Stokes system on a perforated
 mesh with no-slip on every obstacle boundary.  The result serves as the
 reference against which the homogenized coupled solver is validated.
 
-The mesh is uniform inside the band (so obstacle edges land exactly on
-mesh lines) and grades geometrically towards a coarser spacing above
-it.  Fields on the perforated mesh evaluate to zero inside obstacles,
+The mesh (:func:`~stokesdarcy.mesh.build_perforated_mesh`) is uniform
+inside the band, so obstacle edges land exactly on mesh lines, and
+grades geometrically towards a coarser spacing above it.  Fields on the perforated mesh evaluate to zero inside obstacles,
 realizing the trivial extension of pore-scale fields to the full band.
 """
 
@@ -18,12 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import FemConfig, assemble_stokes, divergence_l2, nodal_rows
-from .mesh import ObstacleLattice, build_perforated_mesh, graded_lines
+from .mesh import ObstacleLattice, build_perforated_mesh
 from .presets import TestCasePreset
-
-#: Coarsest vertical spacing above the band, as a multiple of the band
-#: spacing; the lines grade towards it by :data:`~stokesdarcy.mesh.GROWTH`.
-H_MAX_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
@@ -46,39 +42,6 @@ class DnsResolution:
             raise ValueError("need at least two elements per cell edge")
         if self.order not in (1, 2):
             raise ValueError("order must be 1 or 2")
-
-
-def dns_line_set(
-    domain, lattice: ObstacleLattice, resolution: DnsResolution
-) -> np.ndarray:
-    """Vertical mesh lines: uniform over the band, graded above it.
-
-    Parameters
-    ----------
-    domain : RectDomain
-        Full domain; its bottom must coincide with the band bottom.
-    lattice : ObstacleLattice
-        Obstacle description.
-    resolution : DnsResolution
-        Spacing parameters.
-
-    Returns
-    -------
-    ndarray
-        Strictly increasing line coordinates from the domain bottom to
-        its top, containing every band line.
-    """
-    band = lattice.band
-    h = lattice.period / resolution.n_per_cell
-    n_band = lattice.cells_y * resolution.n_per_cell
-    lines_band = band.y0 + h * np.arange(n_band + 1)
-    lines_band[-1] = band.y1
-    if abs(band.y0 - domain.y0) > 1e-12:
-        raise ValueError("band must start at the domain bottom")
-    if domain.y1 <= band.y1 + 1e-12:
-        return lines_band
-    above = graded_lines(band.y1, domain.y1, h, H_MAX_FACTOR * h)
-    return np.concatenate([lines_band[:-1], above])
 
 
 class DnsSolution:
@@ -165,11 +128,7 @@ def solve_dns(
     DnsSolution
     """
     mesh = build_perforated_mesh(
-        preset.domain,
-        lattice,
-        resolution.n_per_cell,
-        order=resolution.order,
-        y_lines=dns_line_set(preset.domain, lattice, resolution),
+        preset.domain, lattice, resolution.n_per_cell, order=resolution.order
     )
     config = FemConfig(order=resolution.order)
     system = assemble_stokes(

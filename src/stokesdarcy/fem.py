@@ -84,7 +84,7 @@ class BoundarySpec:
     Sides are ``left``, ``right``, ``bottom``, ``top`` and ``obstacle``.
     Unlisted sides are natural (zero traction for Stokes, zero normal
     flux for Darcy).  The side hosting interface data must be left out
-    here and passed through ``interface`` instead.
+    here and named through ``interface`` instead.
     """
 
     sides: dict = dataclass_field(default_factory=dict)
@@ -95,29 +95,6 @@ class BoundarySpec:
                 raise ValueError(f"unknown side {name!r}")
             if not isinstance(cond, BoundaryCondition):
                 raise TypeError("side values must be BoundaryCondition objects")
-
-
-@dataclass(frozen=True)
-class InterfaceSpec:
-    """Declares one mesh side as the interface-control boundary.
-
-    Parameters
-    ----------
-    side : str
-        ``"bottom"`` or ``"top"``.
-    field : str
-        ``"velocity"`` for essential velocity controls or ``"pressure"``
-        for essential pressure controls.
-    """
-
-    side: str
-    field: str
-
-    def __post_init__(self):
-        if self.side not in ("bottom", "top"):
-            raise ValueError("interface side must be horizontal")
-        if self.field not in ("velocity", "pressure"):
-            raise ValueError("interface field must be velocity or pressure")
 
 
 # ----------------------------------------------------------------------
@@ -835,7 +812,7 @@ def assemble_stokes(
     mu: float,
     f=None,
     bc: BoundarySpec | None = None,
-    interface: InterfaceSpec | None = None,
+    interface: str | None = None,
     null_mean_pressure: bool = False,
 ) -> SaddleSystem:
     """Assemble the stabilized Stokes system.
@@ -865,7 +842,7 @@ def assemble_stokes(
         Body force per unit volume.
     bc : BoundarySpec
         Exterior boundary conditions.
-    interface : InterfaceSpec, optional
+    interface : {"bottom", "top"}, optional
         Side carrying essential velocity controls.
     null_mean_pressure : bool
         Append a Lagrange multiplier enforcing a zero pressure mean over
@@ -878,8 +855,6 @@ def assemble_stokes(
     _check_order(mesh, config)
     if bc is None:
         bc = BoundarySpec()
-    if interface is not None and interface.side in bc.sides:
-        raise ValueError("interface side must not carry exterior conditions")
     order = mesh.order
     batch = _ElementBatch(mesh)
     ref = batch.ref
@@ -922,11 +897,9 @@ def assemble_stokes(
     del k_uu, b1, b2, cpp, px, py
     if null_mean_pressure:
         rhs = np.append(rhs, 0.0)
-    n_dofs = matrix.shape[0]
-
     _add_stress_loads(mesh, bc, rhs, n)
-    kind, values, iface_dofs, iface_nodes = _classify_dofs(
-        mesh, bc, interface, n_dofs
+    kind, values, iface_dofs, iface_nodes = classify_dofs(
+        mesh, bc, interface, "velocity", rhs.size
     )
     return SaddleSystem(
         mesh, matrix, rhs, kind, values, iface_dofs, iface_nodes, mass_scalar
@@ -1016,13 +989,37 @@ def _edge_quadrature(mesh, order, elems, side):
     return nodes[:, local], xq, yq, wq
 
 
-def _classify_dofs(mesh, bc, interface, n_dofs):
-    """Mark every dof as interior, Dirichlet or interface.
+def classify_dofs(
+    mesh: StructuredMesh,
+    bc: BoundarySpec,
+    interface: str | None,
+    field: str,
+    n_dofs: int,
+):
+    """Mark every dof of a system as interior, Dirichlet or interface.
 
     Dead nodes (touching no active element) become homogeneous Dirichlet
-    dofs for all fields.  Interface dofs are marked next, and exterior
-    Dirichlet data are applied last so they win at shared corners.
+    dofs for all fields.  The ``field`` dofs (``"velocity"`` or
+    ``"pressure"``) of the ``interface`` side (``"bottom"``, ``"top"``
+    or None) are marked next, and exterior Dirichlet data of ``bc`` are
+    applied last so they win at shared corners.  Of the ``n_dofs``, any
+    beyond ``3 * mesh.n_nodes`` (a multiplier) stay interior.
+
+    Returns
+    -------
+    (kind, values, interface_dofs, interface_nodes)
+        As :class:`SaddleSystem` stores them.
+
+    Raises
+    ------
+    ValueError
+        If the interface side is vertical or carries exterior conditions.
     """
+    if interface is not None:
+        if interface not in ("bottom", "top"):
+            raise ValueError("interface side must be horizontal")
+        if interface in bc.sides:
+            raise ValueError("interface side must not carry exterior conditions")
     n = mesh.n_nodes
     kind = np.zeros(n_dofs, dtype=np.uint8)
     values = np.zeros(n_dofs)
@@ -1033,8 +1030,8 @@ def _classify_dofs(mesh, bc, interface, n_dofs):
 
     iface_nodes = np.empty(0, dtype=int)
     if interface is not None:
-        iface_nodes = mesh.boundary_nodes(interface.side)
-        if interface.field == "velocity":
+        iface_nodes = mesh.boundary_nodes(interface)
+        if field == "velocity":
             kind[iface_nodes] = KIND_INTERFACE
             kind[iface_nodes + n] = KIND_INTERFACE
         else:
@@ -1073,7 +1070,7 @@ def _classify_dofs(mesh, bc, interface, n_dofs):
 
     iface_dofs = np.empty(0, dtype=int)
     if interface is not None:
-        if interface.field == "velocity":
+        if field == "velocity":
             keep = (kind[iface_nodes] == KIND_INTERFACE) & (
                 kind[iface_nodes + n] == KIND_INTERFACE
             )
@@ -1107,7 +1104,7 @@ def assemble_darcy(
     permeability: float,
     f=None,
     bc: BoundarySpec | None = None,
-    interface: InterfaceSpec | None = None,
+    interface: str | None = None,
     source=None,
 ) -> SaddleSystem:
     """Assemble the stabilized mixed Darcy system.
@@ -1142,7 +1139,7 @@ def assemble_darcy(
         Body force per unit volume.
     bc : BoundarySpec
         Exterior conditions (impermeable walls, essential pressure).
-    interface : InterfaceSpec, optional
+    interface : {"bottom", "top"}, optional
         Side carrying essential pressure controls.
     source : float, callable or None
         Mass source for the continuity equation (used by manufactured
@@ -1155,8 +1152,6 @@ def assemble_darcy(
     _check_order(mesh, config)
     if bc is None:
         bc = BoundarySpec()
-    if interface is not None and interface.side in bc.sides:
-        raise ValueError("interface side must not carry exterior conditions")
     if permeability <= 0:
         raise ValueError("permeability must be positive")
     batch = _ElementBatch(mesh)
@@ -1190,10 +1185,8 @@ def assemble_darcy(
         ]
     )
     mass_scalar = batch.mass()
-    n_dofs = 3 * n
-
-    kind, values, iface_dofs, iface_nodes = _classify_dofs(
-        mesh, bc, interface, n_dofs
+    kind, values, iface_dofs, iface_nodes = classify_dofs(
+        mesh, bc, interface, "pressure", 3 * n
     )
     return SaddleSystem(
         mesh, matrix, rhs, kind, values, iface_dofs, iface_nodes, mass_scalar
@@ -1258,7 +1251,8 @@ def assemble_cell_problem(cell_mesh: StructuredMesh) -> CellSystem:
     """
     raw = assemble_stokes(
         cell_mesh, FemConfig(order=cell_mesh.order), mu=1.0,
-        bc=BoundarySpec(), interface=None, null_mean_pressure=True,
+        bc=BoundarySpec({"obstacle": BoundaryCondition("velocity", (0.0, 0.0))}),
+        null_mean_pressure=True,
     )
     batch = _ElementBatch(cell_mesh)
     n = cell_mesh.n_nodes
@@ -1285,18 +1279,12 @@ def assemble_cell_problem(cell_mesh: StructuredMesh) -> CellSystem:
         for force in ((1.0, 0.0), (0.0, 1.0))
     ]
 
-    # Constrained (free) reduced dofs: no-slip velocity on obstacle
-    # boundaries, and zero values on dead nodes for every field.
-    fixed = np.zeros(3 * m + 1, dtype=bool)
-    wall = reduced_id[cell_mesh.obstacle_boundary_nodes]
-    fixed[wall] = True
-    fixed[wall + m] = True
-    dead_master = reduced_id[
-        np.flatnonzero((master == np.arange(n)) & ~cell_mesh.node_active)
-    ]
-    for offset in (0, m, 2 * m):
-        fixed[dead_master + offset] = True
-    free = np.flatnonzero(~fixed)
+    # Free reduced dofs: those the system leaves interior at the masters
+    # (no slip on the obstacle, dead nodes fixed), and the multiplier.
+    free = np.flatnonzero(
+        raw.kind[np.concatenate([masters, masters + n, masters + 2 * n, [3 * n]])]
+        == KIND_INTERIOR
+    )
     k_free = k_red[free][:, free].tocsc()
     f_free = np.stack([f[free] for f in f_red])
 

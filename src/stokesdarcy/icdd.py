@@ -26,11 +26,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem import (
+    KIND_INTERIOR,
     FemConfig,
-    InterfaceSpec,
     SaddleSystem,
     assemble_darcy,
     assemble_stokes,
+    classify_dofs,
     eval_fields,
     nodal_rows,
 )
@@ -107,12 +108,6 @@ class IcddProblem:
     trace_pressure : ndarray of int
         Indices into the free-flow solution vector returning its
         pressure at the porous control nodes.
-
-    Raises
-    ------
-    ValueError
-        If a subdomain has no interior or no interface unknowns (a mesh
-        too coarse for the overlap).
     """
 
     def __init__(
@@ -121,15 +116,6 @@ class IcddProblem:
         darcy: SaddleSystem,
         geometry: IcddGeometry,
     ):
-        for name, system in (("free-flow", stokes), ("porous", darcy)):
-            counts = (system.interior_dofs.size, system.n_interface)
-            if min(counts) == 0:
-                raise ValueError(
-                    f"hx = {geometry.hx:g} and delta = {geometry.delta:g} leave "
-                    f"the {name} subdomain with {counts[0]} interior and "
-                    f"{counts[1]} interface unknowns; each subdomain needs at "
-                    "least one of each, so use a smaller hx"
-                )
         self.stokes = stokes
         self.darcy = darcy
         self.geometry = geometry
@@ -169,14 +155,57 @@ class IcddProblem:
         )
 
 
+def subdomain_meshes(
+    order: int, geometry: IcddGeometry, preset: TestCasePreset
+) -> tuple[StructuredMesh, StructuredMesh]:
+    """Free-flow and porous meshes of order ``order``, checked before
+    anything is assembled.
+
+    Both meshes share one set of vertical lines over the full channel
+    (sliced at ``-delta`` and at ``0``) and identical horizontal lines,
+    so every cross-domain trace is a plain nodal gather.
+
+    Raises
+    ------
+    ValueError
+        If a subdomain has no interior or no interface unknowns (a mesh
+        too coarse for the overlap).
+    """
+    dom = preset.domain
+    delta = geometry.delta
+    ys = overlap_line_set(
+        -POROUS_DEPTH, dom.y1, delta, geometry.h_fine, geometry.h_max
+    )
+    nx = max(1, round(dom.width / geometry.hx))
+    xs = np.linspace(dom.x0, dom.x1, nx + 1)
+    i_delta = int(np.argmin(np.abs(ys + delta)))
+    i_zero = int(np.argmin(np.abs(ys)))
+    stokes_mesh = StructuredMesh(xs, ys[i_delta:], order=order)
+    darcy_mesh = StructuredMesh(xs, ys[: i_zero + 1], order=order)
+    for name, mesh, bc, side, field in (
+        ("free-flow", stokes_mesh, preset.stokes_bc(), "bottom", "velocity"),
+        ("porous", darcy_mesh, preset.darcy_bc(), "top", "pressure"),
+    ):
+        kind, _, iface_dofs, _ = classify_dofs(
+            mesh, bc, side, field, 3 * mesh.n_nodes
+        )
+        counts = (np.count_nonzero(kind == KIND_INTERIOR), iface_dofs.size)
+        if min(counts) == 0:
+            raise ValueError(
+                f"hx = {geometry.hx:g} and delta = {delta:g} leave the {name} "
+                f"subdomain with {counts[0]} interior and {counts[1]} "
+                "interface unknowns; each subdomain needs at least one of "
+                "each, so use a smaller hx"
+            )
+    return stokes_mesh, darcy_mesh
+
+
 def assemble_problem(
     config: FemConfig, geometry: IcddGeometry, physics: IcddPhysics
 ) -> IcddProblem:
-    """Mesh and assemble both subdomains of the coupled problem.
-
-    Both subdomain meshes share one set of vertical lines over the full
-    channel (sliced at ``-delta`` and at ``0``) and identical horizontal
-    lines, so every cross-domain trace is a plain nodal gather.
+    """Mesh (:func:`subdomain_meshes`) and assemble both subdomains of
+    the coupled problem, with velocity controls on the free-flow bottom
+    and pressure controls on the porous top.
 
     Parameters
     ----------
@@ -192,25 +221,14 @@ def assemble_problem(
     IcddProblem
     """
     preset = physics.preset
-    dom = preset.domain
-    delta = geometry.delta
-    ys = overlap_line_set(
-        -POROUS_DEPTH, dom.y1, delta, geometry.h_fine, geometry.h_max
-    )
-    nx = max(1, round(dom.width / geometry.hx))
-    xs = np.linspace(dom.x0, dom.x1, nx + 1)
-    i_delta = int(np.argmin(np.abs(ys + delta)))
-    i_zero = int(np.argmin(np.abs(ys)))
-    stokes_mesh = StructuredMesh(xs, ys[i_delta:], order=config.order)
-    darcy_mesh = StructuredMesh(xs, ys[: i_zero + 1], order=config.order)
-
+    stokes_mesh, darcy_mesh = subdomain_meshes(config.order, geometry, preset)
     stokes = assemble_stokes(
         stokes_mesh,
         config,
         mu=preset.mu,
         f=preset.force,
         bc=preset.stokes_bc(),
-        interface=InterfaceSpec("bottom", "velocity"),
+        interface="bottom",
         null_mean_pressure=preset.pin_pressure,
     )
     darcy = assemble_darcy(
@@ -220,7 +238,7 @@ def assemble_problem(
         permeability=physics.permeability,
         f=preset.force,
         bc=preset.darcy_bc(),
-        interface=InterfaceSpec("top", "pressure"),
+        interface="top",
     )
     return IcddProblem(stokes, darcy, geometry)
 

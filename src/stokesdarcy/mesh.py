@@ -255,6 +255,8 @@ class StructuredMesh:
     @cached_property
     def node_active(self) -> np.ndarray:
         """Boolean mask of nodes that touch at least one active element."""
+        if self.active.all():
+            return np.ones(self.n_nodes, dtype=bool)
         mask = np.zeros(self.n_nodes, dtype=bool)
         mask[self.element_nodes[self.active].ravel()] = True
         return mask
@@ -420,29 +422,27 @@ def build_perforated_mesh(
     lattice: ObstacleLattice,
     n_per_cell: int,
     order: int = 2,
-    y_lines=None,
 ) -> StructuredMesh:
     """Mesh of a rectangle minus a periodic array of square obstacles.
 
-    The horizontal lines are uniform with spacing ``period / n_per_cell``
-    so obstacle edges land exactly on mesh lines.  Vertical lines default
-    to the same uniform spacing; a custom array (graded away from the
-    obstacle band) may be supplied as long as it contains every obstacle
-    edge line inside the band.
+    The lattice band starts at the domain bottom.  Inside it the lines
+    are uniform with spacing ``h = period / n_per_cell`` in both
+    directions, so obstacle edges land exactly on mesh lines; above it
+    the horizontal lines grade by :data:`GROWTH` up to
+    ``H_MAX_FACTOR * h``.
 
     Parameters
     ----------
     domain : RectDomain
         Full domain, horizontally congruent with the lattice band.
     lattice : ObstacleLattice
-        Obstacle description; its band must sit inside the domain.
+        Obstacle description; its band must start at the domain bottom
+        and end inside the domain.
     n_per_cell : int
         Elements per cell edge; must align the obstacle (see
         :meth:`ObstacleLattice.edge_offsets`).
     order : int
         Nodal order.
-    y_lines : ndarray, optional
-        Explicit vertical element lines covering the domain height.
 
     Returns
     -------
@@ -454,42 +454,26 @@ def build_perforated_mesh(
         abs(band.x0 - domain.x0) < 1e-12 and abs(band.x1 - domain.x1) < 1e-12
     ):
         raise ValueError("lattice band must span the full domain width")
-    if band.y0 < domain.y0 - 1e-12 or band.y1 > domain.y1 + 1e-12:
-        raise ValueError("lattice band must sit inside the domain")
+    if abs(band.y0 - domain.y0) > 1e-12 or band.y1 > domain.y1 + 1e-12:
+        raise ValueError(
+            "lattice band must start at the domain bottom and end inside "
+            "the domain"
+        )
     lo, hi = lattice.edge_offsets(n_per_cell)
     h = lattice.period / n_per_cell
     nx = lattice.cells_x * n_per_cell
     xs = domain.x0 + h * np.arange(nx + 1)
     xs[-1] = domain.x1
-    if y_lines is None:
-        n_below = _exact_multiple(band.y0 - domain.y0, h, "gap below the band")
-        n_above = _exact_multiple(domain.y1 - band.y1, h, "gap above the band")
-        ny = n_below + lattice.cells_y * n_per_cell + n_above
-        ys = domain.y0 + h * np.arange(ny + 1)
-        ys[-1] = domain.y1
-    else:
-        ys = np.asarray(y_lines, dtype=float)
-        if abs(ys[0] - domain.y0) > 1e-12 or abs(ys[-1] - domain.y1) > 1e-12:
-            raise ValueError("y_lines must span the domain height")
-        required = band.y0 + h * np.arange(lattice.cells_y * n_per_cell + 1)
-        for line in required:
-            if np.min(np.abs(ys - line)) > 1e-9 * max(1.0, abs(line)):
-                raise ValueError(
-                    f"y_lines must contain the band line y={line} so obstacle "
-                    "edges stay grid-aligned"
-                )
+    ys = band.y0 + h * np.arange(lattice.cells_y * n_per_cell + 1)
+    ys[-1] = band.y1
+    if domain.y1 > band.y1 + 1e-12:
+        above = graded_lines(band.y1, domain.y1, h, H_MAX_FACTOR * h)
+        ys = np.concatenate([ys[:-1], above])
     mesh = StructuredMesh(xs, ys, order=order)
     if lattice.s_hat > 0.0:
         active = _obstacle_activity(mesh, lattice, n_per_cell, lo, hi)
         mesh = StructuredMesh(xs, ys, order=order, active=active)
     return mesh
-
-
-def _exact_multiple(extent: float, h: float, what: str) -> int:
-    n = extent / h
-    if abs(n - round(n)) > 1e-9 * max(1.0, n):
-        raise ValueError(f"{what} ({extent}) is not a multiple of the spacing {h}")
-    return round(n)
 
 
 def _obstacle_activity(
@@ -632,6 +616,10 @@ def nested_dissection_order(
 #: Geometric growth factor of every graded mesh: the coupled subdomains
 #: away from the overlap and the pore-scale mesh above the band.
 GROWTH = 1.35
+
+#: Coarsest vertical spacing above the band of a perforated mesh, as a
+#: multiple of the band spacing.
+H_MAX_FACTOR = 4.0
 
 
 def graded_lines(

@@ -35,9 +35,16 @@ from .homogenize import (
     permeability_dimensional,
     solve_cell_problem,
 )
-from .icdd import IcddGeometry, IcddPhysics, IcddResult, assemble_problem, icdd_solve
+from .icdd import (
+    IcddGeometry,
+    IcddPhysics,
+    IcddResult,
+    assemble_problem,
+    icdd_solve,
+    subdomain_meshes,
+)
 from .linalg import KrylovConfig
-from .mesh import StructuredMesh
+from .mesh import ObstacleLattice, StructuredMesh
 from .presets import POROUS_DEPTH, PorousConfiguration, TestCasePreset
 
 #: Kinds of slab where errors are measured: ``fluid`` spans (-delta*,
@@ -263,16 +270,15 @@ class ReconstructedVelocity:
     ----------
     cell : CellSolution
         Solved unit-cell problems.
-    ell : float
-        Period.
-    origin : tuple
-        Physical point mapped to the unit-cell origin (a band corner).
+    lattice : ObstacleLattice
+        Obstacle lattice of the porous band: its period, and its band's
+        lower-left corner as the unit-cell origin.
     """
 
-    def __init__(self, cell, ell, origin):
+    def __init__(self, cell: CellSolution, lattice: ObstacleLattice):
         self._w = cell.velocities
-        self._ell = ell
-        self._origin = np.asarray(origin, dtype=float)
+        self._ell = lattice.period
+        self._origin = np.array([lattice.band.x0, lattice.band.y0])
         self._coef = np.linalg.inv(cell.k_hat)
 
     def modulate(self, points, macro: np.ndarray) -> np.ndarray:
@@ -285,37 +291,6 @@ class ReconstructedVelocity:
         c = macro @ self._coef.T
         w1, w2 = eval_fields(self._w, local)
         return c[:, :1] * w1 + c[:, 1:2] * w2
-
-
-def reconstruct_porous_velocity(
-    cell: CellSolution, ell: float, band
-) -> ReconstructedVelocity:
-    """Modulation of macroscale porous velocities with unit-cell solutions.
-
-    Parameters
-    ----------
-    cell : CellSolution
-        Unit-cell solution providing the modulation fields and the
-        permeability used for normalization.
-    ell : float
-        Period.
-    band : RectDomain
-        Porous band; its extents must be integer multiples of ``ell``.
-
-    Returns
-    -------
-    ReconstructedVelocity
-
-    Raises
-    ------
-    ValueError
-        If the band is not tileable by the period.
-    """
-    for extent, name in ((band.width, "width"), (band.height, "height")):
-        ratio = extent / ell
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-            raise ValueError(f"band {name} {extent} is not a multiple of {ell}")
-    return ReconstructedVelocity(cell, ell, (band.x0, band.y0))
 
 
 # ----------------------------------------------------------------------
@@ -397,7 +372,7 @@ def compare_solutions(
     -------
     ErrorReport
     """
-    recon = reconstruct_porous_velocity(cell, ell, preset.porous_band)
+    recon = ReconstructedVelocity(cell, preset.lattice(ell, cell.s_hat))
     errors: dict[str, float] = {}
     norms: dict[str, float] = {}
     for name, region in validation_regions(preset, delta, ell).items():
@@ -472,6 +447,7 @@ def _study_cell(
     preset: TestCasePreset,
     configuration: PorousConfiguration,
     members,
+    order: int,
     hx: float,
     dns_resolution: DnsResolution,
     cell_resolution: int,
@@ -481,8 +457,9 @@ def _study_cell(
 
     ``members`` yields each member's period and layer thickness.  Its
     obstacle lattice must tile the band and align with the pore-scale
-    mesh, and its overlap must fit the band, so that a bad member stops
-    the study before any solve.
+    mesh, and its coupled subdomains of order ``order`` must pass
+    :func:`~stokesdarcy.icdd.subdomain_meshes`, so that a bad member
+    stops the study before any solve.
     """
     if not configuration.meshable:
         raise ValueError(
@@ -491,7 +468,7 @@ def _study_cell(
     for ell, delta in members:
         lattice = preset.lattice(ell, configuration.size_ratio)
         lattice.edge_offsets(dns_resolution.n_per_cell)
-        IcddGeometry(delta=delta, hx=hx)
+        subdomain_meshes(order, IcddGeometry(delta=delta, hx=hx), preset)
     say(f"unit cell s_hat={configuration.size_ratio}")
     return solve_cell_problem(configuration.size_ratio, resolution=cell_resolution)
 
@@ -576,7 +553,8 @@ def convergence_study(
     deltas = [delta_star(configuration.porosity, ell) for ell in ells]
     members = zip(ells, deltas)
     cell = _study_cell(
-        preset, configuration, members, hx, dns_resolution, cell_resolution, say
+        preset, configuration, members, fem_config.order, hx,
+        dns_resolution, cell_resolution, say,
     )
 
     def run_one(ell: float, delta: float) -> ErrorReport:
@@ -683,7 +661,8 @@ def delta_sweep(
     deltas = [f * dstar for f in factors]
     members = [(ell, delta) for delta in deltas]
     cell = _study_cell(
-        preset, configuration, members, hx, dns_resolution, cell_resolution, say
+        preset, configuration, members, fem_config.order, hx,
+        dns_resolution, cell_resolution, say,
     )
     lattice = preset.lattice(ell, configuration.size_ratio)
     say(f"pore-scale reference ell={ell}")

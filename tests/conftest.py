@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from stokesdarcy import dns
-from stokesdarcy.dns import DnsResolution, dns_line_set
 from stokesdarcy.fem import FemConfig, assemble_stokes
 from stokesdarcy.homogenize import solve_cell_problem
 from stokesdarcy.mesh import build_perforated_mesh
@@ -40,14 +39,7 @@ def assemble_dns_q2():
     elements per cell edge."""
     preset = PRESETS[1]
     lattice = preset.lattice(0.1, CONFIGURATIONS["C1"].size_ratio)
-    resolution = DnsResolution(n_per_cell=10, order=2)
-    mesh = build_perforated_mesh(
-        preset.domain,
-        lattice,
-        resolution.n_per_cell,
-        order=2,
-        y_lines=dns_line_set(preset.domain, lattice, resolution),
-    )
+    mesh = build_perforated_mesh(preset.domain, lattice, 10, order=2)
     return lambda: assemble_stokes(
         mesh,
         FemConfig(order=2),

@@ -510,13 +510,34 @@ class TestFailureModes:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    def test_coarse_hx_exits_2_before_the_cell_solve(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """With ``s_hat`` the coupled solve takes its permeability from
+        a unit-cell solve; an ``hx`` that leaves a subdomain without
+        interface unknowns stops the run before it."""
+        monkeypatch.setattr(cli, "solve_cell_problem", reach_solve)
+        ini = (
+            "[case]\npreset = 1\ns_hat = 0.7\nell = 0.1\n\n"
+            "[discretization]\norder = 1\nhx = 0.9\n"
+        )
+        out = tmp_path / "out"
+        code = main(
+            ["icdd", "--config", str(write_config(tmp_path, ini)), "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "hx = 0.9 and delta = " in err, err
+        assert not out.exists()
+
     def test_repeated_period_exits_2_before_any_solve(
         self, tmp_path, capsys, monkeypatch
     ):
         """Every study member is checked before the cell solve: a
         repeated period or factor, a period that does not tile the band,
-        a pore-scale mesh that misses the obstacle edges and an overlap
-        outside the band all stop the run before it."""
+        a pore-scale mesh that misses the obstacle edges, an overlap
+        outside the band and an ``hx`` that leaves a coupled subdomain
+        without interface unknowns all stop the run before it."""
         calls = []
         for name in ("solve_cell_problem", "solve_dns"):
             monkeypatch.setattr(
@@ -540,6 +561,10 @@ class TestFailureModes:
              "overlap must stay inside the porous band"),
             ("sweep", SWEEP_INI.replace("C2", "C1").replace("cells = 10", "cells = 5"),
              "does not align with 5 elements per cell"),
+            ("validate", VALIDATE_INI.replace("hx = 0.125", "hx = 0.9"),
+             "hx = 0.9 and delta = "),
+            ("sweep", SWEEP_INI.replace("hx = 0.125", "hx = 0.9"),
+             "hx = 0.9 and delta = "),
         ]
         for i, (command, ini, message) in enumerate(cases):
             out = tmp_path / f"out{i}"
@@ -556,6 +581,11 @@ class SolveReached(Exception):
     """Raised by a stubbed solver: the run got past every check."""
 
 
+def reach_solve(*args, **kwargs):
+    """Stub of a solver: raises :class:`SolveReached`."""
+    raise SolveReached
+
+
 #: Study values that the property test below draws from: the ones
 #: that a study of ``VALIDATE_INI``/``SWEEP_INI`` accepts, then edge
 #: values (zero, negative, not finite, huge, and for periods, ones that
@@ -566,29 +596,43 @@ STUDY_VALUES = {
 }
 NON_FINITE = (float("nan"), float("inf"), -float("inf"))
 
+#: ``[discretization] order`` and ``hx`` pairs that the property test
+#: below draws from: ones that leave both coupled subdomains of every
+#: study member interface unknowns, then ones that fail a check (too
+#: coarse for the overlap, not positive, not finite).
+GOOD_DISCRETIZATIONS = ((1, 0.125), (2, 0.125), (2, 0.9))
+BAD_DISCRETIZATIONS = (
+    (1, 0.9), (1, 0.0), (2, -0.125), (1, float("nan")), (2, float("inf")),
+)
+
 
 @pytest.mark.parametrize("command", ["validate", "sweep"])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_study_list_exits_2_or_reaches_first_solve(command, data):
-    """A study list either fails its checks (exit 2, ``error:``, no
-    solve, no output directory) or is valid and reaches the first
-    solve: at least two periods, or a factor 1, none repeated, every
-    one accepted."""
+    """A study list and discretization either fail their checks (exit
+    2, ``error:``, no solve, no output directory) or are valid and
+    reach the first solve: at least two periods, or a factor 1, none
+    repeated, every one accepted, and an accepted order and ``hx``."""
     key, good, bad = STUDY_VALUES[command]
     values = data.draw(
         st.lists(st.sampled_from(good + bad + NON_FINITE), min_size=1, max_size=4)
+    )
+    order, hx = data.draw(
+        st.sampled_from(GOOD_DISCRETIZATIONS + BAD_DISCRETIZATIONS)
     )
     valid = (
         all(v in good for v in values)
         and len(set(values)) == len(values)
         and (len(values) >= 2 if command == "validate" else 1.0 in values)
+        and (order, hx) in GOOD_DISCRETIZATIONS
     )
     listed = f"{key} = {' '.join(map(repr, values))}"
     if command == "validate":
         ini = VALIDATE_INI.replace("ells = 0.25 0.125", listed)
     else:
         ini = f"{SWEEP_INI}\n[study]\n{listed}\n"
+    ini = ini.replace("order = 1\nhx = 0.125", f"order = {order}\nhx = {hx!r}")
     calls, err = [], io.StringIO()
 
     def stub(*args, **kwargs):
@@ -652,13 +696,18 @@ class TestDnsCommand:
         assert "speeds.csv" in manifest["outputs"]
 
 
-def test_readme_commands_cover_every_config():
-    """Every README command line names a command and a loadable config,
-    and every checked-in config appears in one."""
-    lines = re.findall(
+def readme_commands():
+    """``(command, config path)`` of every README command line."""
+    return re.findall(
         r"stokes-darcy\s+(\S+)\s+--config\s+(configs/[\w.-]+\.ini)",
         (REPO / "README.md").read_text(),
     )
+
+
+def test_readme_commands_cover_every_config():
+    """Every README command line names a command and a loadable config,
+    and every checked-in config appears in one."""
+    lines = readme_commands()
     assert lines
     for command, path in lines:
         assert command in cli.COMMANDS, command
@@ -666,6 +715,23 @@ def test_readme_commands_cover_every_config():
         load_run_config(REPO / path)
     configs = {f"configs/{p.name}" for p in (REPO / "configs").glob("*.ini")}
     assert configs <= {path for _, path in lines}
+
+
+@pytest.mark.parametrize(
+    ("command", "path"),
+    sorted(set(readme_commands())),
+    ids=lambda v: v.removeprefix("configs/"),
+)
+def test_readme_config_reaches_first_solve(tmp_path, monkeypatch, command, path):
+    """Every README command passes all its up-front checks on its
+    config and reaches its first solve, stubbed here."""
+    for module in (cli, validate):
+        for name in ("solve_cell_problem", "solve_dns", "assemble_problem"):
+            monkeypatch.setattr(module, name, reach_solve)
+    out = tmp_path / "out"
+    with pytest.raises(SolveReached):
+        main([command, "--config", str(REPO / path), "--out", str(out)])
+    assert not out.exists()
 
 
 def test_readme_config_keys_match_schema():

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from stokesdarcy.dns import H_MAX_FACTOR, DnsResolution, dns_line_set, solve_dns
+from stokesdarcy.dns import DnsResolution, solve_dns
 from stokesdarcy.linalg import factorize
+from stokesdarcy.mesh import H_MAX_FACTOR, RectDomain, build_perforated_mesh
 from stokesdarcy.presets import PRESETS
 
 
@@ -36,14 +37,23 @@ class TestLineSet:
     def test_uniform_in_band_graded_above(self):
         preset = PRESETS[1]
         lattice = preset.lattice(0.25, 0.6)
-        res = DnsResolution(n_per_cell=10, order=1)
-        ys = dns_line_set(preset.domain, lattice, res)
+        ys = build_perforated_mesh(preset.domain, lattice, 10, order=1).ys
         h = 0.25 / 10
         in_band = ys[(ys >= -0.5 - 1e-15) & (ys <= 1e-15)]
         np.testing.assert_allclose(np.diff(in_band), h, rtol=1e-12)
         above = ys[ys >= -1e-15]
         assert np.all(np.diff(above) <= H_MAX_FACTOR * h * (1 + 1e-9))
         assert ys[0] == preset.domain.y0 and ys[-1] == preset.domain.y1
+
+    @pytest.mark.parametrize(
+        "domain",
+        [RectDomain(-0.5, 0.5, -0.5, -0.25), RectDomain(-0.5, 0.5, -0.75, 1.0)],
+        ids=["ends_below_band_top", "starts_below_band"],
+    )
+    def test_band_outside_domain_raises(self, domain):
+        lattice = PRESETS[1].lattice(0.25, 0.6)
+        with pytest.raises(ValueError, match="start at the domain bottom"):
+            build_perforated_mesh(domain, lattice, 10, order=1)
 
 
 class TestSolution:

@@ -16,7 +16,6 @@ from stokesdarcy.fem import (
     BoundarySpec,
     FemConfig,
     Field,
-    InterfaceSpec,
     assemble_darcy,
     assemble_stokes,
     basis_1d,
@@ -131,12 +130,12 @@ class TestBoundarySpecs:
         with pytest.raises(ValueError, match="unknown side"):
             BoundarySpec({"front": BoundaryCondition("velocity", (0.0, 0.0))})
 
-    @pytest.mark.parametrize(
-        ("side", "field"), [("left", "velocity"), ("bottom", "flux")]
-    )
-    def test_interface_spec_validation(self, side, field):
-        with pytest.raises(ValueError):
-            InterfaceSpec(side, field)
+    @pytest.mark.parametrize("assemble", [assemble_stokes, assemble_darcy])
+    def test_vertical_interface_side_raises(self, assemble):
+        mesh = build_rect_mesh(UNIT, 0.5, order=1)
+        args = (1.0,) if assemble is assemble_stokes else (1.0, 1.0)
+        with pytest.raises(ValueError, match="interface side must be horizontal"):
+            assemble(mesh, FemConfig(order=1), *args, interface="left")
 
     def test_interface_side_conflict_raises(self):
         mesh = build_rect_mesh(UNIT, 0.5, order=1)
@@ -144,7 +143,7 @@ class TestBoundarySpecs:
         with pytest.raises(ValueError, match="interface side"):
             assemble_stokes(
                 mesh, FemConfig(order=1), 1.0, bc=bc,
-                interface=InterfaceSpec("bottom", "velocity"),
+                interface="bottom",
             )
 
 
@@ -350,7 +349,7 @@ class TestSolveDecomposition:
         )
         return assemble_stokes(
             mesh, FemConfig(order=1), MU, f=stokes_force, bc=bc,
-            interface=InterfaceSpec("bottom", "velocity"),
+            interface="bottom",
             null_mean_pressure=True,
         )
 
@@ -392,7 +391,7 @@ class TestFactorOrder:
         )
         system = assemble_stokes(
             mesh, FemConfig(order=order), MU, bc=bc,
-            interface=InterfaceSpec("bottom", "velocity"),
+            interface="bottom",
             null_mean_pressure=True,
         )
         perm = system.factor_order

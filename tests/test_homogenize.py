@@ -16,9 +16,9 @@ from stokesdarcy.homogenize import (
     solve_cell_problem,
 )
 from stokesdarcy.linalg import BACKWARD_ERROR_BOUND, factorize
-from stokesdarcy.mesh import RectDomain
+from stokesdarcy.mesh import ObstacleLattice, RectDomain
 from stokesdarcy.presets import CONFIGURATIONS
-from stokesdarcy.validate import reconstruct_porous_velocity
+from stokesdarcy.validate import ReconstructedVelocity
 
 #: Published layer depths (meters) per configuration and period.
 PUBLISHED_DELTA_STAR = [
@@ -210,7 +210,9 @@ class TestPeriodicCellModulation:
 
     def test_periodic_wrap(self, cell_small):
         ell = 0.25
-        recon = reconstruct_porous_velocity(cell_small, ell, self.BAND)
+        recon = ReconstructedVelocity(
+            cell_small, ObstacleLattice(ell, cell_small.s_hat, self.BAND)
+        )
         # Fluid points at (0.08, 0.52) and (0.68, 0.04) of their cells.
         base = np.array([[-0.48, -0.37], [-0.33, -0.49]])
         shifted = base + np.array([[2 * ell, ell]])
@@ -225,7 +227,9 @@ class TestPeriodicCellModulation:
 
     def test_zero_inside_obstacle_image(self, cell_small):
         ell = 0.25
-        recon = reconstruct_porous_velocity(cell_small, ell, self.BAND)
+        recon = ReconstructedVelocity(
+            cell_small, ObstacleLattice(ell, cell_small.s_hat, self.BAND)
+        )
         # Cell centers are obstacle interiors for a centered square.
         centers = np.array([[-0.375, -0.375], [-0.125, -0.125]])
         macro = self.first_cell_velocity(cell_small, len(centers))

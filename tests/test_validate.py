@@ -32,13 +32,13 @@ from stokesdarcy.mesh import (
 from stokesdarcy.presets import CONFIGURATIONS, PRESETS
 from stokesdarcy.validate import (
     ErrorReport,
+    ReconstructedVelocity,
     RegionSpec,
     SweepResult,
     compare_solutions,
     error_slopes,
     l2_error,
     l2_norm,
-    reconstruct_porous_velocity,
     region_quadrature,
     validation_regions,
 )
@@ -166,7 +166,9 @@ class TestReconstruction:
     def test_cell_average_identity(self, cell_small):
         """Averaging the reconstruction over one period returns the input."""
         ell = 0.25
-        recon = reconstruct_porous_velocity(cell_small, ell, BAND)
+        recon = ReconstructedVelocity(
+            cell_small, ObstacleLattice(ell, cell_small.s_hat, BAND)
+        )
         # Nested quadrature host: 20 elements per period nests the
         # 10-element cell mesh exactly.
         host = build_rect_mesh(BAND, ell / 20.0, order=1)
@@ -179,14 +181,12 @@ class TestReconstruction:
 
     def test_vanishes_on_obstacle_images(self, cell_small):
         ell = 0.25
-        recon = reconstruct_porous_velocity(cell_small, ell, BAND)
+        recon = ReconstructedVelocity(
+            cell_small, ObstacleLattice(ell, cell_small.s_hat, BAND)
+        )
         centers = np.array([[-0.375, -0.375], [0.125, -0.125]])
         macro = np.tile([1.0e-3, 5.0e-4], (len(centers), 1))
         np.testing.assert_allclose(recon.modulate(centers, macro), 0.0, atol=1e-15)
-
-    def test_untileable_band_raises(self, cell_small):
-        with pytest.raises(ValueError):
-            reconstruct_porous_velocity(cell_small, 0.3, BAND)
 
 
 class TestStudyHelpers:
@@ -247,7 +247,7 @@ def per_metric_errors(composite, dns, cell, delta, ell, preset):
     regions = validation_regions(preset, delta, ell)
     mesh = dns.mesh
     align = preset.pin_pressure
-    recon = reconstruct_porous_velocity(cell, ell, preset.porous_band)
+    recon = ReconstructedVelocity(cell, preset.lattice(ell, cell.s_hat))
 
     def velocity(points):
         return composite.evaluate(points)[0]
