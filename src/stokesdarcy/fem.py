@@ -12,7 +12,7 @@ equal-order pair stable without further tuning.
 Assembled problems are returned as :class:`SaddleSystem` objects that
 carry the raw operator, the constraint bookkeeping (exterior Dirichlet
 data and interface unknowns) and a cached factorization of the interior
-block.
+block; factoring drops the raw operator before SuperLU runs.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import Factorization, factorize
+from .linalg import Factorization, factorize, ordered_block
 from .mesh import StructuredMesh, nested_dissection_order
 
 #: Order in which boundary sides are processed; later entries win when a
@@ -337,14 +337,18 @@ class SaddleSystem:
 
     Attributes
     ----------
-    matrix : csc_matrix
+    matrix : csc_matrix or None
         Unconstrained operator over all degrees of freedom, in CSC form
-        so that the factor of the interior block gathers its columns
-        straight from it.  Assembly writes it directly in canonical form
-        (sorted, unique rows per column, no stored zero) with int32
-        indices.  It is the only matrix the system holds until
-        :attr:`interior_matrix` or :attr:`interface_matrix` is asked
-        for; :attr:`factor` gathers its own copy and keeps none.
+        so that the interior block is gathered column by column straight
+        from it.  Assembly writes it directly in canonical form (sorted,
+        unique rows per column, no stored zero) with int32 indices.
+        Solves read only two pieces of it: the interior block, gathered
+        in :attr:`factor_order`, and the interior rows of the
+        constrained (Dirichlet and interface) columns.  :attr:`factor`
+        sets ``matrix`` to None before SuperLU runs, so a factorization
+        holds only these pieces; :attr:`interior_matrix`,
+        :attr:`interface_matrix` and :attr:`interior_rhs` read the
+        pieces, before factoring and after.
     rhs : ndarray
         Unconstrained load vector (volume forces plus natural boundary
         data).
@@ -423,22 +427,43 @@ class SaddleSystem:
         return pos
 
     @cached_property
+    def _constrained_dofs(self) -> np.ndarray:
+        return np.flatnonzero(self.kind != KIND_INTERIOR)
+
+    @cached_property
+    def _pieces(self) -> tuple[sp.csc_matrix, sp.csc_matrix]:
+        """The interior block gathered in :attr:`factor_order`, and the
+        interior rows of the constrained columns, both from :attr:`matrix`."""
+        block = ordered_block(self.matrix, self.interior_dofs[self.factor_order])
+        coupling = self.matrix[:, self._constrained_dofs][self.interior_dofs]
+        return block, coupling
+
+    @cached_property
     def interior_matrix(self) -> sp.csr_matrix:
-        return self.matrix[self.interior_dofs][:, self.interior_dofs].tocsr()
+        block, _ = self._pieces
+        back = np.argsort(self.factor_order)
+        return block[back][:, back].tocsr()
 
     @cached_property
     def interface_matrix(self) -> sp.csr_matrix:
         """Coupling block mapping interface values into interior rows."""
-        return self.matrix[:, self.interface_dofs][self.interior_dofs].tocsr()
+        _, coupling = self._pieces
+        columns = np.searchsorted(self._constrained_dofs, self.interface_dofs)
+        return coupling[:, columns].tocsr()
 
     @cached_property
     def interior_rhs(self) -> np.ndarray:
         """Interior load including the exterior Dirichlet lift."""
         f = self.rhs[self.interior_dofs]
-        lift = np.zeros(self.n_dofs)
-        lift[self.dirichlet_dofs] = self.dirichlet_values[self.dirichlet_dofs]
+        _, coupling = self._pieces
+        constrained = self._constrained_dofs
+        lift = np.where(
+            self.kind[constrained] == KIND_DIRICHLET,
+            self.dirichlet_values[constrained],
+            0.0,
+        )
         if np.any(lift != 0.0):
-            f -= (self.matrix @ lift)[self.interior_dofs]
+            f -= coupling @ lift
         return f
 
     @cached_property
@@ -462,8 +487,9 @@ class SaddleSystem:
 
     @cached_property
     def factor(self) -> Factorization:
-        """Factor of the interior block, gathered from :attr:`matrix`."""
-        return factorize(self.matrix, self.interior_dofs[self.factor_order])
+        """Factor of the interior block; drops :attr:`matrix` first."""
+        block, _ = self._pieces
+        return _factor_without_matrix(self, block)
 
     def solve(self, g: np.ndarray | None = None, include_data: bool = True) -> np.ndarray:
         """Solve for the interior unknowns given interface values.
@@ -1204,9 +1230,9 @@ class CellSystem:
 
     Attributes
     ----------
-    matrix : csc_matrix
+    matrix : csc_matrix or None
         Constrained periodic operator (free reduced dofs plus the
-        pressure-mean multiplier).
+        pressure-mean multiplier); :attr:`factor` sets it to None.
     rhs : ndarray, shape (2, n_free)
         Matching right-hand sides, one row per forcing direction.
     factor_order : ndarray of int
@@ -1228,6 +1254,14 @@ class CellSystem:
     factor_order: np.ndarray
     expand: object
     mass_scalar: np.ndarray
+
+    @cached_property
+    def factor(self) -> Factorization:
+        """Factor of :attr:`matrix` in :attr:`factor_order`, gathered in
+        that order; drops :attr:`matrix` first."""
+        return _factor_without_matrix(
+            self, ordered_block(self.matrix, self.factor_order)
+        )
 
 
 def assemble_cell_problem(cell_mesh: StructuredMesh) -> CellSystem:
@@ -1310,6 +1344,17 @@ def assemble_cell_problem(cell_mesh: StructuredMesh) -> CellSystem:
         return np.column_stack([full[:n], full[n : 2 * n]])
 
     return CellSystem(k_free, f_free, order, expand, raw.mass_scalar)
+
+
+def _factor_without_matrix(system, block: sp.csc_matrix) -> Factorization:
+    """Factor ``block``, ``system.matrix`` gathered in
+    ``system.factor_order``, once ``system.matrix`` is dropped.
+
+    SuperLU factors the block in place, so its working arrays land in
+    the memory the assembled matrix held instead of on top of it.
+    """
+    system.matrix = None
+    return factorize(block, system.factor_order)
 
 
 def _periodic_masters(mesh: StructuredMesh) -> np.ndarray:

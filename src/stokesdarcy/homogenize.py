@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import Field, assemble_cell_problem
-from .linalg import factorize
 from .mesh import ObstacleLattice, RectDomain, build_perforated_mesh
 
 #: Quadratic fit of the dimensionless layer thickness against porosity.
@@ -174,7 +173,7 @@ def solve_cell_problem(
     mesh = build_perforated_mesh(cell, lattice, resolution, order=order)
 
     system = assemble_cell_problem(mesh)
-    factor = factorize(system.matrix, system.factor_order)
+    factor = system.factor
     mass = system.mass_scalar
     k_hat = np.zeros((2, 2))
     velocities = []

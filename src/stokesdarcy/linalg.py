@@ -2,8 +2,9 @@
 
 Subdomain solves reuse one LU factorization across many right-hand
 sides, so the direct path wraps SuperLU.  A factorization either keeps
-a given symmetric elimination order over a principal submatrix (the
-node-by-node nested-dissection order of the interior unknowns of a
+the symmetric elimination order of a principal submatrix that
+:func:`ordered_block` gathered in that order (the node-by-node
+nested-dissection order of the interior unknowns of a
 :class:`~stokesdarcy.fem.SaddleSystem`, or of the periodic
 :class:`~stokesdarcy.fem.CellSystem`), checked by the
 backward error of one solve with a warned fallback to COLAMD, or uses
@@ -70,14 +71,16 @@ class Factorization:
     Parameters
     ----------
     matrix : sparse matrix
-        Square system matrix.  A CSC matrix is read in place; any other
-        format is converted to CSC first.
-    order : ndarray of int, optional
-        Distinct indices of ``matrix``, in elimination order.  The
-        principal submatrix ``matrix[order][:, order]`` is factored
-        with this symmetric order.  Without it the whole matrix is
-        factored and SuperLU orders the columns by COLAMD with partial
-        pivoting.
+        Square system matrix.  With a ``rank`` it must be in CSC form:
+        it is the block to factor, already in elimination order (see
+        :func:`ordered_block`), and SuperLU reads it in place.  Without
+        one, any format is converted to CSC first.
+    rank : ndarray of int, optional
+        A permutation of ``range(n)``: entry ``i`` is the position, in
+        the vectors passed to :meth:`solve`, of the unknown of column
+        ``i`` of ``matrix``.  With it ``matrix`` is factored in its
+        natural order; without it SuperLU orders the columns by COLAMD
+        with partial pivoting.
 
     Attributes
     ----------
@@ -93,37 +96,33 @@ class Factorization:
 
     Notes
     -----
-    A given order is factored as one copy, ``A[p][:, p]``, gathered in
-    CSC form with 32-bit indices straight from the columns of
-    ``matrix``, a bounded chunk of columns at a time; a copy that
-    would need more than ``2**31 - 1`` entries raises ``ValueError``.
     The infinity norm of ``A`` that the backward error needs is taken
     before SuperLU runs, a bounded chunk of entries at a time.  So
-    while SuperLU factors, the arrays alive are those of ``matrix``,
-    of the copy (which SuperLU reads in place) and vectors of one
-    entry per unknown, and no matrix is kept once the constructor
-    returns: only the SuperLU factor and the order.
+    while SuperLU factors, the arrays alive here are those of
+    ``matrix`` and vectors of one entry per unknown, and no matrix is
+    kept once the constructor returns: only the SuperLU factor and the
+    rank.  Whatever else the caller holds stays alive too, which is
+    why a system drops its assembled matrix before it factors the
+    gathered block.
 
     The pivot threshold on the diagonal is :data:`DIAG_PIVOT_THRESH`, so
     the order is kept up to a row interchange or two (the pressure-mean
     multiplier has a zero diagonal).  Every interchange moves a row off
     its diagonal and adds fill; at 0.01 the unit-viscosity cell factor
     took 161-264 of them and up to 2.5 times the entries.  Such weak
-    pivoting is checked by one solve with the permuted copy, whose
-    infinity norms are those of ``A``: if its backward error exceeds
-    :data:`BACKWARD_ERROR_BOUND`, the same copy is refactored with
-    COLAMD and partial pivoting, and a :class:`RuntimeWarning` is
-    issued.
+    pivoting is checked by one solve with the block: if its backward
+    error exceeds :data:`BACKWARD_ERROR_BOUND`, the same block is
+    refactored with COLAMD and partial pivoting, and a
+    :class:`RuntimeWarning` is issued.
     """
 
-    def __init__(self, matrix, order=None):
+    def __init__(self, matrix, rank=None):
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"matrix must be square, got {matrix.shape}")
-        matrix = sp.csc_matrix(matrix)
-        if order is None:
-            a, self._perm = matrix, None
+        if rank is None:
+            a, self._perm = sp.csc_matrix(matrix), None
         else:
-            a, self._perm = _principal_csc(matrix, np.asarray(order))
+            a, self._perm = matrix, _checked_rank(rank, matrix.shape[0])
         # Free a CSC copy of a matrix given in another format before
         # SuperLU runs.
         del matrix
@@ -161,8 +160,8 @@ class Factorization:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``A x = b`` for one right-hand side.
 
-        With an ``order``, ``b`` and ``x`` run over the ordered indices
-        in ascending order.
+        With a ``rank``, ``b`` and ``x`` run over the positions the
+        rank names, not over the columns of the factored block.
         """
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.shape[0]:
@@ -193,22 +192,34 @@ class Factorization:
         }
 
 
-#: Columns gathered per pass of :func:`_principal_csc` and entries
+def _checked_rank(rank, n: int) -> np.ndarray:
+    rank = np.asarray(rank)
+    seen = np.zeros(n, dtype=bool)
+    if rank.shape == (n,) and (n == 0 or (rank.min() >= 0 and rank.max() < n)):
+        seen[rank] = True
+    if not seen.all():
+        raise ValueError(f"rank must be a permutation of range({n})")
+    return rank
+
+
+#: Columns gathered per pass of :func:`ordered_block` and entries
 #: summed per pass of :func:`_row_sum_norm`; they bound the temporaries
 #: of both to a few megabytes.
 _CHUNK_COLUMNS = 1 << 11
 _CHUNK_ENTRIES = 1 << 18
 
 
-def _principal_csc(matrix: sp.csc_matrix, order: np.ndarray):
+def ordered_block(matrix: sp.csc_matrix, order: np.ndarray) -> sp.csc_matrix:
     """``matrix[order][:, order]`` in CSC form with 32-bit indices.
 
-    The columns are gathered a chunk at a time into arrays sized for
-    all entries of the selected columns, so no temporary spans the
-    whole matrix.  Returns the submatrix and, for each of its columns,
-    the rank of its index among the sorted ``order``: the position in
-    the caller's vectors, which run over the ordered indices in
-    ascending order.
+    Row and column ``i`` of the block stand for index ``order[i]`` of
+    ``matrix``, so the block factored in its natural order is
+    eliminated in ``order``.  The columns are gathered a chunk at a
+    time into arrays sized for all entries of the selected columns,
+    which are then cut in place to the entries kept, so no temporary
+    spans the whole matrix and nothing beyond the block's own entries
+    stays allocated.  A block that would need more than ``2**31 - 1``
+    entries raises ``ValueError``.
     """
     n = matrix.shape[0]
     if order.ndim != 1 or (order.size and (order.min() < 0 or order.max() >= n)):
@@ -242,9 +253,10 @@ def _principal_csc(matrix: sp.csc_matrix, order: np.ndarray):
         data[nnz:end] = matrix.data[src[keep]]
         indices[nnz:end] = rows[keep]
         nnz = end
-    sub = sp.csc_matrix((data[:nnz], indices[:nnz], indptr), shape=(m, m))
-    rank = np.cumsum(position >= 0) - 1
-    return sub, rank[order]
+    # No view of either array is left, so they can shrink in place.
+    data.resize(nnz, refcheck=False)
+    indices.resize(nnz, refcheck=False)
+    return sp.csc_matrix((data, indices, indptr), shape=(m, m))
 
 
 def _row_sum_norm(a: sp.csc_matrix) -> float:
@@ -260,16 +272,17 @@ def _row_sum_norm(a: sp.csc_matrix) -> float:
     return float(sums.max(initial=0.0))
 
 
-def factorize(matrix, order=None) -> Factorization:
+def factorize(matrix, rank=None) -> Factorization:
     """Factorize a sparse square matrix for repeated solves.
 
     Parameters
     ----------
     matrix : sparse matrix
-        Square system matrix.
-    order : ndarray of int, optional
-        Distinct indices in elimination order; the principal submatrix
-        over them is factored.  See :class:`Factorization`.
+        Square system matrix; with a ``rank``, the CSC block to factor
+        in its natural order.
+    rank : ndarray of int, optional
+        Position of each column's unknown in the vectors passed to
+        ``solve``.  See :class:`Factorization`.
 
     Returns
     -------
@@ -284,13 +297,13 @@ def factorize(matrix, order=None) -> Factorization:
         runs out of memory (the message names the number of unknowns).
     """
     try:
-        return Factorization(matrix, order)
+        return Factorization(matrix, rank)
     except RuntimeError as exc:
         raise RuntimeError(f"sparse factorization failed: {exc}") from exc
     except MemoryError as exc:
-        n = matrix.shape[0] if order is None else len(order)
         raise RuntimeError(
-            f"sparse factorization of {n} unknowns ran out of memory ({exc})"
+            f"sparse factorization of {matrix.shape[0]} unknowns ran out of "
+            f"memory ({exc})"
         ) from exc
 
 

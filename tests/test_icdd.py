@@ -10,6 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stokesdarcy import fem
 from stokesdarcy.fem import FemConfig
 from stokesdarcy.icdd import (
     IcddGeometry,
@@ -29,10 +30,14 @@ from stokesdarcy.presets import PRESETS
 COARSE = dict(delta=0.036, hx=0.1)
 
 
-@pytest.fixture(scope="module")
-def problem():
+def coarse_problem():
     physics = IcddPhysics(preset=PRESETS[1], permeability=7.231e-6)
     return assemble_problem(FemConfig(order=1), IcddGeometry(**COARSE), physics)
+
+
+@pytest.fixture(scope="module")
+def problem():
+    return coarse_problem()
 
 
 def scaled(problem, lam):
@@ -45,6 +50,14 @@ def scaled(problem, lam):
         system.__dict__.pop("interior_rhs", None)
         setattr(out, name, system)
     return out
+
+
+def bits(value) -> tuple:
+    """The format, shape, dtypes and bytes of a dense or sparse array."""
+    if sp.issparse(value):
+        parts = (value.indptr, value.indices, value.data)
+        return (value.format, value.shape, *((a.dtype, a.tobytes()) for a in parts))
+    return (value.dtype, value.shape, value.tobytes())
 
 
 def dense_schur(problem):
@@ -136,6 +149,45 @@ class TestSubdomainFactors:
         x_ref = factorize(system.interior_matrix).solve(b)
         assert np.abs(factor.solve(b) - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
 
+    def test_one_factorize_per_system(self, monkeypatch):
+        shapes = []
+        real = fem.factorize
+
+        def counting(block, rank):
+            shapes.append(block.shape[0])
+            return real(block, rank)
+
+        monkeypatch.setattr(fem, "factorize", counting)
+        fresh = coarse_problem()
+        icdd_solve(fresh, KrylovConfig(tol=1e-10))
+        assert shapes == [s.interior_dofs.size for s in (fresh.stokes, fresh.darcy)]
+
+    @pytest.mark.parametrize("name", ["stokes", "darcy"])
+    def test_pieces_read_alike_before_and_after_factoring(self, name):
+        system = getattr(coarse_problem(), name)
+        matrix, inner = system.matrix, system.interior_dofs
+        lift = np.zeros(system.n_dofs)
+        lift[system.dirichlet_dofs] = system.dirichlet_values[system.dirichlet_dofs]
+        # What the accessors read off the assembled matrix.
+        expected = {
+            "interior_matrix": matrix[inner][:, inner].tocsr(),
+            "interface_matrix": matrix[:, system.interface_dofs][inner].tocsr(),
+            "interior_rhs": system.rhs[inner] - (matrix @ lift)[inner],
+        }
+        early = copy.copy(system)
+        system.factor
+        assert system.matrix is None and early.matrix is matrix
+        for key, value in expected.items():
+            assert bits(getattr(early, key)) == bits(value), key
+            assert bits(getattr(system, key)) == bits(value), key
+        # A copy with scaled data recomputes its load from the pieces.
+        copied = copy.copy(system)
+        copied.rhs = 3.0 * system.rhs
+        copied.dirichlet_values = 3.0 * system.dirichlet_values
+        copied.__dict__.pop("interior_rhs")
+        assert bits(copied.interior_rhs) == bits(
+            copied.rhs[inner] - (matrix @ (3.0 * lift))[inner]
+        )
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_factor_order_unchanged_by_weights(self, order):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import tracemalloc
 import warnings
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,10 +14,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokesdarcy import homogenize, linalg
+from stokesdarcy import dns, fem, homogenize, icdd, linalg
 from stokesdarcy.dns import DnsResolution, solve_dns
 from stokesdarcy.fem import FemConfig
-from stokesdarcy.icdd import IcddGeometry, IcddPhysics, assemble_problem
+from stokesdarcy.icdd import IcddGeometry, IcddPhysics, assemble_problem, icdd_solve
 from stokesdarcy.linalg import (
     KrylovConfig,
     Factorization,
@@ -32,6 +33,18 @@ def _random_system(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     a = rng.standard_normal((n, n)) + n * np.eye(n)
     b = rng.standard_normal(n)
     return a, b
+
+
+def _ordered(a: np.ndarray, order) -> tuple[sp.csc_matrix, np.ndarray]:
+    """Block of ``a`` over ``order`` in that order, and the rank of each
+    of its columns among the sorted ``order``."""
+    order = np.asarray(order)
+    rank = np.searchsorted(np.sort(order), order)
+    return linalg.ordered_block(sp.csc_matrix(a), order), rank
+
+
+def _nbytes(matrix) -> int:
+    return matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
 
 
 class TestKrylovConfig:
@@ -78,14 +91,17 @@ class TestOrderedFactorization:
         monkeypatch.setattr(linalg, "BACKWARD_ERROR_BOUND", 0.0)
         a, b = _random_system(30, 5)
         with pytest.warns(RuntimeWarning, match="COLAMD"):
-            factor = factorize(sp.csr_matrix(a), order=np.arange(30)[::-1])
+            factor = factorize(*_ordered(a, np.arange(30)[::-1]))
         assert factor.ordering == "colamd"
         np.testing.assert_allclose(factor.solve(b), np.linalg.solve(a, b), rtol=1e-9)
 
     def test_order_must_be_permutation(self):
         a, _ = _random_system(5, 1)
+        repeated = np.array([0, 1, 2, 3, 3])
         with pytest.raises(ValueError, match="permutation"):
-            factorize(sp.csr_matrix(a), order=np.array([0, 1, 2, 3, 3]))
+            linalg.ordered_block(sp.csc_matrix(a), repeated)
+        with pytest.raises(ValueError, match="permutation"):
+            factorize(sp.csc_matrix(a), repeated)
 
     @pytest.mark.parametrize("bound", [linalg.BACKWARD_ERROR_BOUND, 0.0])
     def test_principal_submatrix(self, monkeypatch, bound):
@@ -99,7 +115,7 @@ class TestOrderedFactorization:
         b = np.random.default_rng(8).standard_normal(order.size)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            factor = factorize(sp.csc_matrix(a), order=order)
+            factor = factorize(*_ordered(a, order))
         assert factor.ordering == ("colamd" if bound == 0.0 else "nested-dissection")
         assert factor.shape == (order.size, order.size)
         np.testing.assert_allclose(
@@ -119,7 +135,7 @@ class TestOrderedFactorization:
         # the largest entry in its column; below that, its row and the
         # largest entry's row trade places.
         a = sp.csc_matrix([[diagonal, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
-        health = factorize(a, order=np.arange(3)).health()
+        health = factorize(a, np.arange(3)).health()
         assert health["row_interchanges"] == interchanges
         assert health["ordering"] == "nested-dissection"
 
@@ -127,7 +143,7 @@ class TestOrderedFactorization:
     def test_order_out_of_range_raises(self, order):
         a, _ = _random_system(5, 1)
         with pytest.raises(ValueError, match="indices"):
-            factorize(sp.csc_matrix(a), order=np.array(order))
+            linalg.ordered_block(sp.csc_matrix(a), np.array(order))
 
     def test_out_of_memory_names_unknowns(self, monkeypatch):
         def exhausted(*args, **kwargs):
@@ -136,12 +152,24 @@ class TestOrderedFactorization:
         monkeypatch.setattr(linalg.spla, "splu", exhausted)
         a, _ = _random_system(6, 2)
         with pytest.raises(RuntimeError, match="4 unknowns ran out of memory"):
-            factorize(sp.csc_matrix(a), order=np.array([0, 2, 4, 5]))
+            factorize(*_ordered(a, [0, 2, 4, 5]))
+
+    def test_block_holds_only_its_entries(self):
+        # Most entries are kept, as in a system's interior block, so a
+        # view of the first ones would not be copied by scipy.
+        a, _ = _random_system(40, 7)
+        a[np.abs(a) < 1.0] = 0.0
+        order = np.random.default_rng(3).permutation(40)[:36]
+        block, _ = _ordered(a, order)
+        np.testing.assert_array_equal(block.toarray(), a[np.ix_(order, order)])
+        for array in (block.data, block.indices):
+            assert array.size == block.nnz
+            assert array.base is None or array.base.size == block.nnz
 
 
 class TestFactorCopies:
     """While SuperLU factors, its argument is the only sparse matrix of
-    the factored size, apart from the system's own matrix."""
+    the factored size, and the system's assembled matrix is gone."""
 
     @staticmethod
     def watch(monkeypatch):
@@ -205,31 +233,104 @@ class TestFactorCopies:
             factors.append(factorize(*args))
             return factors[-1]
 
-        monkeypatch.setattr(homogenize, "factorize", recording_factorize)
+        monkeypatch.setattr(fem, "factorize", recording_factorize)
         homogenize.solve_cell_problem(0.6, resolution=10)
         (system,) = systems
-        assert calls == [{id(system.matrix)}]
+        assert system.matrix is None
+        assert calls == [set()]
         assert self.holds_no_matrix(factors[0])
 
+    @pytest.mark.parametrize("case", ["dns", "subdomains", "cell"])
+    def test_assembled_matrix_gone_when_splu_runs(self, monkeypatch, case):
+        # Per splu call, the assemblers whose matrix is no longer alive
+        # (no garbage collection is forced).
+        refs, dead = {}, []
 
-def test_factorization_peak_memory(assemble_dns_q2):
-    """Above its level on entry, the numpy memory that factorizing the
-    pore-scale system of ``configs/dns.ini`` holds at its peak (the
-    permuted copy and the temporaries that build and check it; SuperLU's
-    own arrays are not numpy's) stays within 1.5 times the bytes of the
-    system's matrix."""
-    system = assemble_dns_q2()
-    order = system.interior_dofs[system.factor_order]
+        def record(module, name):
+            inner = getattr(module, name)
+
+            def recording(*args, **kwargs):
+                system = inner(*args, **kwargs)
+                refs[name] = weakref.ref(system.matrix)
+                return system
+
+            monkeypatch.setattr(module, name, recording)
+
+        real = linalg.spla.splu
+
+        def splu(a, *args, **kwargs):
+            dead.append(sorted(name for name, ref in refs.items() if ref() is None))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg.spla, "splu", splu)
+        preset = PRESETS[1]
+        if case == "dns":
+            record(dns, "assemble_stokes")
+            solve_dns(
+                preset, preset.lattice(0.25, 0.6), DnsResolution(n_per_cell=5, order=2)
+            )
+            assert dead == [["assemble_stokes"]]
+        elif case == "subdomains":
+            record(icdd, "assemble_stokes")
+            record(icdd, "assemble_darcy")
+            problem = assemble_problem(
+                FemConfig(order=2),
+                IcddGeometry(delta=0.036, hx=0.1),
+                IcddPhysics(preset=preset, permeability=7.231e-6),
+            )
+            icdd_solve(problem, KrylovConfig())
+            # The Stokes subdomain is factored first.
+            assert dead == [
+                ["assemble_stokes"],
+                ["assemble_darcy", "assemble_stokes"],
+            ]
+        else:
+            # The cell's periodic operator and the Stokes system it is
+            # folded from.
+            record(fem, "assemble_stokes")
+            record(homogenize, "assemble_cell_problem")
+            homogenize.solve_cell_problem(0.6, resolution=10)
+            assert dead == [["assemble_cell_problem", "assemble_stokes"]]
+
+
+#: Numpy memory allowed per unknown, beyond the pieces, when SuperLU
+#: starts: eight vectors of 8-byte entries (the interior dofs, the
+#: factor order, the interior positions, the rank check and the like).
+PEAK_SLACK_PER_UNKNOWN = 64
+
+
+def test_factorization_peak_memory(monkeypatch, assemble_dns_q2):
+    """When SuperLU starts on the freshly assembled pore-scale system of
+    ``configs/dns.ini``, the traced numpy memory is at most its level
+    with the assembled system, less the assembled matrix, plus the
+    gathered interior block and the constrained coupling, plus
+    :data:`PEAK_SLACK_PER_UNKNOWN` bytes per unknown.  (SuperLU's own
+    arrays are not numpy's, so they are not traced.)"""
+    at_splu = []
+    real = linalg.spla.splu
+
+    def splu(a, *args, **kwargs):
+        at_splu.append(tracemalloc.get_traced_memory()[0])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg.spla, "splu", splu)
     tracemalloc.start()
     try:
+        system = assemble_dns_q2()
         entry = tracemalloc.get_traced_memory()[0]
-        factorize(system.matrix, order)
-        peak = tracemalloc.get_traced_memory()[1] - entry
+        matrix_bytes = _nbytes(system.matrix)
+        system.factor
     finally:
         tracemalloc.stop()
-    matrix = system.matrix
-    size = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
-    assert peak <= 1.5 * size, f"peak {peak / size:.2f} times the matrix"
+    block, coupling = system._pieces
+    bound = (
+        entry
+        - matrix_bytes
+        + _nbytes(block)
+        + _nbytes(coupling)
+        + PEAK_SLACK_PER_UNKNOWN * system.n_dofs
+    )
+    assert at_splu[0] <= bound, f"{(at_splu[0] - bound) / 2**20:.1f} MB over"
 
 
 def test_factored_copy_beyond_32_bits_raises():
@@ -237,7 +338,7 @@ def test_factored_copy_beyond_32_bits_raises():
         shape=(3, 3), indptr=np.array([0, 2**30, 2**31, 2**31 + 5], dtype=np.int64)
     )
     with pytest.raises(ValueError, match="exceeds 32-bit indices"):
-        linalg._principal_csc(huge, np.arange(3))
+        linalg.ordered_block(huge, np.arange(3))
 
 
 class TestBicgstab:
