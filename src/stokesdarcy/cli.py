@@ -339,13 +339,16 @@ def run(command: str, config: RunConfig, out_dir: Path, threads: int) -> None:
     ------
     CliError
         For any ``ValueError`` or ``RuntimeError`` of the command (bad
-        settings, unaligned geometry, a solver that fails).
+        settings, unaligned geometry, a solver that fails), and for a
+        ``MemoryError`` (an allocation that cannot be made).
     """
     pools: list = []
     try:
         result = COMMANDS[command](config, _mapper(threads, pools))
     except (ValueError, RuntimeError) as err:
         raise CliError(str(err)) from err
+    except MemoryError as err:
+        raise CliError(f"{command} ran out of memory ({err})") from err
     finally:
         for pool in pools:
             pool.shutdown()

@@ -11,8 +11,9 @@ equal-order pair stable without further tuning.
 
 Assembled problems are returned as :class:`SaddleSystem` objects that
 carry the raw operator, the constraint bookkeeping (exterior Dirichlet
-data and interface unknowns) and a cached factorization of the interior
-block; factoring drops the raw operator before SuperLU runs.
+data and interface unknowns, the interior unknowns kept in elimination
+order) and a cached factorization of the interior block; factoring
+drops the raw operator before SuperLU runs.
 """
 
 from __future__ import annotations
@@ -331,9 +332,10 @@ class SaddleSystem:
     Degrees of freedom are stored field-major: ``u_x`` at ``node``,
     ``u_y`` at ``n + node``, ``p`` at ``2 n + node`` with ``n`` the node
     count, plus one trailing Lagrange-multiplier unknown when a zero
-    pressure mean is enforced.  The factorization of the interior block
-    is node-major instead: it eliminates the unknowns in
-    :attr:`factor_order`, node by node in nested-dissection order.
+    pressure mean is enforced.  The interior unknowns are node-major
+    instead: :attr:`interior_dofs` lists them in elimination order, node
+    by node in nested-dissection order, so the interior block is
+    factored in its natural order.
 
     Attributes
     ----------
@@ -343,7 +345,7 @@ class SaddleSystem:
         from it.  Assembly writes it directly in canonical form (sorted,
         unique rows per column, no stored zero) with int32 indices.
         Solves read only two pieces of it: the interior block, gathered
-        in :attr:`factor_order`, and the interior rows of the
+        in :attr:`interior_dofs` order, and the interior rows of the
         constrained (Dirichlet and interface) columns.  :attr:`factor`
         sets ``matrix`` to None before SuperLU runs, so a factorization
         holds only these pieces; :attr:`interior_matrix`,
@@ -407,7 +409,21 @@ class SaddleSystem:
 
     @cached_property
     def interior_dofs(self) -> np.ndarray:
-        return np.flatnonzero(self.kind == KIND_INTERIOR)
+        """Interior dofs in elimination order, node-major.
+
+        Nodes follow :func:`~stokesdarcy.mesh.nested_dissection_order`,
+        weighted by their interior unknowns, so separators cross the
+        obstacles of a perforated mesh rather than its fluid gaps; each
+        node contributes its interior ``u_x``, ``u_y`` and ``p`` in that
+        order, and the pressure-mean multiplier comes last.
+        """
+        n = self.n_nodes
+        interior = self.kind == KIND_INTERIOR
+        nodes = nested_dissection_order(
+            self.mesh.nnx, self.mesh.nny, self.mesh.order,
+            weights=interior[: 3 * n].reshape(3, n).sum(axis=0),
+        )
+        return _node_major(nodes, n, interior)
 
     @cached_property
     def dirichlet_dofs(self) -> np.ndarray:
@@ -432,17 +448,15 @@ class SaddleSystem:
 
     @cached_property
     def _pieces(self) -> tuple[sp.csc_matrix, sp.csc_matrix]:
-        """The interior block gathered in :attr:`factor_order`, and the
-        interior rows of the constrained columns, both from :attr:`matrix`."""
-        block = ordered_block(self.matrix, self.interior_dofs[self.factor_order])
+        """The interior block and the interior rows of the constrained
+        columns, both from :attr:`matrix` in :attr:`interior_dofs` order."""
+        block = ordered_block(self.matrix, self.interior_dofs)
         coupling = self.matrix[:, self._constrained_dofs][self.interior_dofs]
         return block, coupling
 
     @cached_property
     def interior_matrix(self) -> sp.csr_matrix:
-        block, _ = self._pieces
-        back = np.argsort(self.factor_order)
-        return block[back][:, back].tocsr()
+        return self._pieces[0].tocsr()
 
     @cached_property
     def interface_matrix(self) -> sp.csr_matrix:
@@ -467,29 +481,12 @@ class SaddleSystem:
         return f
 
     @cached_property
-    def factor_order(self) -> np.ndarray:
-        """Node-major elimination order of the interior unknowns.
-
-        Nodes follow :func:`~stokesdarcy.mesh.nested_dissection_order`,
-        weighted by their interior unknowns, so separators cross the
-        obstacles of a perforated mesh rather than its fluid gaps; each
-        node contributes its interior ``u_x``, ``u_y`` and ``p`` in that
-        order, and the pressure-mean multiplier comes last.  Entries are
-        positions in the interior vector.
-        """
-        n = self.n_nodes
-        nodal = self.interior_dofs[self.interior_dofs < 3 * n]
-        nodes = nested_dissection_order(
-            self.mesh.nnx, self.mesh.nny, self.mesh.order,
-            weights=np.bincount(nodal % n, minlength=n),
-        )
-        return _node_major(nodes, n, self._interior_position)
-
-    @cached_property
     def factor(self) -> Factorization:
-        """Factor of the interior block; drops :attr:`matrix` first."""
+        """Factor of the interior block.  It drops :attr:`matrix` first,
+        so SuperLU works in the memory the assembled matrix held."""
         block, _ = self._pieces
-        return _factor_without_matrix(self, block)
+        self.matrix = None
+        return factorize(block)
 
     def solve(self, g: np.ndarray | None = None, include_data: bool = True) -> np.ndarray:
         """Solve for the interior unknowns given interface values.
@@ -560,20 +557,18 @@ class SaddleSystem:
         return Field(self.mesh, solution[2 * n : 3 * n])
 
 
-def _node_major(nodes: np.ndarray, n: int, position: np.ndarray) -> np.ndarray:
-    """Node-major elimination order of a constrained field-major vector.
+def _node_major(nodes: np.ndarray, n: int, keep: np.ndarray) -> np.ndarray:
+    """Field-major dofs that ``keep`` marks, in node-major order.
 
-    ``position`` maps each field-major dof (``u_x``, ``u_y``, ``p`` at
-    offsets 0, ``n``, ``2 n``, then an optional multiplier at ``3 n``)
-    to its place in the constrained vector, or -1 if it is not there.
-    Each of ``nodes`` contributes its ``u_x``, ``u_y`` and ``p`` in turn,
-    and the multiplier comes last.
+    The dofs are ``u_x``, ``u_y`` and ``p`` at offsets 0, ``n`` and
+    ``2 n``, then an optional multiplier at ``3 n``.  Each of ``nodes``
+    contributes its ``u_x``, ``u_y`` and ``p`` in turn, and the
+    multiplier comes last.
     """
     dofs = (nodes[:, None] + n * np.arange(3)).ravel()
-    if position.size > 3 * n:
+    if keep.size > 3 * n:
         dofs = np.append(dofs, 3 * n)
-    pos = position[dofs]
-    return pos[pos >= 0]
+    return dofs[keep[dofs]]
 
 
 def nodal_rows(parts) -> list[tuple]:
@@ -1231,17 +1226,15 @@ class CellSystem:
     Attributes
     ----------
     matrix : csc_matrix or None
-        Constrained periodic operator (free reduced dofs plus the
-        pressure-mean multiplier); :attr:`factor` sets it to None.
+        Constrained periodic operator over the free reduced dofs, in
+        elimination order: node-major over the periodic master nodes in
+        nested-dissection order, weighted by their free unknowns, with
+        those on the seam (the first node row and column, identified
+        with the opposite edges) last, each contributing its free
+        ``u_x``, ``u_y`` and ``p``, then the pressure-mean multiplier.
+        :attr:`factor` sets it to None.
     rhs : ndarray, shape (2, n_free)
         Matching right-hand sides, one row per forcing direction.
-    factor_order : ndarray of int
-        Node-major elimination order of the free reduced dofs: the
-        periodic master nodes in nested-dissection order, weighted by
-        their free unknowns, with those on the seam (the first node row
-        and column, identified with the opposite edges) last, each
-        contributing its free ``u_x``, ``u_y`` and ``p``, then the
-        pressure-mean multiplier.
     expand : callable
         Maps the constrained solution back to the full nodal velocity
         ``u`` of shape ``(n, 2)`` on the cell mesh.
@@ -1251,17 +1244,15 @@ class CellSystem:
 
     matrix: sp.csc_matrix
     rhs: np.ndarray
-    factor_order: np.ndarray
     expand: object
     mass_scalar: np.ndarray
 
     @cached_property
     def factor(self) -> Factorization:
-        """Factor of :attr:`matrix` in :attr:`factor_order`, gathered in
-        that order; drops :attr:`matrix` first."""
-        return _factor_without_matrix(
-            self, ordered_block(self.matrix, self.factor_order)
-        )
+        """Factor of :attr:`matrix` in its own order.  It sets
+        ``matrix`` to None, so the block is freed once factored."""
+        block, self.matrix = self.matrix, None
+        return factorize(block)
 
 
 def assemble_cell_problem(cell_mesh: StructuredMesh) -> CellSystem:
@@ -1307,35 +1298,32 @@ def assemble_cell_problem(cell_mesh: StructuredMesh) -> CellSystem:
     fold = sp.coo_matrix(
         (np.ones(n_dofs), (rows, cols)), shape=(n_dofs, 3 * m + 1)
     ).tocsr()
-    k_red = (fold.T @ raw.matrix @ fold).tocsr()
+    k_red = (fold.T @ raw.matrix @ fold).tocsc()
     f_red = [
         fold.T @ np.append(_force_load(batch, 1.0, force), 0.0)
         for force in ((1.0, 0.0), (0.0, 1.0))
     ]
 
-    # Free reduced dofs: those the system leaves interior at the masters
-    # (no slip on the obstacle, dead nodes fixed), and the multiplier.
-    free = np.flatnonzero(
-        raw.kind[np.concatenate([masters, masters + n, masters + 2 * n, [3 * n]])]
-        == KIND_INTERIOR
-    )
-    k_free = k_red[free][:, free].tocsc()
-    f_free = np.stack([f[free] for f in f_red])
-
-    # Node-major nested-dissection order over the masters, weighted by
+    # Free reduced dofs (those the system leaves interior at the masters:
+    # no slip on the obstacle, dead nodes fixed, and the multiplier) in
+    # node-major nested-dissection order over the masters, weighted by
     # their free unknowns.  The seam masters (first node row and column)
     # also couple to the opposite edges they stand for, so they go last,
     # as a top-level separator.
+    is_free = (
+        raw.kind[np.concatenate([masters, masters + n, masters + 2 * n, [3 * n]])]
+        == KIND_INTERIOR
+    )
+    weights = np.zeros(n, dtype=int)
+    weights[masters] = is_free[: 3 * m].reshape(3, m).sum(axis=0)
     nodes = nested_dissection_order(
-        cell_mesh.nnx, cell_mesh.nny, cell_mesh.order,
-        weights=np.bincount(masters[free[free < 3 * m] % m], minlength=n),
+        cell_mesh.nnx, cell_mesh.nny, cell_mesh.order, weights=weights
     )
     nodes = nodes[master[nodes] == nodes]
     seam = (nodes % cell_mesh.nnx == 0) | (nodes < cell_mesh.nnx)
     nodes = reduced_id[np.concatenate([nodes[~seam], nodes[seam]])]
-    position = np.full(3 * m + 1, -1)
-    position[free] = np.arange(free.size)
-    order = _node_major(nodes, m, position)
+    free = _node_major(nodes, m, is_free)
+    f_free = np.stack([f[free] for f in f_red])
 
     def expand(x_free: np.ndarray) -> np.ndarray:
         x_red = np.zeros(3 * m + 1)
@@ -1343,18 +1331,7 @@ def assemble_cell_problem(cell_mesh: StructuredMesh) -> CellSystem:
         full = fold @ x_red
         return np.column_stack([full[:n], full[n : 2 * n]])
 
-    return CellSystem(k_free, f_free, order, expand, raw.mass_scalar)
-
-
-def _factor_without_matrix(system, block: sp.csc_matrix) -> Factorization:
-    """Factor ``block``, ``system.matrix`` gathered in
-    ``system.factor_order``, once ``system.matrix`` is dropped.
-
-    SuperLU factors the block in place, so its working arrays land in
-    the memory the assembled matrix held instead of on top of it.
-    """
-    system.matrix = None
-    return factorize(block, system.factor_order)
+    return CellSystem(ordered_block(k_red, free), f_free, expand, raw.mass_scalar)
 
 
 def _periodic_masters(mesh: StructuredMesh) -> np.ndarray:

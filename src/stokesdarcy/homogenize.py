@@ -6,10 +6,11 @@ forcing in each coordinate direction, periodic boundary conditions on
 the outer edges and no slip on the obstacle.  Integrating the resulting
 velocity fields over the cell yields the dimensionless permeability
 tensor; multiplying by the squared period gives the dimensional one.
-Both directions share one sparse LU factor of the periodic operator,
-computed in the cell system's node-by-node nested-dissection order
-with the periodic seam last (see :class:`~stokesdarcy.fem.CellSystem`),
-its backward error checked like every subdomain factor.
+Both directions share one sparse LU factor of the periodic operator.
+The cell system keeps its free unknowns in elimination order, node by
+node in nested-dissection order with the periodic seam last (see
+:class:`~stokesdarcy.fem.CellSystem`), so the operator is factored in
+its own order, its backward error checked like every subdomain factor.
 
 The near-interface layer thickness used to place the overlapping
 subdomain boundary follows a quadratic fit in the porosity, scaled by
@@ -129,10 +130,10 @@ def solve_cell_problem(
     """Solve both unit-cell direction problems for a square obstacle.
 
     The two directions differ only in their forcing, so one assembly
-    and one LU factor serve both.  The factor is computed in the
-    system's ``factor_order`` (nested dissection over the periodic
-    master nodes, weighted by their free unknowns, the seam last) with
-    the diagonal pivot threshold
+    and one LU factor serve both.  The system's operator is factored
+    in the order of its free unknowns (nested dissection over the
+    periodic master nodes, weighted by their free unknowns, the seam
+    last) with the diagonal pivot threshold
     :data:`~stokesdarcy.linalg.DIAG_PIVOT_THRESH`.  Although the cell
     is solved at unit viscosity, that threshold keeps every row but the
     pressure-mean multiplier's pair on the diagonal up to resolution 80.

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .fem import (
     KIND_INTERIOR,
@@ -35,7 +36,7 @@ from .fem import (
     eval_fields,
     nodal_rows,
 )
-from .linalg import KrylovConfig, bicgstab, factorize
+from .linalg import KrylovConfig, bicgstab
 from .mesh import StructuredMesh, overlap_line_set
 from .presets import POROUS_DEPTH, TestCasePreset
 
@@ -485,8 +486,9 @@ def monolithic_solve(problem: IcddProblem) -> IcddResult:
 
     Stacks both interior subdomain blocks with the interface controls
     and the cross-domain trace identities into a single sparse system
-    and solves it directly.  Serves as an independent reference for the
-    interface-driven path.
+    and solves it directly with SuperLU in COLAMD order, without
+    :func:`~stokesdarcy.linalg.factorize`.  Serves as an independent
+    reference for the interface-driven path.
 
     Returns
     -------
@@ -530,7 +532,7 @@ def monolithic_solve(problem: IcddProblem) -> IcddResult:
     rhs = np.concatenate(
         [stokes.interior_rhs, darcy.interior_rhs, np.zeros(ngf + ngp)]
     )
-    sol = factorize(system).solve(rhs)
+    sol = spla.splu(system).solve(rhs)
     g = sol[nf + npp :]
     g_f, g_p = problem.split(g)
     x_f = stokes.full_vector(sol[:nf], g_f, include_data=True)

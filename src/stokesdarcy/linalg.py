@@ -1,14 +1,15 @@
 """Sparse direct factorization and a BiCGStab Krylov driver.
 
 Subdomain solves reuse one LU factorization across many right-hand
-sides, so the direct path wraps SuperLU.  A factorization either keeps
-the symmetric elimination order of a principal submatrix that
-:func:`ordered_block` gathered in that order (the node-by-node
-nested-dissection order of the interior unknowns of a
-:class:`~stokesdarcy.fem.SaddleSystem`, or of the periodic
-:class:`~stokesdarcy.fem.CellSystem`), checked by the
-backward error of one solve with a warned fallback to COLAMD, or uses
-COLAMD directly; it records its ``ordering`` and ``backward_error``.
+sides, so the direct path wraps SuperLU.  :func:`factorize` takes one
+kind of input: a CSC block whose unknowns are already in elimination
+order, as :func:`ordered_block` gathers it (every system here keeps its
+interior unknowns node by node in nested-dissection order; see
+:class:`~stokesdarcy.fem.SaddleSystem` and
+:class:`~stokesdarcy.fem.CellSystem`).  The block is factored in that
+natural order, checked by the backward error of one solve, with a
+warned fallback to COLAMD; the factor records its ``ordering`` and
+``backward_error``.
 
 The interface system of the coupled solver is nonsymmetric and only
 available through matrix-vector applications, which is what the
@@ -66,44 +67,36 @@ DIAG_PIVOT_THRESH = 1e-3
 
 
 class Factorization:
-    """LU factorization of a sparse matrix with cached triangular solves.
+    """LU factorization of a sparse block with cached triangular solves.
 
     Parameters
     ----------
-    matrix : sparse matrix
-        Square system matrix.  With a ``rank`` it must be in CSC form:
-        it is the block to factor, already in elimination order (see
-        :func:`ordered_block`), and SuperLU reads it in place.  Without
-        one, any format is converted to CSC first.
-    rank : ndarray of int, optional
-        A permutation of ``range(n)``: entry ``i`` is the position, in
-        the vectors passed to :meth:`solve`, of the unknown of column
-        ``i`` of ``matrix``.  With it ``matrix`` is factored in its
-        natural order; without it SuperLU orders the columns by COLAMD
-        with partial pivoting.
+    block : csc_matrix
+        Square block to factor, its unknowns already in elimination
+        order (see :func:`ordered_block`).  SuperLU reads it in place.
 
     Attributes
     ----------
     shape : tuple of int
-        Shape of the factored matrix.
+        Shape of the factored block.
     ordering : str
-        ``"nested-dissection"`` if the given order was used, otherwise
-        ``"colamd"``.
+        ``"nested-dissection"`` if the block's own order was used,
+        ``"colamd"`` after the fallback.
     backward_error : float
         Normwise backward error ``|b - A x| / (|A| |x| + |b|)`` (infinity
         norms) of the solve of ``A x = b`` with ``b = A 1``, ``A`` the
-        factored matrix.
+        factored block.
 
     Notes
     -----
     The infinity norm of ``A`` that the backward error needs is taken
     before SuperLU runs, a bounded chunk of entries at a time.  So
     while SuperLU factors, the arrays alive here are those of
-    ``matrix`` and vectors of one entry per unknown, and no matrix is
-    kept once the constructor returns: only the SuperLU factor and the
-    rank.  Whatever else the caller holds stays alive too, which is
-    why a system drops its assembled matrix before it factors the
-    gathered block.
+    ``block`` and vectors of one entry per unknown, and no matrix is
+    kept once the constructor returns: only the SuperLU factor.
+    Whatever else the caller holds stays alive too, which is why a
+    system drops its assembled matrix before it factors the gathered
+    block.
 
     The pivot threshold on the diagonal is :data:`DIAG_PIVOT_THRESH`, so
     the order is kept up to a row interchange or two (the pressure-mean
@@ -116,40 +109,34 @@ class Factorization:
     :class:`RuntimeWarning` is issued.
     """
 
-    def __init__(self, matrix, rank=None):
-        if matrix.shape[0] != matrix.shape[1]:
-            raise ValueError(f"matrix must be square, got {matrix.shape}")
-        if rank is None:
-            a, self._perm = sp.csc_matrix(matrix), None
-        else:
-            a, self._perm = matrix, _checked_rank(rank, matrix.shape[0])
-        # Free a CSC copy of a matrix given in another format before
-        # SuperLU runs.
-        del matrix
-        self.shape = a.shape
-        norm_a = _row_sum_norm(a)
-        if self._perm is not None:
-            self._lu = spla.splu(
-                a,
-                permc_spec="NATURAL",
-                diag_pivot_thresh=DIAG_PIVOT_THRESH,
-                options={"SymmetricMode": True},
+    def __init__(self, block: sp.csc_matrix):
+        if block.format != "csc" or block.shape[0] != block.shape[1]:
+            raise ValueError(
+                f"block must be a square CSC matrix, got {block.format} {block.shape}"
             )
-            self.ordering = "nested-dissection"
-            self.backward_error = self._check(a, norm_a)
-            if self.backward_error <= BACKWARD_ERROR_BOUND:
-                return
-            warnings.warn(
-                f"backward error {self.backward_error:.2e} of the "
-                f"nested-dissection factor exceeds {BACKWARD_ERROR_BOUND:.0e}; "
-                "refactoring with COLAMD",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            self._lu = None
-        self._lu = spla.splu(a)
+        self.shape = block.shape
+        norm_a = _row_sum_norm(block)
+        self._lu = spla.splu(
+            block,
+            permc_spec="NATURAL",
+            diag_pivot_thresh=DIAG_PIVOT_THRESH,
+            options={"SymmetricMode": True},
+        )
+        self.ordering = "nested-dissection"
+        self.backward_error = self._check(block, norm_a)
+        if self.backward_error <= BACKWARD_ERROR_BOUND:
+            return
+        warnings.warn(
+            f"backward error {self.backward_error:.2e} of the "
+            f"nested-dissection factor exceeds {BACKWARD_ERROR_BOUND:.0e}; "
+            "refactoring with COLAMD",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        self._lu = None
+        self._lu = spla.splu(block)
         self.ordering = "colamd"
-        self.backward_error = self._check(a, norm_a)
+        self.backward_error = self._check(block, norm_a)
 
     def _check(self, a, norm_a: float) -> float:
         b = a @ np.ones(self.shape[0])
@@ -158,19 +145,12 @@ class Factorization:
         return float(np.abs(b - a @ x).max() / scale)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve ``A x = b`` for one right-hand side.
-
-        With a ``rank``, ``b`` and ``x`` run over the positions the
-        rank names, not over the columns of the factored block.
-        """
+        """Solve ``A x = b`` for one right-hand side, both in the
+        block's order."""
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.shape[0]:
             raise ValueError(f"rhs length {b.shape[0]} != {self.shape[0]}")
-        if self._perm is None:
-            return self._lu.solve(b)
-        x = np.empty_like(b)
-        x[self._perm] = self._lu.solve(b[self._perm])
-        return x
+        return self._lu.solve(b)
 
     def health(self) -> dict:
         """Deterministic record of the factor for a run manifest.
@@ -190,16 +170,6 @@ class Factorization:
             "ordering": self.ordering,
             "backward_error": f"{self.backward_error:.2e}",
         }
-
-
-def _checked_rank(rank, n: int) -> np.ndarray:
-    rank = np.asarray(rank)
-    seen = np.zeros(n, dtype=bool)
-    if rank.shape == (n,) and (n == 0 or (rank.min() >= 0 and rank.max() < n)):
-        seen[rank] = True
-    if not seen.all():
-        raise ValueError(f"rank must be a permutation of range({n})")
-    return rank
 
 
 #: Columns gathered per pass of :func:`ordered_block` and entries
@@ -272,17 +242,15 @@ def _row_sum_norm(a: sp.csc_matrix) -> float:
     return float(sums.max(initial=0.0))
 
 
-def factorize(matrix, rank=None) -> Factorization:
-    """Factorize a sparse square matrix for repeated solves.
+def factorize(block: sp.csc_matrix) -> Factorization:
+    """Factorize a sparse block, already in elimination order, for
+    repeated solves.
 
     Parameters
     ----------
-    matrix : sparse matrix
-        Square system matrix; with a ``rank``, the CSC block to factor
-        in its natural order.
-    rank : ndarray of int, optional
-        Position of each column's unknown in the vectors passed to
-        ``solve``.  See :class:`Factorization`.
+    block : csc_matrix
+        Square block, factored in its natural order.  See
+        :class:`Factorization`.
 
     Returns
     -------
@@ -293,16 +261,16 @@ def factorize(matrix, rank=None) -> Factorization:
     Raises
     ------
     RuntimeError
-        If the factored matrix is numerically singular, or if SuperLU
-        runs out of memory (the message names the number of unknowns).
+        If the block is numerically singular, or if SuperLU runs out of
+        memory (the message names the number of unknowns).
     """
     try:
-        return Factorization(matrix, rank)
+        return Factorization(block)
     except RuntimeError as exc:
         raise RuntimeError(f"sparse factorization failed: {exc}") from exc
     except MemoryError as exc:
         raise RuntimeError(
-            f"sparse factorization of {matrix.shape[0]} unknowns ran out of "
+            f"sparse factorization of {block.shape[0]} unknowns ran out of "
             f"memory ({exc})"
         ) from exc
 

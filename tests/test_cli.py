@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokesdarcy import cli, linalg, validate
+from stokesdarcy import cli, linalg, mesh, validate
 from stokesdarcy.cli import CliError, load_run_config, main
 from stokesdarcy.io import format_value, read_csv
 
@@ -494,6 +494,36 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert re.match(
             r"error: sparse factorization of \d+ unknowns ran out of memory", err
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("command", "ini", "threads"),
+        [("icdd", ICDD_INI, 1), ("validate", VALIDATE_INI, 2)],
+        ids=["icdd", "validate_workers"],
+    )
+    def test_allocation_out_of_memory_exits_2(
+        self, tmp_path, capsys, monkeypatch, command, ini, threads
+    ):
+        # An array numpy cannot allocate outside SuperLU, as for a mesh
+        # at hx = 1e-6.  With --threads 2 the parent builds its meshes
+        # and the members' meshes fail in the workers.
+        parent = os.getpid()
+        real = mesh.StructuredMesh.__init__
+
+        def exhausted(self, *args, **kwargs):
+            if threads > 1 and os.getpid() == parent:
+                return real(self, *args, **kwargs)
+            raise MemoryError("Unable to allocate 242. GiB for an array")
+
+        monkeypatch.setattr(mesh.StructuredMesh, "__init__", exhausted)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(write_config(tmp_path, ini))]
+        code = main(argv + ["--out", str(out), "--threads", str(threads)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: {command} ran out of memory (Unable to allocate 242. GiB"
         )
         assert not out.exists()
 

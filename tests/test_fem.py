@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from stokesdarcy.fem import (
     GAMMA_STAB,
+    KIND_INTERIOR,
     BoundaryCondition,
     BoundarySpec,
     FemConfig,
@@ -394,17 +395,86 @@ class TestFactorOrder:
             interface="bottom",
             null_mean_pressure=True,
         )
-        perm = system.factor_order
+        dofs = system.interior_dofs
         np.testing.assert_array_equal(
-            np.sort(perm), np.arange(system.interior_dofs.size)
+            np.sort(dofs), np.flatnonzero(system.kind == KIND_INTERIOR)
         )
-        dofs = system.interior_dofs[perm]
         n = system.n_nodes
         assert dofs[-1] == 3 * n
         rank = np.empty(n, dtype=int)
         rank[nested_dissection_order(mesh.nnx, mesh.nny, order)] = np.arange(n)
         key = 3 * rank[dofs[:-1] % n] + dofs[:-1] // n
         assert np.all(np.diff(key) > 0), "not node by node, u_x, u_y, p"
+
+    @given(
+        period=st.sampled_from([0.5, 0.25]),
+        s_hat=st.sampled_from([0.2, 0.6]),
+        order=st.sampled_from([1, 2]),
+        case=st.sampled_from(["stokes", "stokes+multiplier", "darcy"]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_interior_unknowns_in_elimination_order(
+        self, period, s_hat, order, case, seed
+    ):
+        # The interior vector is the elimination order: node by node in
+        # weighted nested-dissection order, the multiplier last; the
+        # interior block is the assembled matrix's in that order, and a
+        # solve satisfies the assembled interior rows.
+        lattice = ObstacleLattice(period, s_hat, RectDomain(0.0, 1.0, 0.0, 0.5))
+        mesh = build_perforated_mesh(UNIT, lattice, n_per_cell=5, order=order)
+        config = FemConfig(order=order)
+        if case == "darcy":
+            bc = BoundarySpec(
+                {
+                    "left": BoundaryCondition("impermeable"),
+                    "right": BoundaryCondition("impermeable"),
+                    "top": BoundaryCondition("pressure", exact_pressure),
+                }
+            )
+            system = assemble_darcy(
+                mesh, config, MU, KAPPA, bc=bc, interface="bottom",
+                source=darcy_source,
+            )
+        else:
+            sides =["left", "right", "obstacle"] + (
+                ["top"] if case == "stokes+multiplier" else []
+            )
+            bc = BoundarySpec(
+                {side: BoundaryCondition("velocity", exact_velocity) for side in sides}
+            )
+            system = assemble_stokes(
+                mesh, config, MU, f=stokes_force, bc=bc, interface="bottom",
+                null_mean_pressure=case == "stokes+multiplier",
+            )
+        matrix = system.matrix
+        n = system.n_nodes
+        dofs = system.interior_dofs
+        interior = system.kind == KIND_INTERIOR
+        np.testing.assert_array_equal(np.sort(dofs), np.flatnonzero(interior))
+        if case == "stokes+multiplier":
+            assert dofs[-1] == 3 * n
+            dofs = dofs[:-1]
+        assert np.all(dofs < 3 * n)
+        weights = np.bincount(np.flatnonzero(interior[: 3 * n]) % n, minlength=n)
+        rank = np.empty(n, dtype=int)
+        rank[nested_dissection_order(mesh.nnx, mesh.nny, order, weights)] = (
+            np.arange(n)
+        )
+        key = 3 * rank[dofs % n] + dofs // n
+        assert np.all(np.diff(key) > 0), "not node by node, u_x, u_y, p"
+
+        inner = system.interior_dofs
+        assert (system.interior_matrix != matrix[inner][:, inner]).nnz == 0
+
+        g = np.random.default_rng(seed).standard_normal(system.n_interface)
+        x = system.solve(g)
+        residual = (matrix @ x - system.rhs)[inner]
+        rows = matrix[inner]
+        scale = abs(rows).sum(axis=1).max() * np.abs(x).max()
+        assert np.abs(residual).max() <= 1e-12 * (
+            scale + np.abs(system.rhs[inner]).max()
+        )
 
 
 # ----------------------------------------------------------------------

@@ -35,12 +35,9 @@ def _random_system(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _ordered(a: np.ndarray, order) -> tuple[sp.csc_matrix, np.ndarray]:
-    """Block of ``a`` over ``order`` in that order, and the rank of each
-    of its columns among the sorted ``order``."""
-    order = np.asarray(order)
-    rank = np.searchsorted(np.sort(order), order)
-    return linalg.ordered_block(sp.csc_matrix(a), order), rank
+def _ordered(a: np.ndarray, order) -> sp.csc_matrix:
+    """Block of ``a`` over ``order``, in that order."""
+    return linalg.ordered_block(sp.csc_matrix(a), np.asarray(order))
 
 
 def _nbytes(matrix) -> int:
@@ -65,7 +62,7 @@ class TestFactorization:
     @settings(max_examples=25, deadline=None)
     def test_matches_dense_solve(self, seed, n):
         a, b = _random_system(n, seed)
-        factor = factorize(sp.csr_matrix(a))
+        factor = factorize(sp.csc_matrix(a))
         np.testing.assert_allclose(
             factor.solve(b), np.linalg.solve(a, b), rtol=1e-9, atol=1e-12
         )
@@ -81,45 +78,52 @@ class TestFactorization:
             )
 
     def test_singular_raises(self):
-        a = sp.csr_matrix(np.zeros((4, 4)))
+        a = sp.csc_matrix(np.zeros((4, 4)))
         with pytest.raises((RuntimeError, ValueError)):
             factorize(a).solve(np.ones(4))
+
+    @pytest.mark.parametrize(
+        "block", [sp.csr_matrix(np.eye(3)), sp.csc_matrix(np.ones((3, 2)))]
+    )
+    def test_block_must_be_square_csc(self, block):
+        with pytest.raises(ValueError, match="square CSC"):
+            factorize(block)
 
 
 class TestOrderedFactorization:
     def test_fallback_to_colamd_warns(self, monkeypatch):
         monkeypatch.setattr(linalg, "BACKWARD_ERROR_BOUND", 0.0)
         a, b = _random_system(30, 5)
+        order = np.arange(30)[::-1]
         with pytest.warns(RuntimeWarning, match="COLAMD"):
-            factor = factorize(*_ordered(a, np.arange(30)[::-1]))
+            factor = factorize(_ordered(a, order))
         assert factor.ordering == "colamd"
-        np.testing.assert_allclose(factor.solve(b), np.linalg.solve(a, b), rtol=1e-9)
+        np.testing.assert_allclose(
+            factor.solve(b[order]), np.linalg.solve(a, b)[order], rtol=1e-9
+        )
 
     def test_order_must_be_permutation(self):
         a, _ = _random_system(5, 1)
         repeated = np.array([0, 1, 2, 3, 3])
         with pytest.raises(ValueError, match="permutation"):
             linalg.ordered_block(sp.csc_matrix(a), repeated)
-        with pytest.raises(ValueError, match="permutation"):
-            factorize(sp.csc_matrix(a), repeated)
 
     @pytest.mark.parametrize("bound", [linalg.BACKWARD_ERROR_BOUND, 0.0])
     def test_principal_submatrix(self, monkeypatch, bound):
-        # The factor of a[order][:, order] solves over the ordered
-        # indices in ascending order, also after the COLAMD fallback.
+        # The factor of a[order][:, order] solves over the indices in
+        # ``order``, in that order, also after the COLAMD fallback.
         monkeypatch.setattr(linalg, "BACKWARD_ERROR_BOUND", bound)
         a, _ = _random_system(40, 7)
         a[np.abs(a) < 1.0] = 0.0
         order = np.array([17, 3, 30, 8, 25, 0, 39, 12, 21, 5])
-        kept = np.sort(order)
         b = np.random.default_rng(8).standard_normal(order.size)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            factor = factorize(*_ordered(a, order))
+            factor = factorize(_ordered(a, order))
         assert factor.ordering == ("colamd" if bound == 0.0 else "nested-dissection")
         assert factor.shape == (order.size, order.size)
         np.testing.assert_allclose(
-            factor.solve(b), np.linalg.solve(a[np.ix_(kept, kept)], b), rtol=1e-9
+            factor.solve(b), np.linalg.solve(a[np.ix_(order, order)], b), rtol=1e-9
         )
 
     @pytest.mark.parametrize(
@@ -135,7 +139,7 @@ class TestOrderedFactorization:
         # the largest entry in its column; below that, its row and the
         # largest entry's row trade places.
         a = sp.csc_matrix([[diagonal, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
-        health = factorize(a, np.arange(3)).health()
+        health = factorize(a).health()
         assert health["row_interchanges"] == interchanges
         assert health["ordering"] == "nested-dissection"
 
@@ -152,7 +156,7 @@ class TestOrderedFactorization:
         monkeypatch.setattr(linalg.spla, "splu", exhausted)
         a, _ = _random_system(6, 2)
         with pytest.raises(RuntimeError, match="4 unknowns ran out of memory"):
-            factorize(*_ordered(a, [0, 2, 4, 5]))
+            factorize(_ordered(a, [0, 2, 4, 5]))
 
     def test_block_holds_only_its_entries(self):
         # Most entries are kept, as in a system's interior block, so a
@@ -160,7 +164,7 @@ class TestOrderedFactorization:
         a, _ = _random_system(40, 7)
         a[np.abs(a) < 1.0] = 0.0
         order = np.random.default_rng(3).permutation(40)[:36]
-        block, _ = _ordered(a, order)
+        block = _ordered(a, order)
         np.testing.assert_array_equal(block.toarray(), a[np.ix_(order, order)])
         for array in (block.data, block.indices):
             assert array.size == block.nnz
@@ -285,17 +289,24 @@ class TestFactorCopies:
                 ["assemble_darcy", "assemble_stokes"],
             ]
         else:
-            # The cell's periodic operator and the Stokes system it is
-            # folded from.
+            # The Stokes system the cell is folded from, and the folded
+            # operator its block is gathered from (the block itself is
+            # the cell system's matrix, which SuperLU factors).
             record(fem, "assemble_stokes")
-            record(homogenize, "assemble_cell_problem")
+            gather = fem.ordered_block
+
+            def recording_gather(matrix, order):
+                refs["folded"] = weakref.ref(matrix)
+                return gather(matrix, order)
+
+            monkeypatch.setattr(fem, "ordered_block", recording_gather)
             homogenize.solve_cell_problem(0.6, resolution=10)
-            assert dead == [["assemble_cell_problem", "assemble_stokes"]]
+            assert dead == [["assemble_stokes", "folded"]]
 
 
 #: Numpy memory allowed per unknown, beyond the pieces, when SuperLU
 #: starts: eight vectors of 8-byte entries (the interior dofs, the
-#: factor order, the interior positions, the rank check and the like).
+#: interior positions, the node order and the like).
 PEAK_SLACK_PER_UNKNOWN = 64
 
 
