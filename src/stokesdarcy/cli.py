@@ -419,13 +419,16 @@ def cmd_icdd(config: RunConfig, mapper) -> Outputs:
     delta = delta_star(configuration.porosity, ell)
     fem = config.fem_config()
     geometry = IcddGeometry(delta=delta, hx=config.hx())
+    krylov = config.krylov()
     # Check the subdomains before a unit-cell solve can run.
     subdomain_meshes(fem.order, geometry, preset)
     permeability, k_source = _permeability_for(config, configuration, ell)
-    problem = assemble_problem(
-        fem, geometry, IcddPhysics(preset=preset, permeability=permeability)
+    result = icdd_solve(
+        assemble_problem(
+            fem, geometry, IcddPhysics(preset=preset, permeability=permeability)
+        ),
+        krylov,
     )
-    result = icdd_solve(problem, config.krylov())
     sol = result.composite
     return Outputs(
         summary=(
@@ -442,8 +445,7 @@ def cmd_icdd(config: RunConfig, mapper) -> Outputs:
             "permeability_source": k_source,
             "matching_velocity": result.matching_velocity,
             "matching_pressure": result.matching_pressure,
-            "stokes_factor": problem.stokes.factor.health(),
-            "darcy_factor": problem.darcy.factor.health(),
+            **result.factor_health,
         },
         files={
             "solution.csv": (SOLUTION_HEADER, sol.sample_rows()),
@@ -452,12 +454,12 @@ def cmd_icdd(config: RunConfig, mapper) -> Outputs:
                 list(enumerate(result.info["residuals"])),
             ),
             "stokes.vtk": (
-                problem.stokes.mesh,
+                sol.stokes_velocity.mesh,
                 _fields(sol.stokes_velocity, sol.stokes_pressure),
                 "free-flow subdomain",
             ),
             "darcy.vtk": (
-                problem.darcy.mesh,
+                sol.darcy_velocity.mesh,
                 _fields(sol.darcy_velocity, sol.darcy_pressure),
                 "porous subdomain",
             ),

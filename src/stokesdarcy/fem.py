@@ -66,8 +66,8 @@ class BoundaryCondition:
         velocity component only) or ``"pressure"`` (essential pressure).
     value : object
         Condition data: a pair or callable ``(x, y) -> (gx, gy)`` for
-        velocity and stress kinds, a float or callable for pressure,
-        ignored for impermeable walls.
+        velocity, a constant pair ``(tx, ty)`` for a traction, a float
+        or callable for pressure, ignored for impermeable walls.
     """
 
     kind: str
@@ -76,6 +76,8 @@ class BoundaryCondition:
     def __post_init__(self):
         if self.kind not in ("velocity", "normal_stress", "impermeable", "pressure"):
             raise ValueError(f"unknown boundary kind {self.kind!r}")
+        if self.kind == "normal_stress" and np.shape(self.value) != (2,):
+            raise ValueError(f"a traction is a constant pair, got {self.value!r}")
 
 
 @dataclass(frozen=True)
@@ -144,7 +146,12 @@ def basis_2d(order: int, ref: np.ndarray) -> np.ndarray:
     """
     Nx, _, _ = basis_1d(order, ref[:, 0])
     Ny, _, _ = basis_1d(order, ref[:, 1])
-    return (Ny[:, :, None] * Nx[:, None, :]).reshape(ref.shape[0], -1)
+    return _tensor(Nx, Ny)
+
+
+def _tensor(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
+    """Tensor products of two 1-D tables per point, the y index major."""
+    return (fy[:, :, None] * fx[:, None, :]).reshape(fx.shape[0], -1)
 
 
 class _RefData:
@@ -168,18 +175,14 @@ class _RefData:
         self.weights = (WX * WY).ravel()
         Nx, dNx, _ = basis_1d(order, self.ref[:, 0])
         Ny, dNy, _ = basis_1d(order, self.ref[:, 1])
-
-        def tensor(fx, fy):
-            return (fy[:, :, None] * fx[:, None, :]).reshape(self.ref.shape[0], -1)
-
-        self.N = tensor(Nx, Ny)
-        self.dN_dxi = tensor(dNx, Ny)
-        self.dN_deta = tensor(Nx, dNy)
-        self.pts_1d = pts
-        self.wts_1d = wts
+        self.N = _tensor(Nx, Ny)
+        self.dN_dxi = _tensor(dNx, Ny)
+        self.dN_deta = _tensor(Nx, dNy)
         self.nloc = self.N.shape[1]
 
+        # 1-D basis and weights at the Gauss points, for edge integrals.
         n1, d1, dd1 = basis_1d(order, pts)
+        self.N_1d, self.wts_1d = n1, wts
 
         def integral(u, v):
             return (u[:, :, None] * v[:, None, :] * wts[:, None, None]).sum(axis=0)
@@ -239,10 +242,6 @@ class Field:
             raise ValueError("nodal value array does not match the mesh")
         self.mesh = mesh
         self.values = values
-
-    @property
-    def n_components(self) -> int:
-        return 1 if self.values.ndim == 1 else self.values.shape[1]
 
     def eval(self, points) -> np.ndarray:
         """Evaluate at points of shape ``(n, 2)`` inside the mesh bounding
@@ -667,12 +666,6 @@ class _ElementBatch:
             self.y0[:, None] + 0.5 * (eta + 1.0) * self.hy[:, None],
         )
 
-    def grads(self, q: int) -> tuple[np.ndarray, np.ndarray]:
-        """Physical basis gradients at one point, shape ``(ne, nloc)``."""
-        dx = self.ref.dN_dxi[q][None, :] * self.gx[:, None]
-        dy = self.ref.dN_deta[q][None, :] * self.gy[:, None]
-        return dx, dy
-
     def moments(self, values: np.ndarray, table: np.ndarray) -> np.ndarray:
         """``sum_q w_q values[e, q] table[q, a]`` on the reference square.
 
@@ -761,16 +754,19 @@ def divergence_l2(field: Field) -> float:
     float
         ``sqrt(sum_K int_K (du1/dx + du2/dy)^2)`` over active elements.
     """
-    if field.n_components != 2:
+    if field.values.shape[1:] != (2,):
         raise ValueError("divergence needs a two-component field")
     batch = _ElementBatch(field.mesh)
+    ref = batch.ref
     ux = field.values[:, 0][batch.nodes]
     uy = field.values[:, 1][batch.nodes]
     total = 0.0
-    for q in range(batch.ref.weights.size):
-        dx, dy = batch.grads(q)
+    for q in range(ref.weights.size):
+        # Physical basis gradients at point q, shape (ne, nloc).
+        dx = ref.dN_dxi[q][None, :] * batch.gx[:, None]
+        dy = ref.dN_deta[q][None, :] * batch.gy[:, None]
         div = np.einsum("ij,ij->i", dx, ux) + np.einsum("ij,ij->i", dy, uy)
-        total += float(np.sum(div**2 * batch.ref.weights[q] * batch.detj))
+        total += float(np.sum(div**2 * ref.weights[q] * batch.detj))
     return float(np.sqrt(total))
 
 
@@ -945,69 +941,45 @@ def _force_load(batch: _ElementBatch, mu: float, f) -> np.ndarray:
     hx, hy = batch.hx, batch.hy
     gamma = GAMMA_STAB
     fx, fy = _as_vector_callable(f)(*batch.qp_coords())
-    detj = batch.detj[:, None]
     f_p = (-gamma / (2 * mu) * hx**2 * hy)[:, None] * batch.moments(fx, ref.dN_dxi)
     f_p -= (gamma / (2 * mu) * hy**2 * hx)[:, None] * batch.moments(fy, ref.dN_deta)
+    return _loads(batch, fx, fy, f_p)
+
+
+def _loads(batch: _ElementBatch, fx, fy, f_p: np.ndarray) -> np.ndarray:
+    """Load rows ``u_x``, ``u_y`` and ``p`` (``3 n`` entries) of a body
+    force ``(fx, fy)`` at the quadrature points and element pressure
+    loads ``f_p``."""
+    detj = batch.detj[:, None]
     return np.concatenate(
         [
-            batch.node_sums(detj * batch.moments(fx, ref.N)),
-            batch.node_sums(detj * batch.moments(fy, ref.N)),
+            batch.node_sums(detj * batch.moments(fx, batch.ref.N)),
+            batch.node_sums(detj * batch.moments(fy, batch.ref.N)),
             batch.node_sums(f_p),
         ]
     )
 
 
 def _add_stress_loads(mesh, bc, rhs, n) -> None:
-    """Add natural traction integrals to the load vector."""
-    order = mesh.order
+    """Add the integrals of constant tractions to the load vector; an
+    edge of length ``h`` has Gauss weights ``0.5 h w_q``."""
+    k = mesh.order
+    ref = _ref_data(k)
     for side, cond in bc.sides.items():
-        if cond.kind != "normal_stress" or cond.value is None:
+        if cond.kind != "normal_stress":
             continue
-        t_call = _as_vector_callable(cond.value)
         elems = mesh.boundary_edges(side)
-        if elems.size == 0:
-            continue
-        edge_nodes, xq, yq, wq = _edge_quadrature(mesh, order, elems, side)
-        tx, ty = t_call(xq, yq)
-        N1, _, _ = basis_1d(order, _ref_data(order).pts_1d)
-        # wq: (ne, nq); N1: (nq, k+1); contributions per edge node.
-        load_x = np.einsum("eq,qa->ea", wq * tx, N1)
-        load_y = np.einsum("eq,qa->ea", wq * ty, N1)
-        np.add.at(rhs, edge_nodes.ravel(), load_x.ravel())
-        np.add.at(rhs, edge_nodes.ravel() + n, load_y.ravel())
-
-
-def _edge_quadrature(mesh, order, elems, side):
-    """1D Gauss data along boundary edges of the given elements.
-
-    Returns
-    -------
-    (edge_nodes, xq, yq, wq)
-        Edge node ids ``(ne, order + 1)``, quadrature coordinates and
-        weights ``(ne, nq)`` including the edge Jacobian.
-    """
-    ref = _ref_data(order)
-    pts, wts = ref.pts_1d, ref.wts_1d
-    k = order
-    nodes = mesh.element_nodes[elems]
-    ex = elems % mesh.nex
-    ey = elems // mesh.nex
-    if side in ("bottom", "top"):
-        jj = 0 if side == "bottom" else k
-        local = jj * (k + 1) + np.arange(k + 1)
-        h = mesh.hx[ex]
-        x0 = mesh.xs[ex]
-        xq = x0[:, None] + 0.5 * (pts[None, :] + 1.0) * h[:, None]
-        yq = np.full_like(xq, mesh.ys[0] if side == "bottom" else mesh.ys[-1])
-    else:
-        ii = 0 if side == "left" else k
-        local = np.arange(k + 1) * (k + 1) + ii
-        h = mesh.hy[ey]
-        y0 = mesh.ys[ey]
-        yq = y0[:, None] + 0.5 * (pts[None, :] + 1.0) * h[:, None]
-        xq = np.full_like(yq, mesh.xs[0] if side == "left" else mesh.xs[-1])
-    wq = 0.5 * h[:, None] * wts[None, :]
-    return nodes[:, local], xq, yq, wq
+        if side in ("bottom", "top"):
+            local = (0 if side == "bottom" else k) * (k + 1) + np.arange(k + 1)
+            h = mesh.hx[elems % mesh.nex]
+        else:
+            local = np.arange(k + 1) * (k + 1) + (0 if side == "left" else k)
+            h = mesh.hy[elems // mesh.nex]
+        edge_nodes = mesh.element_nodes[elems][:, local].ravel()
+        wq = 0.5 * h[:, None] * ref.wts_1d[None, :]
+        for offset, t in zip((0, n), cond.value):
+            load = np.einsum("eq,qa->ea", wq * t, ref.N_1d)
+            np.add.at(rhs, edge_nodes + offset, load.ravel())
 
 
 def classify_dofs(
@@ -1020,11 +992,12 @@ def classify_dofs(
     """Mark every dof of a system as interior, Dirichlet or interface.
 
     Dead nodes (touching no active element) become homogeneous Dirichlet
-    dofs for all fields.  The ``field`` dofs (``"velocity"`` or
-    ``"pressure"``) of the ``interface`` side (``"bottom"``, ``"top"``
-    or None) are marked next, and exterior Dirichlet data of ``bc`` are
-    applied last so they win at shared corners.  Of the ``n_dofs``, any
-    beyond ``3 * mesh.n_nodes`` (a multiplier) stay interior.
+    dofs for all fields.  The ``field`` dofs (``"velocity"``: ``u_x`` and
+    ``u_y``, or ``"pressure"``) of the ``interface`` side (``"bottom"``,
+    ``"top"`` or None) are marked next, and exterior Dirichlet data of
+    ``bc`` are applied last so they win at shared corners.  Of the
+    ``n_dofs``, any beyond ``3 * mesh.n_nodes`` (a multiplier) stay
+    interior.
 
     Returns
     -------
@@ -1034,29 +1007,25 @@ def classify_dofs(
     Raises
     ------
     ValueError
-        If the interface side is vertical or carries exterior conditions.
+        If the interface side is vertical or carries exterior conditions,
+        or if exterior data fix one velocity control of an interface node.
     """
+    iface_nodes = np.empty(0, dtype=int)
     if interface is not None:
         if interface not in ("bottom", "top"):
             raise ValueError("interface side must be horizontal")
         if interface in bc.sides:
             raise ValueError("interface side must not carry exterior conditions")
+        iface_nodes = mesh.boundary_nodes(interface)
     n = mesh.n_nodes
+    offsets = np.array([0, n] if field == "velocity" else [2 * n])
     kind = np.zeros(n_dofs, dtype=np.uint8)
     values = np.zeros(n_dofs)
 
     dead = np.flatnonzero(~mesh.node_active)
     for offset in (0, n, 2 * n):
         kind[dead + offset] = KIND_DIRICHLET
-
-    iface_nodes = np.empty(0, dtype=int)
-    if interface is not None:
-        iface_nodes = mesh.boundary_nodes(interface)
-        if field == "velocity":
-            kind[iface_nodes] = KIND_INTERFACE
-            kind[iface_nodes + n] = KIND_INTERFACE
-        else:
-            kind[iface_nodes + 2 * n] = KIND_INTERFACE
+    kind[iface_nodes[:, None] + offsets] = KIND_INTERFACE
 
     coords = mesh.node_coords
     for side in _SIDE_ORDER:
@@ -1089,28 +1058,14 @@ def classify_dofs(
             values[nodes + 2 * n] = gp
         # normal_stress handled in the load vector.
 
-    iface_dofs = np.empty(0, dtype=int)
-    if interface is not None:
-        if field == "velocity":
-            keep = (kind[iface_nodes] == KIND_INTERFACE) & (
-                kind[iface_nodes + n] == KIND_INTERFACE
-            )
-            partial = (
-                (kind[iface_nodes] == KIND_INTERFACE)
-                | (kind[iface_nodes + n] == KIND_INTERFACE)
-            ) & ~keep
-            if np.any(partial):
-                raise ValueError(
-                    "interface nodes with mixed velocity constraints are not "
-                    "supported"
-                )
-            iface_nodes = iface_nodes[keep]
-            iface_dofs = np.column_stack([iface_nodes, iface_nodes + n]).ravel()
-        else:
-            keep = kind[iface_nodes + 2 * n] == KIND_INTERFACE
-            iface_nodes = iface_nodes[keep]
-            iface_dofs = iface_nodes + 2 * n
-    return kind, values, iface_dofs, iface_nodes
+    marked = kind[iface_nodes[:, None] + offsets] == KIND_INTERFACE
+    keep = marked.all(axis=1)
+    if np.any(marked.any(axis=1) & ~keep):
+        raise ValueError(
+            "interface nodes with mixed velocity constraints are not supported"
+        )
+    iface_nodes = iface_nodes[keep]
+    return kind, values, (iface_nodes[:, None] + offsets).ravel(), iface_nodes
 
 
 # ----------------------------------------------------------------------
@@ -1198,13 +1153,7 @@ def assemble_darcy(
     f_p = detj * batch.moments(_as_scalar_callable(source)(xq, yq), ref.N)
     f_p += (0.5 * kovermu * hy)[:, None] * batch.moments(fx, ref.dN_dxi)
     f_p += (0.5 * kovermu * hx)[:, None] * batch.moments(fy, ref.dN_deta)
-    rhs = np.concatenate(
-        [
-            batch.node_sums(detj * batch.moments(fx, ref.N)),
-            batch.node_sums(detj * batch.moments(fy, ref.N)),
-            batch.node_sums(f_p),
-        ]
-    )
+    rhs = _loads(batch, fx, fy, f_p)
     mass_scalar = batch.mass()
     kind, values, iface_dofs, iface_nodes = classify_dofs(
         mesh, bc, interface, "pressure", 3 * n

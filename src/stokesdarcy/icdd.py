@@ -419,6 +419,9 @@ class IcddResult:
         exact interface convergence.
     dual_pressure : float
         Same for the porous side, driven by the pressure mismatch.
+    factor_health : dict
+        :meth:`~stokesdarcy.linalg.Factorization.health` of the two
+        subdomain factors, keyed ``stokes_factor`` and ``darcy_factor``.
     """
 
     composite: CompositeSolution
@@ -427,6 +430,7 @@ class IcddResult:
     matching_pressure: float
     dual_velocity: float
     dual_pressure: float
+    factor_health: dict
 
 
 def _relative_mismatch(a: np.ndarray, b: np.ndarray) -> float:
@@ -459,6 +463,10 @@ def _result_from_solution(problem, g, x_f, x_p, info) -> IcddResult:
         matching_pressure=_relative_mismatch(g_p, tau_p),
         dual_velocity=_relative_norm(y_f, x_f),
         dual_pressure=_relative_norm(y_p, x_p),
+        factor_health={
+            "stokes_factor": problem.stokes.factor.health(),
+            "darcy_factor": problem.darcy.factor.health(),
+        },
     )
 
 

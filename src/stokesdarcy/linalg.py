@@ -54,6 +54,8 @@ class KrylovConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.maxiter < 1:
             raise ValueError(f"maxiter must be at least 1, got {self.maxiter}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 #: Largest normwise backward error accepted from a factor computed in a

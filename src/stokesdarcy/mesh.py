@@ -622,18 +622,12 @@ GROWTH = 1.35
 H_MAX_FACTOR = 4.0
 
 
-def graded_lines(
-    start: float,
-    stop: float,
-    h_first: float,
-    h_max: float,
-    growth: float = GROWTH,
-) -> np.ndarray:
+def graded_lines(start: float, stop: float, h_first: float, h_max: float) -> np.ndarray:
     """Monotone line array from ``start`` to ``stop`` with geometric grading.
 
-    Spacing begins at ``h_first`` next to ``start``, grows by ``growth``
-    per step up to ``h_max``, then stays uniform.  The uniform tail is
-    rescaled so the final line lands exactly on ``stop``.
+    Spacing begins at ``h_first`` next to ``start``, grows by
+    :data:`GROWTH` per step up to ``h_max``, then stays uniform.  The
+    uniform tail is rescaled so the final line lands exactly on ``stop``.
 
     Parameters
     ----------
@@ -643,8 +637,6 @@ def graded_lines(
         First spacing at the ``start`` end.
     h_max : float
         Spacing cap for the far end.
-    growth : float
-        Geometric growth factor (> 1).
 
     Returns
     -------
@@ -653,8 +645,8 @@ def graded_lines(
     """
     if stop <= start:
         raise ValueError("need start < stop")
-    if h_first <= 0 or h_max < h_first or growth <= 1.0:
-        raise ValueError("need 0 < h_first <= h_max and growth > 1")
+    if h_first <= 0 or h_max < h_first:
+        raise ValueError("need 0 < h_first <= h_max")
     length = stop - start
     if h_first >= length:
         return np.array([start, stop])
@@ -664,7 +656,7 @@ def graded_lines(
     while h < h_max and total + h < length:
         steps.append(h)
         total += h
-        h = min(h * growth, h_max)
+        h = min(h * GROWTH, h_max)
     remaining = length - total
     n_uni = max(1, math.ceil(remaining / h_max - 1e-9))
     steps.extend([remaining / n_uni] * n_uni)

@@ -11,6 +11,7 @@ import multiprocessing
 import os
 import re
 import tempfile
+import weakref
 from concurrent.futures import process
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 from stokesdarcy import cli, linalg, mesh, validate
 from stokesdarcy.cli import CliError, load_run_config, main
+from stokesdarcy.icdd import CompositeSolution
 from stokesdarcy.io import format_value, read_csv
 
 REPO = Path(__file__).resolve().parents[1]
@@ -203,6 +205,37 @@ class TestIcddCommand:
             assert factor["row_interchanges"] <= 2
             assert float(factor["backward_error"]) <= linalg.BACKWARD_ERROR_BOUND
             assert re.fullmatch(r"\d\.\d\de[+-]\d\d", factor["backward_error"])
+
+    def test_systems_freed_before_outputs(self, tmp_path, monkeypatch):
+        """Both assembled subdomain systems are gone when the outputs
+        are built (the solution rows sampled) and written; the manifest
+        still reports both factors."""
+        systems, alive = [], []
+        assemble = cli.assemble_problem
+
+        def recording(*args):
+            problem = assemble(*args)
+            systems.extend(weakref.ref(s) for s in (problem.stokes, problem.darcy))
+            return problem
+
+        def checking(inner):
+            def wrapper(*args):
+                alive.append([ref() is not None for ref in systems])
+                return inner(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(cli, "assemble_problem", recording)
+        monkeypatch.setattr(
+            CompositeSolution, "sample_rows", checking(CompositeSolution.sample_rows)
+        )
+        for name in ("write_csv", "write_vtk"):
+            monkeypatch.setattr(cli, name, checking(getattr(cli, name)))
+        config_path, out = write_config(tmp_path, ICDD_INI), tmp_path / "out"
+        assert main(["icdd", "--config", str(config_path), "--out", str(out)]) == 0
+        assert len(systems) == 2 and alive == [[False, False]] * 5
+        parameters = json.loads((out / "manifest.json").read_text())["parameters"]
+        assert {"stokes_factor", "darcy_factor"} <= set(parameters)
 
 
 DNS_INI = """\
@@ -558,6 +591,42 @@ class TestFailureModes:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "hx = 0.9 and delta = " in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("command", "ini", "message"),
+        [
+            ("icdd", ICDD_INI.replace("configuration = C1", "s_hat = 0.6")
+             .replace("tolerance = 1e-10", "tolerance = -1"), "tol must be positive"),
+            ("icdd", ICDD_INI + "seed = -1\n", "seed must be non-negative"),
+            ("validate", VALIDATE_INI + "\n[solver]\nseed = -1\n",
+             "seed must be non-negative"),
+            ("sweep", SWEEP_INI + "\n[solver]\nseed = -1\n",
+             "seed must be non-negative"),
+        ],
+        ids=["icdd_cell_tolerance", "icdd_seed", "validate_seed", "sweep_seed"],
+    )
+    def test_bad_solver_setting_exits_2_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, command, ini, message
+    ):
+        """``[solver]`` is checked before the unit-cell solve and the
+        assembly of any system."""
+        calls = []
+        for module, name in (
+            (cli, "solve_cell_problem"), (cli, "assemble_problem"),
+            (validate, "solve_cell_problem"), (validate, "solve_dns"),
+        ):
+            monkeypatch.setattr(
+                module, name, lambda *args, name=name, **kw: calls.append(name)
+            )
+        out = tmp_path / "out"
+        code = main(
+            [command, "--config", str(write_config(tmp_path, ini)), "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
+        assert calls == []
         assert not out.exists()
 
     def test_repeated_period_exits_2_before_any_solve(

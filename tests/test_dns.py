@@ -99,3 +99,16 @@ def test_nested_dissection_factor_matches_colamd(order, dns_systems):
     b = np.random.default_rng(order).standard_normal(factor.shape[0])
     x_ref = spla.splu(sp.csc_matrix(system.interior_matrix)).solve(b)
     assert np.abs(factor.solve(b) - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+
+
+@pytest.mark.parametrize("preset_id", [2, 3])
+def test_filtration_presets_solve(preset_id):
+    """The forced-filtration presets, driven by the bottom traction,
+    give finite, nonzero fields (preset 2 has no body force, so its flow
+    is the traction's alone)."""
+    preset = PRESETS[preset_id]
+    solution = solve_dns(
+        preset, preset.lattice(0.25, 0.6), DnsResolution(n_per_cell=5, order=1)
+    )
+    for field in (solution.velocity, solution.pressure):
+        assert np.all(np.isfinite(field.values)) and np.any(field.values != 0.0)

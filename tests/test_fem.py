@@ -148,6 +148,52 @@ class TestBoundarySpecs:
             )
 
 
+    def test_mixed_interface_constraints_raise(self):
+        """A wall that fixes only ``u_x`` takes one of the two velocity
+        controls of the interface node in its corner."""
+        mesh = build_rect_mesh(UNIT, 0.5, order=1)
+        bc = BoundarySpec({"left": BoundaryCondition("impermeable")})
+        with pytest.raises(ValueError, match="mixed velocity constraints"):
+            assemble_stokes(mesh, FemConfig(order=1), 1.0, bc=bc, interface="bottom")
+
+
+class TestTraction:
+    """A constant traction loads the velocity rows of its side's nodes
+    only: each edge of length ``h`` shares ``t h`` as the 1-D Lagrange
+    basis integrates over it."""
+
+    #: Share of ``t h`` that each node of one edge receives.
+    SHARES = {1: [1 / 2, 1 / 2], 2: [1 / 6, 2 / 3, 1 / 6]}
+
+    @pytest.mark.parametrize("side", ["left", "right", "bottom", "top"])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_constant_traction_shared_per_edge(self, order, side):
+        # Elements of 0.25 x 0.2, so the edge lengths differ by side.
+        domain = RectDomain(0.0, 1.0, 0.0, 0.6)
+        mesh = build_rect_mesh(domain, 0.25, order=order)
+        t = (0.3, -0.7)
+        bc = BoundarySpec({side: BoundaryCondition("normal_stress", t)})
+        rhs = assemble_stokes(mesh, FemConfig(order=order), MU, bc=bc).rhs
+        n = mesh.n_nodes
+        nodes = mesh.boundary_nodes(side)
+        along = 0 if side in ("bottom", "top") else 1
+        lengths = np.diff(mesh.node_coords[nodes, along][::order])
+        shares = np.zeros(nodes.size)
+        for e, h in enumerate(lengths):
+            shares[e * order : (e + 1) * order + 1] += h * np.array(self.SHARES[order])
+        width = domain.width if along == 0 else domain.height
+        for component in (0, 1):
+            load = rhs[component * n : (component + 1) * n]
+            np.testing.assert_allclose(load[nodes], t[component] * shares, rtol=1e-12)
+            assert not np.any(np.delete(load, nodes))
+            assert load.sum() == pytest.approx(t[component] * width, rel=1e-12)
+        assert not np.any(rhs[2 * n :])
+
+    def test_callable_traction_raises(self):
+        with pytest.raises(ValueError, match="constant pair"):
+            BoundaryCondition("normal_stress", lambda x, y: (0.0, 0.0))
+
+
 class TestField:
     def test_eval_reproduces_nodal_values(self):
         mesh = build_rect_mesh(UNIT, 0.25, order=2)

@@ -25,7 +25,7 @@ from stokesdarcy.icdd import (
 )
 from stokesdarcy.linalg import KrylovConfig
 from stokesdarcy.mesh import nested_dissection_order
-from stokesdarcy.presets import PRESETS
+from stokesdarcy.presets import CONFIGURATIONS, PRESETS
 
 #: Coarse, fast instance used throughout this module.
 COARSE = dict(delta=0.036, hx=0.1)
@@ -327,3 +327,22 @@ class TestCoupledSolutions:
         # Porous samples stay strictly below the overlap.
         darcy_y = np.array([r[1] for r in rows if r[5] == "darcy"])
         assert darcy_y.max() < -COARSE["delta"]
+
+
+@pytest.mark.parametrize("preset_id", [2, 3])
+def test_filtration_presets_solve(preset_id):
+    """The forced-filtration presets, with a porous bottom pressure
+    instead of a wall, give finite, nonzero fields in both subdomains."""
+    configuration, ell = CONFIGURATIONS["C2"], 0.25
+    problem = assemble_problem(
+        FemConfig(order=1),
+        IcddGeometry(delta=configuration.delta_star(ell), hx=0.1),
+        IcddPhysics(
+            preset=PRESETS[preset_id], permeability=configuration.k_hat * ell**2
+        ),
+    )
+    sol = icdd_solve(problem, KrylovConfig()).composite
+    for field in (
+        sol.stokes_velocity, sol.stokes_pressure, sol.darcy_velocity, sol.darcy_pressure
+    ):
+        assert np.all(np.isfinite(field.values)) and np.any(field.values != 0.0)

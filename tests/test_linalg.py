@@ -56,6 +56,10 @@ class TestKrylovConfig:
         with pytest.raises(ValueError):
             KrylovConfig(tol=tol, maxiter=maxiter)
 
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            KrylovConfig(seed=-1)
+
 
 class TestFactorization:
     @given(seed=st.integers(0, 50), n=st.integers(2, 30))

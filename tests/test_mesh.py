@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stokesdarcy.mesh import (
+    GROWTH,
     ND_LEAF_SIZE,
     ObstacleLattice,
     RectDomain,
@@ -186,40 +187,35 @@ class TestPerforatedMesh:
 
 
 class TestGradedLines:
-    @given(
-        h_first=st.floats(0.01, 0.2),
-        h_max=st.floats(0.2, 0.6),
-        growth=st.floats(1.05, 2.0),
-    )
-    def test_monotone_capped_and_exact_ends(self, h_first, h_max, growth):
-        lines = graded_lines(0.0, 2.0, h_first, h_max, growth)
+    @given(h_first=st.floats(0.01, 0.2), h_max=st.floats(0.2, 0.6))
+    def test_monotone_capped_and_exact_ends(self, h_first, h_max):
+        lines = graded_lines(0.0, 2.0, h_first, h_max)
         assert lines[0] == 0.0 and lines[-1] == 2.0
         gaps = np.diff(lines)
         assert np.all(gaps > 0)
         assert np.all(gaps <= h_max * (1 + 1e-9))
 
     def test_growth_bounded(self):
-        lines = graded_lines(0.0, 5.0, 0.01, 1.0, growth=1.35)
+        lines = graded_lines(0.0, 5.0, 0.01, 1.0)
         gaps = np.diff(lines)
         ratios = gaps[1:] / gaps[:-1]
-        assert np.all(ratios <= 1.35 * (1 + 1e-9))
+        assert np.all(ratios <= GROWTH * (1 + 1e-9))
 
     def test_short_interval_two_lines(self):
         lines = graded_lines(0.0, 0.005, 0.01, 0.1)
         np.testing.assert_allclose(lines, [0.0, 0.005])
 
     @pytest.mark.parametrize(
-        ("start", "stop", "h_first", "h_max", "growth"),
+        ("start", "stop", "h_first", "h_max"),
         [
-            (1.0, 0.0, 0.1, 0.2, 1.3),
-            (0.0, 1.0, -0.1, 0.2, 1.3),
-            (0.0, 1.0, 0.3, 0.2, 1.3),
-            (0.0, 1.0, 0.1, 0.2, 1.0),
+            (1.0, 0.0, 0.1, 0.2),
+            (0.0, 1.0, -0.1, 0.2),
+            (0.0, 1.0, 0.3, 0.2),
         ],
     )
-    def test_bad_arguments_raise(self, start, stop, h_first, h_max, growth):
+    def test_bad_arguments_raise(self, start, stop, h_first, h_max):
         with pytest.raises(ValueError):
-            graded_lines(start, stop, h_first, h_max, growth)
+            graded_lines(start, stop, h_first, h_max)
 
 
 class TestOverlapLineSet:

@@ -135,3 +135,86 @@ def test_every_class_member_is_read_in_src():
         if reads[name] - _reads(node)[name] == 0
     )
     assert unread == sorted(TEST_ONLY_MEMBERS)
+
+
+#: Defaulted parameters that no caller in the package passes, each with
+#: the reason it stays.
+TEST_ONLY_DEFAULTS = {
+    "main(argv)": "argument list of the CLI tests; the console script passes none",
+    "build_rect_mesh(order)": "Q2 meshes of the manufactured-solution checks",
+    "l2_error(n_gauss)": "quadrature order of the manufactured-solution checks",
+    "l2_error(align_mean)": "pressure-level alignment of the manufactured-solution "
+    "checks",
+    "assemble_darcy(source)": "mass source of the manufactured Darcy solution",
+}
+
+
+def _defaulted(tree):
+    """Defaulted parameters of the module's functions and methods.
+
+    Yields ``(label, function, parameter, position)``: ``label`` reads
+    ``function(parameter)`` or ``Class.method(parameter)``, and
+    ``position`` is the parameter's place among the positional
+    arguments of a call (``self`` not counted), None if keyword-only.
+    ``__init__`` is left out, since it is called through its class's
+    name, and so are dataclass fields.
+    """
+    functions = [(None, node) for node in tree.body]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            functions += [(cls.name, node) for node in cls.body]
+    for cls, node in functions:
+        if not isinstance(node, ast.FunctionDef) or node.name == "__init__":
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        method = cls is not None and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod"
+            for d in node.decorator_list
+        )
+        params = [
+            (arg.arg, i - method)
+            for i, arg in enumerate(positional)
+            if i >= len(positional) - len(args.defaults)
+        ]
+        params += [
+            (arg.arg, None)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None
+        ]
+        owner = f"{cls}." if cls else ""
+        for name, position in params:
+            yield f"{owner}{node.name}({name})", node.name, name, position
+
+
+def _passes(call, name, position) -> bool:
+    """Whether a call passes the parameter ``name`` at ``position``; a
+    call that unpacks ``*args`` or ``**kwargs`` may pass any."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+        k.arg is None for k in call.keywords
+    ):
+        return True
+    if any(k.arg == name for k in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_defaulted_parameter_is_passed_in_src():
+    """A parameter with a default counts as used when a call in
+    ``src/`` to a function of its function's name passes it, by keyword
+    or by position.  Like the member check, it goes by name."""
+    trees = _trees()
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpassed = sorted(
+        label
+        for tree in trees
+        for label, function, name, position in _defaulted(tree)
+        if not any(_passes(c, name, position) for c in calls.get(function, []))
+    )
+    assert unpassed == sorted(TEST_ONLY_DEFAULTS)
