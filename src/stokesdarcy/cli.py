@@ -34,6 +34,7 @@ from .homogenize import (
     solve_cell_problem,
 )
 from .icdd import (
+    DEFAULT_HX,
     IcddGeometry,
     IcddPhysics,
     assemble_problem,
@@ -43,25 +44,31 @@ from .icdd import (
 from .io import config_digest, write_csv, write_manifest, write_vtk
 from .linalg import KrylovConfig
 from .presets import CONFIGURATIONS, PRESETS, PorousConfiguration
-from .validate import convergence_study, delta_sweep
+from .validate import DEFAULT_FACTORS, convergence_study, delta_sweep
 
 
 class CliError(Exception):
     """Configuration, setting or solver problem that aborts the run."""
 
 
-#: Allowed sections and keys of the run configuration.
-SCHEMA: dict[str, tuple[str, ...]] = {
-    "case": ("preset", "configuration", "s_hat", "ell"),
-    "discretization": (
-        "order",
-        "hx",
-        "cell_resolution",
-        "dns_cells",
-        "dns_order",
-    ),
-    "solver": ("tolerance", "max_iterations", "seed"),
-    "study": ("ells", "factors"),
+def _floats(text: str) -> list:
+    """A list of floats separated by commas or blanks."""
+    return [float(tok) for tok in text.replace(",", " ").split()]
+
+
+#: Allowed sections and keys of the run configuration, each with the
+#: parser of its value.
+SCHEMA: dict[str, dict] = {
+    "case": {"preset": int, "configuration": str, "s_hat": float, "ell": float},
+    "discretization": {
+        "order": int,
+        "hx": float,
+        "cell_resolution": int,
+        "dns_cells": int,
+        "dns_order": int,
+    },
+    "solver": {"tolerance": float, "max_iterations": int, "seed": int},
+    "study": {"ells": _floats, "factors": _floats},
 }
 
 
@@ -70,42 +77,36 @@ class RunConfig:
 
     Parameters
     ----------
-    parser : ConfigParser
-        Parsed INI content, already schema-checked.
+    values : dict
+        Parsed value of every key the file sets, keyed ``(section,
+        key)``.
     text : str
         Raw file text (hashed into the manifest).
     """
 
-    def __init__(self, parser: ConfigParser, text: str):
-        self._p = parser
+    def __init__(self, values: dict, text: str):
+        self._values = values
         self.digest = config_digest(text)
 
-    def _get(self, section, key, cast, default=None, required=False):
-        if not self._p.has_option(section, key):
+    def _get(self, section, key, default=None, required=False):
+        if (section, key) not in self._values:
             if required:
                 raise CliError(f"missing required key [{section}] {key}")
             return default
-        raw = self._p.get(section, key)
-        try:
-            value = cast(raw)
-        except ValueError as err:
-            raise CliError(f"bad value for [{section}] {key}: {raw!r}") from err
-        if cast is float and not np.isfinite(value):
-            raise CliError(f"[{section}] {key} must be finite, got {raw!r}")
-        return value
+        return self._values[section, key]
 
     # -- case --------------------------------------------------------------
 
     def preset(self):
-        pid = self._get("case", "preset", int, required=True)
+        pid = self._get("case", "preset", required=True)
         if pid not in PRESETS:
             raise CliError(f"unknown preset {pid}; choose from 1, 2, 3")
         return PRESETS[pid]
 
     def configuration(self, need_mesh: bool) -> PorousConfiguration:
         """Resolve the microstructure row or a custom square obstacle."""
-        name = self._get("case", "configuration", str)
-        s_hat = self._get("case", "s_hat", float)
+        name = self._get("case", "configuration")
+        s_hat = self._get("case", "s_hat")
         if name is not None and s_hat is not None:
             raise CliError("give either [case] configuration or s_hat, not both")
         if name is not None:
@@ -134,7 +135,7 @@ class RunConfig:
         )
 
     def ell(self) -> float:
-        ell = self._get("case", "ell", float, required=True)
+        ell = self._get("case", "ell", required=True)
         if ell <= 0:
             raise CliError(f"ell must be positive, got {ell}")
         return ell
@@ -142,69 +143,51 @@ class RunConfig:
     # -- discretization -----------------------------------------------------
 
     def fem_config(self) -> FemConfig:
-        order = self._get("discretization", "order", int, default=2)
-        if order not in (1, 2):
-            raise CliError(f"order must be 1 or 2, got {order}")
-        return FemConfig(order=order)
+        return FemConfig(order=self._get("discretization", "order", FemConfig.order))
 
     def hx(self) -> float:
-        hx = self._get("discretization", "hx", float, default=1.0 / 144.0)
+        hx = self._get("discretization", "hx", DEFAULT_HX)
         if hx <= 0:
             raise CliError(f"hx must be positive, got {hx}")
         return hx
 
     def cell_resolution(self) -> int:
-        return self._get(
-            "discretization", "cell_resolution", int, default=DEFAULT_CELL_RESOLUTION
-        )
+        return self._get("discretization", "cell_resolution", DEFAULT_CELL_RESOLUTION)
 
     def dns_resolution(self, default_order: int) -> DnsResolution:
-        order = self._get(
-            "discretization", "dns_order", int, default=default_order
-        )
-        cells = self._get("discretization", "dns_cells", int, default=10)
+        cells = self._get("discretization", "dns_cells", DnsResolution.n_per_cell)
+        order = self._get("discretization", "dns_order", default_order)
         return DnsResolution(n_per_cell=cells, order=order)
 
     # -- solver --------------------------------------------------------------
 
     def krylov(self) -> KrylovConfig:
         return KrylovConfig(
-            tol=self._get("solver", "tolerance", float, default=1e-8),
-            maxiter=self._get("solver", "max_iterations", int, default=200),
-            seed=self._get("solver", "seed", int, default=0),
+            tol=self._get("solver", "tolerance", KrylovConfig.tol),
+            maxiter=self._get("solver", "max_iterations", KrylovConfig.maxiter),
+            seed=self._get("solver", "seed", KrylovConfig.seed),
         )
 
     # -- study ----------------------------------------------------------------
 
-    def _float_list(self, key, default=None, required=False):
-        raw = self._get("study", key, str, required=required)
-        if raw is None:
-            return default
-        try:
-            values = [float(tok) for tok in raw.replace(",", " ").split()]
-        except ValueError as err:
-            raise CliError(f"bad value for [study] {key}: {raw!r}") from err
-        if not values:
-            raise CliError(f"[study] {key} is empty")
-        if not np.all(np.isfinite(values)):
-            raise CliError(f"[study] {key} must be finite, got {raw!r}")
-        return values
-
     def ells(self) -> list:
-        return self._float_list("ells", required=True)
+        return self._get("study", "ells", required=True)
 
-    def factors(self) -> list:
-        return self._float_list("factors", default=[0.5, 1.0, 1.5])
+    def factors(self):
+        return self._get("study", "factors", DEFAULT_FACTORS)
 
 
 def load_run_config(path) -> RunConfig:
-    """Parse and schema-check a run configuration file.
+    """Read a run configuration file, check its names against
+    :data:`SCHEMA` and parse every value it sets, whether or not the
+    command reads it.
 
     Raises
     ------
     CliError
-        On unreadable files, syntax errors, or unknown sections/keys
-        (all unknown names are listed).
+        On unreadable files, syntax errors, unknown sections/keys (all
+        unknown names are listed), and on the first value that does not
+        parse, is not finite or is an empty list.
     """
     path = Path(path)
     try:
@@ -226,7 +209,20 @@ def load_run_config(path) -> RunConfig:
                 unknown.append(f"[{section}] {key}")
     if unknown:
         raise CliError("unknown configuration entries: " + ", ".join(unknown))
-    return RunConfig(parser, text)
+    values = {}
+    for section in parser.sections():
+        for key in parser.options(section):
+            raw = parser.get(section, key)
+            try:
+                value = SCHEMA[section][key](raw)
+            except ValueError as err:
+                raise CliError(f"bad value for [{section}] {key}: {raw!r}") from err
+            if value == []:
+                raise CliError(f"[{section}] {key} is empty")
+            if isinstance(value, (float, list)) and not np.all(np.isfinite(value)):
+                raise CliError(f"[{section}] {key} must be finite, got {raw!r}")
+            values[section, key] = value
+    return RunConfig(values, text)
 
 
 def _versions() -> dict:
@@ -507,21 +503,26 @@ def cmd_dns(config: RunConfig, mapper) -> Outputs:
     )
 
 
+def _study_settings(config: RunConfig, mapper) -> dict:
+    """Settings that both studies take from the config; their reference
+    solves default to first order."""
+    return {
+        "fem_config": config.fem_config(),
+        "hx": config.hx(),
+        "dns_resolution": config.dns_resolution(1),
+        "krylov": config.krylov(),
+        "cell_resolution": config.cell_resolution(),
+        "mapper": mapper,
+        "progress": _say,
+    }
+
+
 def cmd_validate(config: RunConfig, mapper) -> Outputs:
     preset = config.preset()
     configuration = config.configuration(need_mesh=True)
     ells = config.ells()
     study = convergence_study(
-        preset,
-        configuration,
-        ells,
-        fem_config=config.fem_config(),
-        hx=config.hx(),
-        dns_resolution=config.dns_resolution(1),
-        krylov=config.krylov(),
-        cell_resolution=config.cell_resolution(),
-        mapper=mapper,
-        progress=_say,
+        preset, configuration, ells, **_study_settings(config, mapper)
     )
     error_rows = [
         (r.configuration, r.ell, metric, value, r.relative(metric))
@@ -556,17 +557,7 @@ def cmd_sweep(config: RunConfig, mapper) -> Outputs:
     ell = config.ell()
     factors = config.factors()
     sweep = delta_sweep(
-        preset,
-        configuration,
-        ell,
-        factors=factors,
-        fem_config=config.fem_config(),
-        hx=config.hx(),
-        dns_resolution=config.dns_resolution(1),
-        krylov=config.krylov(),
-        cell_resolution=config.cell_resolution(),
-        mapper=mapper,
-        progress=_say,
+        preset, configuration, ell, factors, **_study_settings(config, mapper)
     )
     return Outputs(
         summary=(
@@ -624,15 +615,18 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=1,
             help=(
-                "worker processes (fork) for independent study members; "
-                "each member's memory lives in its own worker"
+                "worker processes (fork) for independent study members, at "
+                "least 1; each member's memory lives in its own worker"
             ),
         )
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"argument --threads: must be at least 1, got {args.threads}")
     try:
         config = load_run_config(args.config)
         run(args.command, config, Path(args.out), args.threads)

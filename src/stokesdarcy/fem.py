@@ -389,17 +389,6 @@ class SaddleSystem:
         self.n_nodes = mesh.n_nodes
         self.n_dofs = matrix.shape[0]
 
-    # -- dof helpers ----------------------------------------------------
-
-    def dof_ux(self, nodes) -> np.ndarray:
-        return np.asarray(nodes)
-
-    def dof_uy(self, nodes) -> np.ndarray:
-        return np.asarray(nodes) + self.n_nodes
-
-    def dof_p(self, nodes) -> np.ndarray:
-        return np.asarray(nodes) + 2 * self.n_nodes
-
     @property
     def n_interface(self) -> int:
         return self.interface_dofs.size

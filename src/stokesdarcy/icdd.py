@@ -41,6 +41,10 @@ from .mesh import StructuredMesh, overlap_line_set
 from .presets import POROUS_DEPTH, TestCasePreset
 
 
+#: Horizontal spacing of a coupled solve unless a run sets one.
+DEFAULT_HX = 1.0 / 144.0
+
+
 @dataclass(frozen=True)
 class IcddGeometry:
     """Overlap placement and mesh resolution for one coupled problem.
@@ -95,6 +99,16 @@ class IcddPhysics:
             raise ValueError("permeability must be positive")
 
 
+def _trace(own: SaddleSystem, other: SaddleSystem, y: float) -> np.ndarray:
+    """Dofs of ``other`` under the controls of ``own``, whose interface
+    lies at height ``y``: the same fields, at every control node's
+    column on the line ``y`` of ``other``'s mesh."""
+    line = other.mesh.line_index(y) * other.mesh.nnx
+    nodes = line + own.interface_nodes % own.mesh.nnx
+    fields = np.unique(own.interface_dofs // own.n_nodes)
+    return (nodes[:, None] + fields * other.n_nodes).ravel()
+
+
 class IcddProblem:
     """Assembled subdomain systems plus interface bookkeeping.
 
@@ -123,26 +137,8 @@ class IcddProblem:
         self.n_gf = stokes.n_interface
         self.n_gp = darcy.n_interface
         self.n_g = self.n_gf + self.n_gp
-        self.trace_velocity = self._build_velocity_trace()
-        self.trace_pressure = self._build_pressure_trace()
-
-    def _build_velocity_trace(self) -> np.ndarray:
-        """Porous-velocity dofs under the free-flow control nodes."""
-        sm, dm = self.stokes.mesh, self.darcy.mesh
-        cols = self.stokes.interface_nodes % sm.nnx
-        row = dm.line_index(-self.geometry.delta)
-        nodes = row * dm.nnx + cols
-        return np.column_stack(
-            [self.darcy.dof_ux(nodes), self.darcy.dof_uy(nodes)]
-        ).ravel()
-
-    def _build_pressure_trace(self) -> np.ndarray:
-        """Free-flow pressure dofs under the porous control nodes."""
-        sm, dm = self.stokes.mesh, self.darcy.mesh
-        cols = self.darcy.interface_nodes % dm.nnx
-        row = sm.line_index(0.0)
-        nodes = row * sm.nnx + cols
-        return self.stokes.dof_p(nodes)
+        self.trace_velocity = _trace(stokes, darcy, -geometry.delta)
+        self.trace_pressure = _trace(darcy, stokes, 0.0)
 
     # -- control vector helpers ------------------------------------------
 

@@ -469,33 +469,26 @@ def build_perforated_mesh(
     if domain.y1 > band.y1 + 1e-12:
         above = graded_lines(band.y1, domain.y1, h, H_MAX_FACTOR * h)
         ys = np.concatenate([ys[:-1], above])
-    mesh = StructuredMesh(xs, ys, order=order)
-    if lattice.s_hat > 0.0:
-        active = _obstacle_activity(mesh, lattice, n_per_cell, lo, hi)
-        mesh = StructuredMesh(xs, ys, order=order, active=active)
-    return mesh
+    active = _obstacle_activity(xs, ys, lattice, n_per_cell, lo, hi)
+    return StructuredMesh(xs, ys, order=order, active=active)
 
 
-def _obstacle_activity(
-    mesh: StructuredMesh,
-    lattice: ObstacleLattice,
-    n_per_cell: int,
-    lo: int,
-    hi: int,
-) -> np.ndarray:
-    """Activity mask: element centers inside an obstacle become inactive."""
-    ex, ey = mesh._element_grid_indices()
-    cx = 0.5 * (mesh.xs[ex] + mesh.xs[ex + 1])
-    cy = 0.5 * (mesh.ys[ey] + mesh.ys[ey + 1])
+def _obstacle_activity(xs, ys, lattice, n_per_cell, lo, hi) -> np.ndarray:
+    """Activity mask of the mesh on lines ``xs`` and ``ys``: elements
+    whose center lies inside an obstacle become inactive (none if
+    ``lo == hi``, that is ``s_hat = 0``)."""
+    cx = 0.5 * (xs[:-1] + xs[1:])
+    cy = 0.5 * (ys[:-1] + ys[1:])
     band = lattice.band
-    inside_band = (cy > band.y0) & (cy < band.y1)
     # Sub-cell position in grid units; obstacle occupies [lo, hi) in both.
     fx = (cx - band.x0) / lattice.period
     fy = (cy - band.y0) / lattice.period
     ux = (fx - np.floor(fx)) * n_per_cell
     uy = (fy - np.floor(fy)) * n_per_cell
-    inside_obstacle = (ux > lo) & (ux < hi) & (uy > lo) & (uy < hi)
-    return ~(inside_band & inside_obstacle)
+    inside_x = (ux > lo) & (ux < hi)
+    inside_y = (uy > lo) & (uy < hi) & (cy > band.y0) & (cy < band.y1)
+    # Elements in row-major (ey, ex) order, as StructuredMesh numbers them.
+    return ~(inside_y[:, None] & inside_x[None, :]).ravel()
 
 
 # ----------------------------------------------------------------------

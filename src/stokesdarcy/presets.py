@@ -76,15 +76,12 @@ class TestCasePreset:
     # -- boundary data ---------------------------------------------------
 
     def dns_bc(self) -> BoundarySpec:
-        """Exterior plus obstacle conditions for the pore-scale solve."""
-        sides = {
-            "left": BoundaryCondition("velocity", (0.0, 0.0)),
-            "right": BoundaryCondition("velocity", (0.0, 0.0)),
-            "obstacle": BoundaryCondition("velocity", (0.0, 0.0)),
-        }
+        """Conditions of the pore-scale solve: the free-flow ones, no-slip
+        on the obstacles and the scenario's bottom condition."""
+        no_slip = BoundaryCondition("velocity", (0.0, 0.0))
+        sides = dict(self.stokes_bc().sides, obstacle=no_slip)
         if self.identifier == 1:
-            sides["top"] = BoundaryCondition("velocity", _lid_profile)
-            sides["bottom"] = BoundaryCondition("velocity", (0.0, 0.0))
+            sides["bottom"] = no_slip
         else:
             sides["bottom"] = BoundaryCondition("normal_stress", BOTTOM_TRACTION)
         return BoundarySpec(sides)

@@ -36,6 +36,7 @@ from .homogenize import (
     solve_cell_problem,
 )
 from .icdd import (
+    DEFAULT_HX,
     IcddGeometry,
     IcddPhysics,
     IcddResult,
@@ -490,8 +491,8 @@ def convergence_study(
     preset: TestCasePreset,
     configuration: PorousConfiguration,
     ells,
-    fem_config: FemConfig = FemConfig(order=2),
-    hx: float = 1.0 / 144.0,
+    fem_config: FemConfig = FemConfig(),
+    hx: float = DEFAULT_HX,
     dns_resolution: DnsResolution = DnsResolution(order=1),
     krylov: KrylovConfig = KrylovConfig(),
     cell_resolution: int = DEFAULT_CELL_RESOLUTION,
@@ -579,6 +580,11 @@ def convergence_study(
     return StudyResult(reports=reports, slopes=error_slopes(reports), cell=cell)
 
 
+#: Multiples of the predicted layer thickness that a sweep tries unless
+#: it is given others.
+DEFAULT_FACTORS = (0.5, 1.0, 1.5)
+
+
 @dataclass
 class SweepResult:
     """Fluid-region velocity errors across layer thicknesses.
@@ -614,9 +620,9 @@ def delta_sweep(
     preset: TestCasePreset,
     configuration: PorousConfiguration,
     ell: float,
-    factors=(0.5, 1.0, 1.5),
-    fem_config: FemConfig = FemConfig(order=2),
-    hx: float = 1.0 / 144.0,
+    factors=DEFAULT_FACTORS,
+    fem_config: FemConfig = FemConfig(),
+    hx: float = DEFAULT_HX,
     dns_resolution: DnsResolution = DnsResolution(order=1),
     krylov: KrylovConfig = KrylovConfig(),
     cell_resolution: int = DEFAULT_CELL_RESOLUTION,

@@ -101,11 +101,9 @@ class TestLoadRunConfig:
             config.preset()
 
     def test_bad_cast(self, tmp_path):
-        config = load_run_config(
-            write_config(tmp_path, "[case]\npreset = 1\nell = fast\n")
-        )
+        path = write_config(tmp_path, "[case]\npreset = 1\nell = fast\n")
         with pytest.raises(CliError, match=r"bad value for \[case\] ell"):
-            config.ell()
+            load_run_config(path)
 
     def test_configuration_and_s_hat_conflict(self, tmp_path):
         config = load_run_config(
@@ -474,6 +472,37 @@ class TestFailureModes:
                 ICDD_INI.replace("hx = 0.1", "hx = 0.9"),
                 "hx = 0.9 and delta = ",
             ),
+            ("icdd", ICDD_INI.replace("preset = 1", "preset = 9"), "unknown preset 9"),
+            (
+                "icdd",
+                ICDD_INI.replace("configuration = C1", "configuration = X"),
+                "unknown configuration 'X'; choose from C1, C2, C3, C4",
+            ),
+            (
+                "icdd",
+                ICDD_INI.replace("configuration = C1\n", ""),
+                "need [case] configuration or s_hat",
+            ),
+            (
+                "validate",
+                VALIDATE_INI.replace("ells = 0.25 0.125", "ells ="),
+                "[study] ells is empty",
+            ),
+            (
+                "validate",
+                VALIDATE_INI.replace("ells = 0.25 0.125", "ells = 0.25 x"),
+                "bad value for [study] ells: '0.25 x'",
+            ),
+            (
+                "icdd",
+                ICDD_INI.replace("ell = 0.1", "ell = -0.1"),
+                "ell must be positive, got -0.1",
+            ),
+            (
+                "icdd",
+                ICDD_INI.replace("order = 1", "order = 3"),
+                "order must be 1 or 2, got 3",
+            ),
         ],
         ids=[
             "negative_tolerance",
@@ -486,6 +515,13 @@ class TestFailureModes:
             "inf_hx",
             "nan_period",
             "no_interface_unknowns",
+            "unknown_preset",
+            "unknown_configuration",
+            "no_configuration",
+            "empty_periods",
+            "bad_period",
+            "negative_period",
+            "bad_order",
         ],
     )
     def test_run_failure_exits_2_without_outputs(
@@ -499,6 +535,22 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("command", "ini", "threads"),
+        [("validate", VALIDATE_INI, "0"), ("validate", VALIDATE_INI, "-3"),
+         ("dns", DNS_INI, "-1")],
+        ids=["validate_zero", "validate_negative", "dns_negative"],
+    )
+    def test_threads_below_one_exits_2(self, tmp_path, capsys, command, ini, threads):
+        out = tmp_path / "out"
+        argv = [command, "--config", str(write_config(tmp_path, ini))]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--out", str(out), "--threads", threads])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument --threads: must be at least 1, got {threads}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -754,6 +806,93 @@ def test_study_list_exits_2_or_reaches_first_solve(command, data):
     else:
         assert code == 2 and calls == [], ini
         assert err.getvalue().startswith("error: ")
+
+
+#: Values that the config property test below draws for each key of
+#: :data:`cli.SCHEMA`: ones that the commands accept on cheap meshes.
+ACCEPTED_VALUES = {
+    ("case", "preset"): ("1", "2", "3"),
+    ("case", "configuration"): ("C1", "C2", "C3"),
+    ("case", "s_hat"): ("0.6", "0.8"),
+    ("case", "ell"): ("0.25", "0.125"),
+    ("discretization", "order"): ("1", "2"),
+    ("discretization", "hx"): ("0.125", "0.0625"),
+    ("discretization", "cell_resolution"): ("10",),
+    ("discretization", "dns_cells"): ("10",),
+    ("discretization", "dns_order"): ("1", "2"),
+    ("solver", "tolerance"): ("1e-8",),
+    ("solver", "max_iterations"): ("40",),
+    ("solver", "seed"): ("0", "7"),
+    ("study", "ells"): ("0.25 0.125", "0.125, 0.25"),
+    ("study", "factors"): ("0.5 1 1.5", "1"),
+}
+
+#: Edge values drawn for every key of each parser: those that no key of
+#: that parser accepts at load, and those that parse (zero, negative,
+#: huge, repeated members), which a key may still reject later.
+MALFORMED_VALUES = {
+    int: ("nan", "inf", "1e300", "1.5", ""),
+    float: ("nan", "inf", "-inf", "x", ""),
+    str: (),
+    cli._floats: ("", ",", "nan 1", "1 inf", "x"),
+}
+PARSED_EDGE_VALUES = {
+    int: ("0", "-1", "3"),
+    float: ("0", "-0.5", "1e300"),
+    str: ("X", "c1", ""),
+    cli._floats: ("0.25 0.25", "1 1", "0 -0.5", "1e300 1", "0.03 0.1"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_any_config_exits_2_or_reaches_first_solve(command, data):
+    """Each key of :data:`cli.SCHEMA` takes an accepted value (one of
+    ``configuration`` and ``s_hat``), except up to two keys, each left
+    out or given an edge value.  Every run either exits 2 with
+    ``error:`` and no output directory, or reaches its first (stubbed)
+    solve; a value that does not parse, is not finite or is an empty
+    list exits 2 at load, whether or not the command reads its key."""
+    keys = list(ACCEPTED_VALUES)
+    assert set(keys) == {(s, k) for s, names in cli.SCHEMA.items() for k in names}
+    edged = data.draw(st.lists(st.sampled_from(keys), max_size=2, unique=True))
+    obstacle = data.draw(st.sampled_from(["configuration", "s_hat"]))
+    drawn, malformed = {}, False
+    for section, key in keys:
+        parser = cli.SCHEMA[section][key]
+        if (section, key) in edged:  # left out, or an edge value
+            edge = MALFORMED_VALUES[parser] + PARSED_EDGE_VALUES[parser]
+            value = data.draw(st.sampled_from((None,) + edge))
+            malformed |= value in MALFORMED_VALUES[parser]
+        elif key in ("configuration", "s_hat") and key != obstacle:
+            value = None
+        else:
+            value = data.draw(st.sampled_from(ACCEPTED_VALUES[section, key]))
+        if value is not None:
+            drawn.setdefault(section, []).append(f"{key} = {value}")
+    ini = "".join(
+        f"[{section}]\n" + "".join(f"{line}\n" for line in lines)
+        for section, lines in drawn.items()
+    )
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        for module in (cli, validate):
+            for name in ("solve_cell_problem", "solve_dns", "assemble_problem"):
+                mp.setattr(module, name, reach_solve)
+        config, out = write_config(Path(tmp), ini), Path(tmp) / "out"
+        with contextlib.redirect_stderr(err):
+            try:
+                code = main([command, "--config", str(config), "--out", str(out)])
+            except SolveReached:
+                code = None
+        assert not out.exists()
+    if code is not None or malformed:
+        assert code == 2, ini
+        assert err.getvalue().startswith("error: "), ini
+    if malformed:
+        load_error = r"error: (bad value for|\[\w+\] \w+ (is empty|must be finite))"
+        assert re.match(load_error, err.getvalue()), (ini, err.getvalue())
 
 
 class TestDnsCommand:

@@ -392,3 +392,53 @@ class TestBicgstab:
         x2, info2 = bicgstab(lambda v: a @ v, b, KrylovConfig(tol=1e-10, seed=5))
         np.testing.assert_array_equal(x1, x2)
         assert info1["residuals"] == info2["residuals"]
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_breakdown_restarts_once_and_converges(self, seed):
+        """``r_hat . A r = 0`` at the first step: one breakdown, one
+        restart from the current iterate (zero) with a perturbed shadow
+        residual, then convergence; the seed fixes every bit of ``x``."""
+        a = np.array([[0.0, 1.0], [1.0, 1.0]])
+        b = np.array([1.0, 0.0])
+        applied = []
+
+        def op(v):
+            applied.append(v.copy())
+            return a @ v
+
+        x, info = bicgstab(op, b, KrylovConfig(seed=seed))
+        assert info["converged"] and info["reason"] == "converged"
+        assert info["breakdowns"] == 1 and info["iterations"] <= 2
+        assert sum(not v.any() for v in applied) == 1  # the restart
+        np.testing.assert_allclose(x, [-1.0, 1.0], atol=1e-10)
+        again, _ = bicgstab(lambda v: a @ v, b, KrylovConfig(seed=seed))
+        np.testing.assert_array_equal(x, again)
+
+    def test_second_breakdown_aborts(self):
+        x, info = bicgstab(np.zeros_like, np.ones(3))
+        assert info["reason"] == "breakdown" and info["breakdowns"] == 2
+        assert info["converged"] is False
+        np.testing.assert_array_equal(x, np.zeros(3))
+
+    def test_schur_solve_names_the_breakdown(self, monkeypatch):
+        monkeypatch.setattr(icdd, "schur_rhs", lambda problem: np.ones(4))
+        monkeypatch.setattr(icdd, "schur_apply", lambda problem, g: np.zeros_like(g))
+        with pytest.raises(
+            RuntimeError, match="interface solver failed: breakdown after 0 iterations"
+        ):
+            icdd.schur_solve(None)
+
+    def test_drifting_operator_fails_true_residual_check(self):
+        """An operator that changes after its second application: the
+        recursion converges, the recomputed residual does not."""
+        a = np.diag([1.0, 2.0, 3.0])
+        calls = []
+
+        def drifting(v):
+            calls.append(1)
+            return a @ v if len(calls) <= 2 else 2.0 * (a @ v)
+
+        x, info = bicgstab(drifting, np.ones(3), KrylovConfig(tol=1e-10))
+        assert info["reason"] == "true residual check failed"
+        assert info["converged"] is False
+        assert info["residuals"][-1] < 1e-10 < info["true_residual"] / 10

@@ -7,6 +7,8 @@ import ast
 from collections import Counter
 from pathlib import Path
 
+from stokesdarcy.cli import SCHEMA
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "stokesdarcy"
 
 #: Public names whose only callers are tests, each with the reason it stays.
@@ -218,3 +220,16 @@ def test_every_defaulted_parameter_is_passed_in_src():
         if not any(_passes(c, name, position) for c in calls.get(function, []))
     )
     assert unpassed == sorted(TEST_ONLY_DEFAULTS)
+
+
+def test_every_config_key_is_read():
+    """Every key of ``cli.SCHEMA`` is read by a ``RunConfig`` accessor,
+    as ``self._get(section, key, ...)`` with literal names."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    (cls,) = [n for n in tree.body if getattr(n, "name", None) == "RunConfig"]
+    read = {
+        (call.args[0].value, call.args[1].value)
+        for call in ast.walk(cls)
+        if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "_get"
+    }
+    assert read == {(s, k) for s, keys in SCHEMA.items() for k in keys}
