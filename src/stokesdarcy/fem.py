@@ -344,7 +344,8 @@ class SaddleSystem:
         from it.  Assembly writes it directly in canonical form (sorted,
         unique rows per column, no stored zero) with int32 indices.
         Solves read only two pieces of it: the interior block, gathered
-        in :attr:`interior_dofs` order, and the interior rows of the
+        in :attr:`interior_dofs` order, which the factor keeps to check
+        each solve's backward error, and the interior rows of the
         constrained (Dirichlet and interface) columns.  :attr:`factor`
         sets ``matrix`` to None before SuperLU runs, so a factorization
         holds only these pieces; :attr:`interior_matrix`,
@@ -1188,7 +1189,8 @@ class CellSystem:
     @cached_property
     def factor(self) -> Factorization:
         """Factor of :attr:`matrix` in its own order.  It sets
-        ``matrix`` to None, so the block is freed once factored."""
+        ``matrix`` to None; the factor keeps the block to check its
+        solves."""
         block, self.matrix = self.matrix, None
         return factorize(block)
 

@@ -10,7 +10,8 @@ Both directions share one sparse LU factor of the periodic operator.
 The cell system keeps its free unknowns in elimination order, node by
 node in nested-dissection order with the periodic seam last (see
 :class:`~stokesdarcy.fem.CellSystem`), so the operator is factored in
-its own order, its backward error checked like every subdomain factor.
+its own order, and each of its solves checks its backward error like
+every subdomain solve.
 
 The near-interface layer thickness used to place the overlapping
 subdomain boundary follows a quadratic fit in the porosity, scaled by
@@ -137,11 +138,11 @@ def solve_cell_problem(
     :data:`~stokesdarcy.linalg.DIAG_PIVOT_THRESH`.  Although the cell
     is solved at unit viscosity, that threshold keeps every row but the
     pressure-mean multiplier's pair on the diagonal up to resolution 80.
-    The factor is refactored with COLAMD, with a warning, if its
-    backward error exceeds
-    :data:`~stokesdarcy.linalg.BACKWARD_ERROR_BOUND`.  Its
-    :meth:`~stokesdarcy.linalg.Factorization.health` is kept as
-    ``factor_health``.
+    A direction solve whose backward error exceeds
+    :data:`~stokesdarcy.linalg.BACKWARD_ERROR_BOUND` raises
+    ``RuntimeError``.  The factor's
+    :meth:`~stokesdarcy.linalg.Factorization.health`, taken after both
+    solves, is kept as ``factor_health``.
 
     Parameters
     ----------

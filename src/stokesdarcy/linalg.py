@@ -7,9 +7,9 @@ order, as :func:`ordered_block` gathers it (every system here keeps its
 interior unknowns node by node in nested-dissection order; see
 :class:`~stokesdarcy.fem.SaddleSystem` and
 :class:`~stokesdarcy.fem.CellSystem`).  The block is factored in that
-natural order, checked by the backward error of one solve, with a
-warned fallback to COLAMD; the factor records its ``ordering`` and
-``backward_error``.
+natural order, and every solve checks its own backward error: above
+:data:`BACKWARD_ERROR_BOUND` it raises ``RuntimeError``.  The factor
+records the largest ``backward_error`` of its solves.
 
 The interface system of the coupled solver is nonsymmetric and only
 available through matrix-vector applications, which is what the
@@ -22,7 +22,6 @@ scale of the data.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,8 @@ class KrylovConfig:
     Parameters
     ----------
     tol : float
-        Relative residual target, measured against the right-hand side.
+        Relative residual target, measured against the right-hand side;
+        below 1, since the zero start already has residual 1.
     maxiter : int
         Iteration cap; one iteration applies the operator twice.
     seed : int
@@ -50,16 +50,16 @@ class KrylovConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < 1.0:
+            raise ValueError(f"tol must be positive and below 1, got {self.tol}")
         if self.maxiter < 1:
             raise ValueError(f"maxiter must be at least 1, got {self.maxiter}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-#: Largest normwise backward error accepted from a factor computed in a
-#: given order; above it the matrix is refactored with COLAMD.
+#: Largest normwise backward error accepted from a solve; above it the
+#: solve raises ``RuntimeError``.
 BACKWARD_ERROR_BOUND = 1e-12
 
 #: SuperLU's diagonal pivot threshold for a factor in a given order: the
@@ -69,46 +69,41 @@ DIAG_PIVOT_THRESH = 1e-3
 
 
 class Factorization:
-    """LU factorization of a sparse block with cached triangular solves.
+    """LU factorization of a sparse block with checked triangular solves.
 
     Parameters
     ----------
     block : csc_matrix
         Square block to factor, its unknowns already in elimination
-        order (see :func:`ordered_block`).  SuperLU reads it in place.
+        order (see :func:`ordered_block`).  SuperLU reads it in place,
+        and the factor keeps it to check its solves.
 
     Attributes
     ----------
     shape : tuple of int
         Shape of the factored block.
-    ordering : str
-        ``"nested-dissection"`` if the block's own order was used,
-        ``"colamd"`` after the fallback.
     backward_error : float
-        Normwise backward error ``|b - A x| / (|A| |x| + |b|)`` (infinity
-        norms) of the solve of ``A x = b`` with ``b = A 1``, ``A`` the
-        factored block.
+        Largest normwise backward error ``|b - A x| / (|A| |x| + |b|)``
+        (infinity norms, ``A`` the factored block) over the solves made
+        so far; 0 before the first.
 
     Notes
     -----
     The infinity norm of ``A`` that the backward error needs is taken
     before SuperLU runs, a bounded chunk of entries at a time.  So
     while SuperLU factors, the arrays alive here are those of
-    ``block`` and vectors of one entry per unknown, and no matrix is
-    kept once the constructor returns: only the SuperLU factor.
-    Whatever else the caller holds stays alive too, which is why a
-    system drops its assembled matrix before it factors the gathered
-    block.
+    ``block`` and vectors of one entry per unknown.  Whatever else the
+    caller holds stays alive too, which is why a system drops its
+    assembled matrix before it factors the gathered block.
 
     The pivot threshold on the diagonal is :data:`DIAG_PIVOT_THRESH`, so
     the order is kept up to a row interchange or two (the pressure-mean
     multiplier has a zero diagonal).  Every interchange moves a row off
     its diagonal and adds fill; at 0.01 the unit-viscosity cell factor
     took 161-264 of them and up to 2.5 times the entries.  Such weak
-    pivoting is checked by one solve with the block: if its backward
-    error exceeds :data:`BACKWARD_ERROR_BOUND`, the same block is
-    refactored with COLAMD and partial pivoting, and a
-    :class:`RuntimeWarning` is issued.
+    pivoting is checked on every solve the program makes, at the cost
+    of one product with the block: a solve whose backward error
+    exceeds :data:`BACKWARD_ERROR_BOUND` raises ``RuntimeError``.
     """
 
     def __init__(self, block: sp.csc_matrix):
@@ -117,51 +112,44 @@ class Factorization:
                 f"block must be a square CSC matrix, got {block.format} {block.shape}"
             )
         self.shape = block.shape
-        norm_a = _row_sum_norm(block)
+        self.backward_error = 0.0
+        self._block = block
+        self._norm = _row_sum_norm(block)
         self._lu = spla.splu(
             block,
             permc_spec="NATURAL",
             diag_pivot_thresh=DIAG_PIVOT_THRESH,
             options={"SymmetricMode": True},
         )
-        self.ordering = "nested-dissection"
-        self.backward_error = self._check(block, norm_a)
-        if self.backward_error <= BACKWARD_ERROR_BOUND:
-            return
-        warnings.warn(
-            f"backward error {self.backward_error:.2e} of the "
-            f"nested-dissection factor exceeds {BACKWARD_ERROR_BOUND:.0e}; "
-            "refactoring with COLAMD",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        self._lu = None
-        self._lu = spla.splu(block)
-        self.ordering = "colamd"
-        self.backward_error = self._check(block, norm_a)
-
-    def _check(self, a, norm_a: float) -> float:
-        b = a @ np.ones(self.shape[0])
-        x = self._lu.solve(b)
-        scale = norm_a * np.abs(x).max() + np.abs(b).max()
-        return float(np.abs(b - a @ x).max() / scale)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``A x = b`` for one right-hand side, both in the
-        block's order."""
+        block's order; raise ``RuntimeError`` if the solve's backward
+        error exceeds :data:`BACKWARD_ERROR_BOUND`."""
         b = np.asarray(b, dtype=float)
-        if b.shape[0] != self.shape[0]:
-            raise ValueError(f"rhs length {b.shape[0]} != {self.shape[0]}")
-        return self._lu.solve(b)
+        n = self.shape[0]
+        if b.shape[0] != n:
+            raise ValueError(f"rhs length {b.shape[0]} != {n}")
+        x = self._lu.solve(b)
+        scale = self._norm * np.abs(x).max() + np.abs(b).max()
+        residual = np.abs(b - self._block @ x).max()
+        error = float(residual / scale) if scale != 0.0 else 0.0
+        if not error <= BACKWARD_ERROR_BOUND:  # a NaN error fails too
+            raise RuntimeError(
+                f"backward error {error:.2e} of a sparse direct solve with {n} "
+                f"unknowns exceeds {BACKWARD_ERROR_BOUND:.0e}"
+            )
+        self.backward_error = max(self.backward_error, error)
+        return x
 
     def health(self) -> dict:
         """Deterministic record of the factor for a run manifest.
 
         Keys ``unknowns``, ``lu_nnz`` (stored entries of ``L`` and
         ``U``), ``row_interchanges`` (rows the pivoting moved off their
-        place, the count of ``perm_r != arange(n)``), ``ordering`` and
-        ``backward_error``, the last as a string at the fixed precision
-        ``%.2e``.
+        place, the count of ``perm_r != arange(n)``) and
+        ``backward_error`` (:attr:`backward_error`, as a string at the
+        fixed precision ``%.2e``).
         """
         n = self.shape[0]
         moved = np.count_nonzero(self._lu.perm_r != np.arange(n))
@@ -169,7 +157,6 @@ class Factorization:
             "unknowns": n,
             "lu_nnz": int(self._lu.nnz),
             "row_interchanges": int(moved),
-            "ordering": self.ordering,
             "backward_error": f"{self.backward_error:.2e}",
         }
 
@@ -257,8 +244,8 @@ def factorize(block: sp.csc_matrix) -> Factorization:
     Returns
     -------
     Factorization
-        Object exposing ``solve(b)``, ``ordering``, ``backward_error``
-        and ``health()``.
+        Object exposing ``solve(b)``, ``backward_error`` and
+        ``health()``.
 
     Raises
     ------

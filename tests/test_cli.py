@@ -151,7 +151,6 @@ class TestCellCommand:
         assert manifest["command"] == "cell"
         assert manifest["outputs"] == ["cell.csv", "manifest.json"]
         cell_factor = manifest["parameters"]["cell_factor"]
-        assert cell_factor["ordering"] == "nested-dissection"
         assert cell_factor["row_interchanges"] <= 2
         digest = hashlib.sha256(config_path.read_text().encode()).hexdigest()
         assert manifest["config_sha256"] == digest
@@ -194,10 +193,8 @@ class TestIcddCommand:
         for name in ("stokes_factor", "darcy_factor"):
             factor = manifest["parameters"][name]
             assert sorted(factor) == [
-                "backward_error", "lu_nnz", "ordering", "row_interchanges",
-                "unknowns",
+                "backward_error", "lu_nnz", "row_interchanges", "unknowns",
             ]
-            assert factor["ordering"] == "nested-dissection"
             # Only the pressure-mean multiplier's pair, if any, leaves
             # the diagonal.
             assert factor["row_interchanges"] <= 2
@@ -582,6 +579,23 @@ class TestFailureModes:
         )
         assert not out.exists()
 
+    def test_backward_error_above_bound_exits_2(self, tmp_path, capsys, monkeypatch):
+        # No real solve reaches the bound, so it is lowered below any
+        # nonzero backward error.
+        monkeypatch.setattr(linalg, "BACKWARD_ERROR_BOUND", 1e-300)
+        out = tmp_path / "out"
+        code = main(
+            ["dns", "--config", str(write_config(tmp_path, DNS_INI)), "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.match(
+            r"error: backward error \d\.\d\de-\d\d of a sparse direct solve with "
+            r"\d+ unknowns exceeds 1e-300",
+            err,
+        ), err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         ("command", "ini", "threads"),
         [("icdd", ICDD_INI, 1), ("validate", VALIDATE_INI, 2)],
@@ -655,8 +669,15 @@ class TestFailureModes:
              "seed must be non-negative"),
             ("sweep", SWEEP_INI + "\n[solver]\nseed = -1\n",
              "seed must be non-negative"),
+            ("icdd", ICDD_INI.replace("tolerance = 1e-10", "tolerance = 1"),
+             "tol must be positive and below 1, got 1.0"),
+            ("icdd", ICDD_INI.replace("tolerance = 1e-10", "tolerance = 1e300"),
+             "tol must be positive and below 1, got 1e+300"),
         ],
-        ids=["icdd_cell_tolerance", "icdd_seed", "validate_seed", "sweep_seed"],
+        ids=[
+            "icdd_cell_tolerance", "icdd_seed", "validate_seed", "sweep_seed",
+            "icdd_tolerance_one", "icdd_tolerance_huge",
+        ],
     )
     def test_bad_solver_setting_exits_2_before_any_solve(
         self, tmp_path, capsys, monkeypatch, command, ini, message
@@ -918,7 +939,6 @@ class TestDnsCommand:
             "unknowns": n,
             "lu_nnz": factor._lu.nnz,
             "row_interchanges": int(np.sum(factor._lu.perm_r != np.arange(n))),
-            "ordering": "nested-dissection",
             "backward_error": f"{factor.backward_error:.2e}",
         }
         assert manifest["parameters"]["factor"]["row_interchanges"] <= 2

@@ -186,7 +186,6 @@ def test_cell_factor_keeps_its_diagonal(s_hat, resolution):
     # rows at resolution 40.  At DIAG_PIVOT_THRESH only the pressure-mean
     # multiplier (a zero diagonal) and its partner row may be moved.
     health = solve_cell_problem(s_hat, resolution=resolution).factor_health
-    assert health["ordering"] == "nested-dissection"
     assert health["row_interchanges"] <= 2
     assert float(health["backward_error"]) <= BACKWARD_ERROR_BOUND
 
@@ -195,7 +194,6 @@ def test_fine_cell_factor_fill():
     # C1 at resolution 80: 37.1M entries with 3,327 interchanges at a
     # 0.01 pivot threshold, about 5.5M without them.
     health = solve_cell_problem(0.8, resolution=80).factor_health
-    assert health["ordering"] == "nested-dissection"
     assert health["lu_nnz"] < 8_000_000
 
 

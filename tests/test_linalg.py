@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import gc
 import tracemalloc
-import warnings
 import weakref
 from types import SimpleNamespace
 
@@ -35,6 +34,17 @@ def _random_system(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _dominant_block(seed: int, n: int, density: float) -> sp.csc_matrix:
+    """Random sparse, nonsymmetric block whose diagonal dominates each
+    row, with diagonal entries of either sign."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
+    np.fill_diagonal(a, 0.0)
+    dominant = np.abs(a).sum(axis=1) + rng.uniform(0.5, 2.0, n)
+    np.fill_diagonal(a, rng.choice([-1.0, 1.0], n) * dominant)
+    return sp.csc_matrix(a)
+
+
 def _ordered(a: np.ndarray, order) -> sp.csc_matrix:
     """Block of ``a`` over ``order``, in that order."""
     return linalg.ordered_block(sp.csc_matrix(a), np.asarray(order))
@@ -51,7 +61,9 @@ class TestKrylovConfig:
         assert config.maxiter == 200
         assert config.seed == 0
 
-    @pytest.mark.parametrize(("tol", "maxiter"), [(-1e-8, 10), (1e-8, 0)])
+    @pytest.mark.parametrize(
+        ("tol", "maxiter"), [(-1e-8, 10), (1e-8, 0), (1.0, 10), (1e300, 10)]
+    )
     def test_invalid_raises(self, tol, maxiter):
         with pytest.raises(ValueError):
             KrylovConfig(tol=tol, maxiter=maxiter)
@@ -70,6 +82,35 @@ class TestFactorization:
         np.testing.assert_allclose(
             factor.solve(b), np.linalg.solve(a, b), rtol=1e-9, atol=1e-12
         )
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        density=st.floats(0.05, 0.5),
+        k=st.integers(-60, 60),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_each_solve_checks_its_own_backward_error(self, seed, n, density, k):
+        """Scaling ``b`` by ``2**k`` scales ``x`` exactly and keeps the
+        backward error; a zero ``b`` gives zero and error 0; the health
+        reports the largest error over the solves made."""
+        block = _dominant_block(seed, n, density)
+        b = np.random.default_rng(seed).standard_normal(n)
+        rhs = (b, 2.0**k * b, np.zeros(n))
+        solutions, errors = [], []
+        for r in rhs:
+            factor = factorize(block)
+            solutions.append(factor.solve(r))
+            errors.append(factor.backward_error)
+        x, x_scaled, x_zero = solutions
+        np.testing.assert_array_equal(x_scaled, 2.0**k * x)
+        assert errors[1] == errors[0] <= linalg.BACKWARD_ERROR_BOUND
+        assert not x_zero.any() and errors[2] == 0.0
+        factor = factorize(block)
+        for r in rhs:
+            factor.solve(r)
+        assert factor.backward_error == max(errors)
+        assert factor.health()["backward_error"] == f"{max(errors):.2e}"
 
     def test_multiple_right_hand_sides(self):
         a, _ = _random_system(12, 3)
@@ -95,16 +136,19 @@ class TestFactorization:
 
 
 class TestOrderedFactorization:
-    def test_fallback_to_colamd_warns(self, monkeypatch):
-        monkeypatch.setattr(linalg, "BACKWARD_ERROR_BOUND", 0.0)
+    def test_solve_above_bound_raises(self, monkeypatch):
+        # A bound below any nonzero backward error; the failed solve is
+        # not recorded.
+        monkeypatch.setattr(linalg, "BACKWARD_ERROR_BOUND", 1e-300)
         a, b = _random_system(30, 5)
-        order = np.arange(30)[::-1]
-        with pytest.warns(RuntimeWarning, match="COLAMD"):
-            factor = factorize(_ordered(a, order))
-        assert factor.ordering == "colamd"
-        np.testing.assert_allclose(
-            factor.solve(b[order]), np.linalg.solve(a, b)[order], rtol=1e-9
-        )
+        factor = factorize(_ordered(a, np.arange(30)[::-1]))
+        with pytest.raises(
+            RuntimeError,
+            match=r"backward error \d\.\d\de-\d\d of a sparse direct solve "
+            r"with 30 unknowns exceeds 1e-300",
+        ):
+            factor.solve(b)
+        assert factor.health()["backward_error"] == "0.00e+00"
 
     def test_order_must_be_permutation(self):
         a, _ = _random_system(5, 1)
@@ -112,19 +156,14 @@ class TestOrderedFactorization:
         with pytest.raises(ValueError, match="permutation"):
             linalg.ordered_block(sp.csc_matrix(a), repeated)
 
-    @pytest.mark.parametrize("bound", [linalg.BACKWARD_ERROR_BOUND, 0.0])
-    def test_principal_submatrix(self, monkeypatch, bound):
+    def test_principal_submatrix(self):
         # The factor of a[order][:, order] solves over the indices in
-        # ``order``, in that order, also after the COLAMD fallback.
-        monkeypatch.setattr(linalg, "BACKWARD_ERROR_BOUND", bound)
+        # ``order``, in that order.
         a, _ = _random_system(40, 7)
         a[np.abs(a) < 1.0] = 0.0
         order = np.array([17, 3, 30, 8, 25, 0, 39, 12, 21, 5])
         b = np.random.default_rng(8).standard_normal(order.size)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            factor = factorize(_ordered(a, order))
-        assert factor.ordering == ("colamd" if bound == 0.0 else "nested-dissection")
+        factor = factorize(_ordered(a, order))
         assert factor.shape == (order.size, order.size)
         np.testing.assert_allclose(
             factor.solve(b), np.linalg.solve(a[np.ix_(order, order)], b), rtol=1e-9
@@ -145,7 +184,6 @@ class TestOrderedFactorization:
         a = sp.csc_matrix([[diagonal, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
         health = factorize(a).health()
         assert health["row_interchanges"] == interchanges
-        assert health["ordering"] == "nested-dissection"
 
     @pytest.mark.parametrize("order", [[0, 5], [-1, 2]])
     def test_order_out_of_range_raises(self, order):
@@ -177,7 +215,8 @@ class TestOrderedFactorization:
 
 class TestFactorCopies:
     """While SuperLU factors, its argument is the only sparse matrix of
-    the factored size, and the system's assembled matrix is gone."""
+    the factored size, and the system's assembled matrix is gone; the
+    factor then keeps that argument, not a copy."""
 
     @staticmethod
     def watch(monkeypatch):
@@ -200,8 +239,10 @@ class TestFactorCopies:
         return calls
 
     @staticmethod
-    def holds_no_matrix(factor):
-        return not any(sp.issparse(v) for v in vars(factor).values())
+    def holds_only(factor, block):
+        """The factor's one matrix is ``block`` itself, not a copy."""
+        matrices = [v for v in vars(factor).values() if sp.issparse(v)]
+        return len(matrices) == 1 and matrices[0] is block
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_dns_factor(self, monkeypatch, dns_systems, order):
@@ -212,7 +253,7 @@ class TestFactorCopies:
         )
         assert calls == [set()]
         (system,) = dns_systems
-        assert self.holds_no_matrix(system.factor)
+        assert self.holds_only(system.factor, system._pieces[0])
 
     def test_icdd_subdomain_factors(self, monkeypatch):
         calls = self.watch(monkeypatch)
@@ -222,7 +263,7 @@ class TestFactorCopies:
             IcddPhysics(preset=PRESETS[1], permeability=7.231e-6),
         )
         for system in (problem.stokes, problem.darcy):
-            assert self.holds_no_matrix(system.factor)
+            assert self.holds_only(system.factor, system._pieces[0])
         assert calls == [set(), set()]
 
     def test_cell_factor(self, monkeypatch):
@@ -235,10 +276,11 @@ class TestFactorCopies:
             return systems[-1]
 
         monkeypatch.setattr(homogenize, "assemble_cell_problem", recording)
-        factors = []
+        blocks, factors = [], []
 
-        def recording_factorize(*args):
-            factors.append(factorize(*args))
+        def recording_factorize(block):
+            blocks.append(block)
+            factors.append(factorize(block))
             return factors[-1]
 
         monkeypatch.setattr(fem, "factorize", recording_factorize)
@@ -246,7 +288,7 @@ class TestFactorCopies:
         (system,) = systems
         assert system.matrix is None
         assert calls == [set()]
-        assert self.holds_no_matrix(factors[0])
+        assert self.holds_only(factors[0], blocks[0])
 
     @pytest.mark.parametrize("case", ["dns", "subdomains", "cell"])
     def test_assembled_matrix_gone_when_splu_runs(self, monkeypatch, case):
