@@ -346,8 +346,9 @@ class SaddleSystem:
         Solves read only two pieces of it: the interior block, gathered
         in :attr:`interior_dofs` order, which the factor keeps to check
         each solve's backward error, and the interior rows of the
-        constrained (Dirichlet and interface) columns.  :attr:`factor`
-        sets ``matrix`` to None before SuperLU runs, so a factorization
+        constrained (Dirichlet and interface) columns.
+        :meth:`release_block`, which :attr:`factor` calls, sets
+        ``matrix`` to None before SuperLU runs, so a factorization
         holds only these pieces; :attr:`interior_matrix`,
         :attr:`interface_matrix` and :attr:`interior_rhs` read the
         pieces, before factoring and after.
@@ -469,13 +470,19 @@ class SaddleSystem:
             f -= coupling @ lift
         return f
 
-    @cached_property
-    def factor(self) -> Factorization:
-        """Factor of the interior block.  It drops :attr:`matrix` first,
-        so SuperLU works in the memory the assembled matrix held."""
+    def release_block(self) -> sp.csc_matrix:
+        """The interior block, for a factorization.  It drops
+        :attr:`matrix` first, so SuperLU works in the memory the
+        assembled matrix held."""
         block, _ = self._pieces
         self.matrix = None
-        return factorize(block)
+        return block
+
+    @cached_property
+    def factor(self) -> Factorization:
+        """Factor of :meth:`release_block`, in double precision unless
+        the caller has set a factor of that block before."""
+        return factorize(self.release_block())
 
     def solve(self, g: np.ndarray | None = None, include_data: bool = True) -> np.ndarray:
         """Solve for the interior unknowns given interface values.

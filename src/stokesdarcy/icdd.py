@@ -466,6 +466,11 @@ def _result_from_solution(problem, g, x_f, x_p, info) -> IcddResult:
     )
 
 
+#: Multiple of the interface solver's tolerance that each matching
+#: residual of a coupled solve must meet.
+MATCHING_FACTOR = 10.0
+
+
 def icdd_solve(
     problem: IcddProblem, krylov: KrylovConfig = KrylovConfig()
 ) -> IcddResult:
@@ -477,12 +482,27 @@ def icdd_solve(
         Composite solution, Krylov diagnostics, interface matching
         residuals and auxiliary-solution norms, all recomputed from
         fresh subdomain solves at the converged controls.
+
+    Raises
+    ------
+    RuntimeError
+        If the interface solve does not converge, or if either matching
+        residual exceeds :data:`MATCHING_FACTOR` times ``krylov.tol``.
     """
     g, info = schur_solve(problem, krylov)
     g_f, g_p = problem.split(g)
     x_f = problem.stokes.solve(g=g_f)
     x_p = problem.darcy.solve(g=g_p)
-    return _result_from_solution(problem, g, x_f, x_p, info)
+    result = _result_from_solution(problem, g, x_f, x_p, info)
+    bound = MATCHING_FACTOR * krylov.tol
+    for name in ("matching_velocity", "matching_pressure"):
+        value = getattr(result, name)
+        if not value <= bound:
+            raise RuntimeError(
+                f"interface solve stopped with {name} {value:.2e} above "
+                f"{MATCHING_FACTOR:g} * tol = {bound:.2e}"
+            )
+    return result
 
 
 def monolithic_solve(problem: IcddProblem) -> IcddResult:

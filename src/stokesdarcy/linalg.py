@@ -11,6 +11,16 @@ natural order, and every solve checks its own backward error: above
 :data:`BACKWARD_ERROR_BOUND` it raises ``RuntimeError``.  The factor
 records the largest ``backward_error`` of its solves.
 
+A factor that makes few solves, the pore-scale reference's single one,
+can be made in single precision (``factorize(block, single=True)``):
+SuperLU then factors a float32 copy of the block's values, sharing its
+index arrays, in about half the memory, and each solve is refined in
+double precision against the block until its backward error is at most
+``2**-52`` or stops halving.  A factor whose refinement misses the
+bound is remade once in double precision, with a ``RuntimeWarning``.
+The subdomain and unit-cell factors, solved many times each, stay in
+double precision.
+
 The interface system of the coupled solver is nonsymmetric and only
 available through matrix-vector applications, which is what the
 BiCGStab implementation here targets: it keeps a residual history,
@@ -22,6 +32,7 @@ scale of the data.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +78,13 @@ BACKWARD_ERROR_BOUND = 1e-12
 #: the largest entry in its column.
 DIAG_PIVOT_THRESH = 1e-3
 
+#: Most single-precision solves that refine one right-hand side.
+MAX_REFINEMENT_STEPS = 4
+
+#: Backward error at which refinement stops: ``2**-52``, the spacing of
+#: double-precision numbers at 1.
+_REFINED = np.finfo(float).eps
+
 
 class Factorization:
     """LU factorization of a sparse block with checked triangular solves.
@@ -77,15 +95,23 @@ class Factorization:
         Square block to factor, its unknowns already in elimination
         order (see :func:`ordered_block`).  SuperLU reads it in place,
         and the factor keeps it to check its solves.
+    single : bool
+        Factor in single precision and refine each solve in double
+        precision against ``block`` (see Notes).
 
     Attributes
     ----------
     shape : tuple of int
         Shape of the factored block.
+    precision : str
+        ``"float32"`` or ``"float64"``, the precision of the factor.
     backward_error : float
         Largest normwise backward error ``|b - A x| / (|A| |x| + |b|)``
         (infinity norms, ``A`` the factored block) over the solves made
         so far; 0 before the first.
+    refinement_steps : int
+        Most single-precision solves made for one right-hand side; 0
+        for a factor made in double precision.
 
     Notes
     -----
@@ -96,31 +122,55 @@ class Factorization:
     caller holds stays alive too, which is why a system drops its
     assembled matrix before it factors the gathered block.
 
+    A single-precision factor adds one array of 4-byte entries, the
+    values of ``block`` rounded to float32: the matrix SuperLU gets
+    shares its row indices and column pointers with ``block``.  SuperLU
+    sorts its argument's indices in place, so ``block`` is sorted
+    first, in place, which leaves that sort nothing to move.  The
+    factor itself takes about half the memory of a double-precision
+    one (on the pore-scale blocks, the same entries and interchanges).
+    Each solve then starts from ``x = 0`` and repeats: take the
+    residual ``r = b - A x`` in double precision, scale it by a power
+    of two to a largest entry in [0.5, 1) (so it neither under- nor
+    overflows in float32, and scaling ``b`` by a power of two scales
+    ``x`` exactly), solve for the correction with the float32 factor
+    and add it.  Refinement stops
+    when the backward error is at most ``2**-52``, when a step fails to
+    halve it (the better iterate is kept), or after
+    :data:`MAX_REFINEMENT_STEPS` solves.  If the error is then above
+    :data:`BACKWARD_ERROR_BOUND`, the float32 factor is freed and
+    ``block`` is factored once more in double precision, with a
+    ``RuntimeWarning``; :attr:`precision` records it.
+
     The pivot threshold on the diagonal is :data:`DIAG_PIVOT_THRESH`, so
     the order is kept up to a row interchange or two (the pressure-mean
     multiplier has a zero diagonal).  Every interchange moves a row off
     its diagonal and adds fill; at 0.01 the unit-viscosity cell factor
     took 161-264 of them and up to 2.5 times the entries.  Such weak
     pivoting is checked on every solve the program makes, at the cost
-    of one product with the block: a solve whose backward error
-    exceeds :data:`BACKWARD_ERROR_BOUND` raises ``RuntimeError``.
+    of one product with the block per solve (per refinement step): a
+    solve whose backward error exceeds :data:`BACKWARD_ERROR_BOUND`
+    raises ``RuntimeError``.
     """
 
-    def __init__(self, block: sp.csc_matrix):
+    def __init__(self, block: sp.csc_matrix, single: bool = False):
         if block.format != "csc" or block.shape[0] != block.shape[1]:
             raise ValueError(
                 f"block must be a square CSC matrix, got {block.format} {block.shape}"
             )
         self.shape = block.shape
+        self.precision = "float32" if single else "float64"
         self.backward_error = 0.0
+        self.refinement_steps = 0
         self._block = block
         self._norm = _row_sum_norm(block)
-        self._lu = spla.splu(
-            block,
-            permc_spec="NATURAL",
-            diag_pivot_thresh=DIAG_PIVOT_THRESH,
-            options={"SymmetricMode": True},
-        )
+        if single:
+            block.sort_indices()
+            block = sp.csc_matrix(
+                (block.data.astype(np.float32), block.indices, block.indptr),
+                shape=block.shape,
+            )
+        self._lu = _splu(block)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``A x = b`` for one right-hand side, both in the
@@ -130,10 +180,22 @@ class Factorization:
         n = self.shape[0]
         if b.shape[0] != n:
             raise ValueError(f"rhs length {b.shape[0]} != {n}")
-        x = self._lu.solve(b)
-        scale = self._norm * np.abs(x).max() + np.abs(b).max()
-        residual = np.abs(b - self._block @ x).max()
-        error = float(residual / scale) if scale != 0.0 else 0.0
+        if self.precision == "float32":
+            x, error = self._refine(b)
+            if not error <= BACKWARD_ERROR_BOUND:
+                warnings.warn(
+                    f"single-precision factor of {n} unknowns refined to a "
+                    f"backward error of {error:.2e} only; refactoring in "
+                    "double precision",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                self._lu = None
+                self._lu = _splu(self._block)
+                self.precision = "float64"
+        if self.precision == "float64":
+            x = self._lu.solve(b)
+            _, error = self._residual(b, x)
         if not error <= BACKWARD_ERROR_BOUND:  # a NaN error fails too
             raise RuntimeError(
                 f"backward error {error:.2e} of a sparse direct solve with {n} "
@@ -142,23 +204,63 @@ class Factorization:
         self.backward_error = max(self.backward_error, error)
         return x
 
+    def _residual(self, b: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """``b - A x`` and the backward error of ``x``."""
+        r = b - self._block @ x
+        scale = self._norm * np.abs(x).max() + np.abs(b).max()
+        return r, float(np.abs(r).max() / scale) if scale != 0.0 else 0.0
+
+    def _refine(self, b: np.ndarray) -> tuple[np.ndarray, float]:
+        """``x`` refined with the float32 factor, and its backward
+        error (see the class Notes)."""
+        x = np.zeros_like(b)
+        r, error = b, float(b.any())  # the backward error of x = 0
+        steps = 0
+        while error > _REFINED and steps < MAX_REFINEMENT_STEPS:
+            exponent = int(np.frexp(np.abs(r).max())[1])
+            step = self._lu.solve(np.ldexp(r, -exponent).astype(np.float32))
+            y = x + np.ldexp(step.astype(float), exponent)
+            r_y, error_y = self._residual(b, y)
+            steps += 1
+            if not error_y <= error / 2:
+                if error_y < error:
+                    x, error = y, error_y
+                break
+            x, r, error = y, r_y, error_y
+        self.refinement_steps = max(self.refinement_steps, steps)
+        return x, error
+
     def health(self) -> dict:
         """Deterministic record of the factor for a run manifest.
 
-        Keys ``unknowns``, ``lu_nnz`` (stored entries of ``L`` and
-        ``U``), ``row_interchanges`` (rows the pivoting moved off their
-        place, the count of ``perm_r != arange(n)``) and
-        ``backward_error`` (:attr:`backward_error`, as a string at the
-        fixed precision ``%.2e``).
+        Keys ``unknowns``, ``precision`` (:attr:`precision`),
+        ``lu_nnz`` (stored entries of ``L`` and ``U``),
+        ``row_interchanges`` (rows the pivoting moved off their place,
+        the count of ``perm_r != arange(n)``), ``refinement_steps``
+        (:attr:`refinement_steps`) and ``backward_error``
+        (:attr:`backward_error`, as a string at the fixed precision
+        ``%.2e``).
         """
         n = self.shape[0]
         moved = np.count_nonzero(self._lu.perm_r != np.arange(n))
         return {
             "unknowns": n,
+            "precision": self.precision,
             "lu_nnz": int(self._lu.nnz),
             "row_interchanges": int(moved),
+            "refinement_steps": self.refinement_steps,
             "backward_error": f"{self.backward_error:.2e}",
         }
+
+
+def _splu(block: sp.csc_matrix):
+    """SuperLU factor of ``block`` in its natural order."""
+    return spla.splu(
+        block,
+        permc_spec="NATURAL",
+        diag_pivot_thresh=DIAG_PIVOT_THRESH,
+        options={"SymmetricMode": True},
+    )
 
 
 #: Columns gathered per pass of :func:`ordered_block` and entries
@@ -231,7 +333,7 @@ def _row_sum_norm(a: sp.csc_matrix) -> float:
     return float(sums.max(initial=0.0))
 
 
-def factorize(block: sp.csc_matrix) -> Factorization:
+def factorize(block: sp.csc_matrix, single: bool = False) -> Factorization:
     """Factorize a sparse block, already in elimination order, for
     repeated solves.
 
@@ -240,12 +342,15 @@ def factorize(block: sp.csc_matrix) -> Factorization:
     block : csc_matrix
         Square block, factored in its natural order.  See
         :class:`Factorization`.
+    single : bool
+        Factor in single precision and refine each solve in double
+        precision; pays where a factor makes few solves.
 
     Returns
     -------
     Factorization
-        Object exposing ``solve(b)``, ``backward_error`` and
-        ``health()``.
+        Object exposing ``solve(b)``, ``precision``,
+        ``backward_error``, ``refinement_steps`` and ``health()``.
 
     Raises
     ------
@@ -254,7 +359,7 @@ def factorize(block: sp.csc_matrix) -> Factorization:
         memory (the message names the number of unknowns).
     """
     try:
-        return Factorization(block)
+        return Factorization(block, single)
     except RuntimeError as exc:
         raise RuntimeError(f"sparse factorization failed: {exc}") from exc
     except MemoryError as exc:

@@ -535,12 +535,13 @@ def convergence_study(
         Called with a status string before each expensive step.
     mapper : callable
         ``map``-like function used over the periods and their layer
-        thicknesses.  The command line passes a map over worker
-        processes (fork) for ``--threads > 1``: each member then runs,
-        and holds its meshes and factorizations, in its own worker,
-        which inherits the member closure and the cell solution through
-        the fork; only the period, its thickness and the
-        :class:`ErrorReport` are pickled.
+        thicknesses, finest period first (the costliest member starts
+        first); the reports keep the order of ``ells``.  The command
+        line passes a map over worker processes (fork) for ``--threads
+        > 1``: each member then runs, and holds its meshes and
+        factorizations, in its own worker, which inherits the member
+        closure and the cell solution through the fork; only the
+        period, its thickness and the :class:`ErrorReport` are pickled.
 
     Returns
     -------
@@ -576,7 +577,11 @@ def convergence_study(
             iterations=result.info["iterations"],
         )
 
-    reports = list(mapper(run_one, ells, deltas))
+    # Finest period, the costliest member, first (largest-first
+    # scheduling); the reports come back in config order.
+    order = sorted(range(len(ells)), key=ells.__getitem__)
+    done = mapper(run_one, [ells[i] for i in order], [deltas[i] for i in order])
+    reports = [report for _, report in sorted(zip(order, done))]
     return StudyResult(reports=reports, slopes=error_slopes(reports), cell=cell)
 
 

@@ -193,8 +193,13 @@ class TestIcddCommand:
         for name in ("stokes_factor", "darcy_factor"):
             factor = manifest["parameters"][name]
             assert sorted(factor) == [
-                "backward_error", "lu_nnz", "row_interchanges", "unknowns",
+                "backward_error", "lu_nnz", "precision", "refinement_steps",
+                "row_interchanges", "unknowns",
             ]
+            # The subdomain factors, solved many times each, stay in
+            # double precision.
+            assert factor["precision"] == "float64"
+            assert factor["refinement_steps"] == 0
             # Only the pressure-mean multiplier's pair, if any, leaves
             # the diagonal.
             assert factor["row_interchanges"] <= 2
@@ -581,12 +586,15 @@ class TestFailureModes:
 
     def test_backward_error_above_bound_exits_2(self, tmp_path, capsys, monkeypatch):
         # No real solve reaches the bound, so it is lowered below any
-        # nonzero backward error.
+        # nonzero backward error.  The single-precision pore-scale factor
+        # is then refactored in double precision first, with a warning.
         monkeypatch.setattr(linalg, "BACKWARD_ERROR_BOUND", 1e-300)
         out = tmp_path / "out"
-        code = main(
-            ["dns", "--config", str(write_config(tmp_path, DNS_INI)), "--out", str(out)]
-        )
+        with pytest.warns(RuntimeWarning, match="refactoring in double precision"):
+            code = main(
+                ["dns", "--config", str(write_config(tmp_path, DNS_INI)),
+                 "--out", str(out)]
+            )
         assert code == 2
         err = capsys.readouterr().err
         assert re.match(
@@ -937,10 +945,13 @@ class TestDnsCommand:
         n = system.interior_dofs.size
         assert manifest["parameters"]["factor"] == {
             "unknowns": n,
+            "precision": "float32",
             "lu_nnz": factor._lu.nnz,
             "row_interchanges": int(np.sum(factor._lu.perm_r != np.arange(n))),
+            "refinement_steps": factor.refinement_steps,
             "backward_error": f"{factor.backward_error:.2e}",
         }
+        assert 1 <= factor.refinement_steps <= linalg.MAX_REFINEMENT_STEPS
         assert manifest["parameters"]["factor"]["row_interchanges"] <= 2
         assert (out / "solution.vtk").read_text().startswith(
             "# vtk DataFile Version 3.0"

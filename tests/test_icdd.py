@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokesdarcy import fem
+from stokesdarcy import fem, icdd
 from stokesdarcy.fem import FemConfig
 from stokesdarcy.icdd import (
     IcddGeometry,
@@ -268,6 +268,32 @@ class TestInterfaceSolve:
     def test_failure_reported(self, problem):
         with pytest.raises(RuntimeError, match="interface solver"):
             schur_solve(problem, KrylovConfig(tol=1e-30, maxiter=1))
+
+    @given(
+        tol=st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            st.floats(-14.0, -1.0).map(lambda e: 10.0**e),
+        )
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_result_meets_matching_bound_or_raises(self, problem, tol):
+        try:
+            result = icdd_solve(problem, KrylovConfig(tol=tol))
+        except RuntimeError as err:
+            assert "interface solve" in str(err)
+            return
+        bound = icdd.MATCHING_FACTOR * tol
+        assert result.matching_velocity <= bound
+        assert result.matching_pressure <= bound
+
+    def test_matching_residual_above_bound_raises(self, problem, monkeypatch):
+        monkeypatch.setattr(icdd, "MATCHING_FACTOR", 0.0)
+        with pytest.raises(
+            RuntimeError,
+            match=r"interface solve stopped with matching_velocity \d\.\d\de-\d\d "
+            r"above 0 \* tol = 0\.00e\+00",
+        ):
+            icdd_solve(problem, KrylovConfig(tol=1e-8))
 
 
 class TestCoupledSolutions:

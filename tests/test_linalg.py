@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import tracemalloc
+import warnings
 import weakref
 from types import SimpleNamespace
 
@@ -112,6 +113,65 @@ class TestFactorization:
         assert factor.backward_error == max(errors)
         assert factor.health()["backward_error"] == f"{max(errors):.2e}"
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        density=st.floats(0.05, 0.5),
+        k=st.integers(-200, 200),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_single_precision_refines_to_double(self, seed, n, density, k):
+        """A float32 factor refined in float64 gives the float64
+        factor's ``x`` to 1e-13 in at most three solves; scaling ``b``
+        by ``2**k`` scales ``x`` exactly and keeps the backward error; a
+        zero ``b`` gives zero and error 0.  The blocks are gathered in a
+        random order, so their row indices start unsorted."""
+        rng = np.random.default_rng(seed)
+        dense = _dominant_block(seed, n, density).toarray()
+        order = rng.permutation(n)
+        b = rng.standard_normal(n)
+        x_double = factorize(_ordered(dense, order)).solve(b)
+        solutions, errors = [], []
+        for r in (b, 2.0**k * b, np.zeros(n)):
+            factor = factorize(_ordered(dense, order), single=True)
+            solutions.append(factor.solve(r))
+            errors.append(factor.backward_error)
+            assert factor.precision == "float32"
+            assert factor.refinement_steps <= 3
+            # The kept block, sorted in place, still holds its values.
+            np.testing.assert_array_equal(
+                factor._block.toarray(), dense[np.ix_(order, order)]
+            )
+        x, x_scaled, x_zero = solutions
+        assert np.abs(x - x_double).max() <= 1e-13 * np.abs(x_double).max()
+        np.testing.assert_array_equal(x_scaled, 2.0**k * x)
+        assert errors[1] == errors[0] <= linalg.BACKWARD_ERROR_BOUND
+        assert not x_zero.any() and errors[2] == 0.0
+        assert factor.refinement_steps == 0
+
+    def test_ill_conditioned_single_factor_refactors_in_double(self):
+        # Condition number 1e10: float32 refinement cannot converge, so
+        # the first solve warns, refactors in double precision and
+        # returns that factor's checked solution.
+        rng = np.random.default_rng(0)
+        n = 40
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = u @ np.diag(np.logspace(0, -10, n)) @ v.T
+        assert 0.5e10 < np.linalg.cond(a) < 2e10
+        b = rng.standard_normal(n)
+        factor = factorize(sp.csc_matrix(a), single=True)
+        with pytest.warns(RuntimeWarning, match="refactoring in double precision"):
+            x = factor.solve(b)
+        health = factor.health()
+        assert health["precision"] == "float64"
+        assert 1 <= health["refinement_steps"] <= linalg.MAX_REFINEMENT_STEPS
+        assert factor.backward_error <= linalg.BACKWARD_ERROR_BOUND
+        np.testing.assert_array_equal(x, factorize(sp.csc_matrix(a)).solve(b))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            factor.solve(b)
+
     def test_multiple_right_hand_sides(self):
         a, _ = _random_system(12, 3)
         rng = np.random.default_rng(4)
@@ -214,9 +274,12 @@ class TestOrderedFactorization:
 
 
 class TestFactorCopies:
-    """While SuperLU factors, its argument is the only sparse matrix of
-    the factored size, and the system's assembled matrix is gone; the
-    factor then keeps that argument, not a copy."""
+    """While SuperLU factors, the system's assembled matrix is gone.  A
+    double-precision factor's argument is the only sparse matrix of the
+    factored size, and the factor then keeps that argument, not a copy.
+    The pore-scale factor is made in single precision: its argument's
+    only companion is the double-precision block the factor keeps,
+    whose index arrays it shares."""
 
     @staticmethod
     def watch(monkeypatch):
@@ -247,13 +310,29 @@ class TestFactorCopies:
     @pytest.mark.parametrize("order", [1, 2])
     def test_dns_factor(self, monkeypatch, dns_systems, order):
         calls = self.watch(monkeypatch)
+        arguments = []
+        watched = linalg.spla.splu
+
+        def splu(a, *args, **kwargs):
+            arguments.append(a)
+            return watched(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg.spla, "splu", splu)
         preset = PRESETS[1]
         solve_dns(
             preset, preset.lattice(0.25, 0.6), DnsResolution(n_per_cell=5, order=order)
         )
-        assert calls == [set()]
         (system,) = dns_systems
-        assert self.holds_only(system.factor, system._pieces[0])
+        block = system._pieces[0]
+        assert calls == [{id(block)}]
+        (a,) = arguments
+        assert block.dtype == np.float64 and a.dtype == np.float32
+        np.testing.assert_array_equal(a.data, block.data.astype(np.float32))
+        assert np.shares_memory(a.indices, block.indices)
+        assert np.shares_memory(a.indptr, block.indptr)
+        assert block.has_sorted_indices
+        assert system.factor.precision == "float32"
+        assert self.holds_only(system.factor, block)
 
     def test_icdd_subdomain_factors(self, monkeypatch):
         calls = self.watch(monkeypatch)
@@ -356,13 +435,13 @@ class TestFactorCopies:
 PEAK_SLACK_PER_UNKNOWN = 64
 
 
-def test_factorization_peak_memory(monkeypatch, assemble_dns_q2):
-    """When SuperLU starts on the freshly assembled pore-scale system of
-    ``configs/dns.ini``, the traced numpy memory is at most its level
-    with the assembled system, less the assembled matrix, plus the
-    gathered interior block and the constrained coupling, plus
-    :data:`PEAK_SLACK_PER_UNKNOWN` bytes per unknown.  (SuperLU's own
-    arrays are not numpy's, so they are not traced.)"""
+def _extra_at_splu(monkeypatch, assemble, factor):
+    """Traced numpy memory when SuperLU starts on the block of the
+    system ``assemble()`` returns, factored by ``factor(system)``, less
+    its level with the assembled system, plus the assembled matrix,
+    less the gathered interior block and the constrained coupling; and
+    the system.  (SuperLU's own arrays are not numpy's, so they are not
+    traced.)"""
     at_splu = []
     real = linalg.spla.splu
 
@@ -373,21 +452,42 @@ def test_factorization_peak_memory(monkeypatch, assemble_dns_q2):
     monkeypatch.setattr(linalg.spla, "splu", splu)
     tracemalloc.start()
     try:
-        system = assemble_dns_q2()
+        system = assemble()
         entry = tracemalloc.get_traced_memory()[0]
         matrix_bytes = _nbytes(system.matrix)
-        system.factor
+        factor(system)
     finally:
         tracemalloc.stop()
     block, coupling = system._pieces
-    bound = (
-        entry
-        - matrix_bytes
-        + _nbytes(block)
-        + _nbytes(coupling)
-        + PEAK_SLACK_PER_UNKNOWN * system.n_dofs
+    extra = at_splu[0] - (entry - matrix_bytes + _nbytes(block) + _nbytes(coupling))
+    return extra, system
+
+
+def test_factorization_peak_memory(monkeypatch, assemble_dns_q2):
+    """When SuperLU starts on the freshly assembled pore-scale system of
+    ``configs/dns.ini``, the traced numpy memory is at most its level
+    with the assembled system, less the assembled matrix, plus the
+    gathered interior block and the constrained coupling, plus
+    :data:`PEAK_SLACK_PER_UNKNOWN` bytes per unknown."""
+    extra, system = _extra_at_splu(monkeypatch, assemble_dns_q2, lambda s: s.factor)
+    bound = PEAK_SLACK_PER_UNKNOWN * system.n_dofs
+    assert extra <= bound, f"{(extra - bound) / 2**20:.1f} MB over"
+
+
+def test_single_precision_factorization_peak_memory(monkeypatch, assemble_dns_q2):
+    """Made in single precision, as ``solve_dns`` makes it, the factor
+    adds to the double-precision level the float32 values, 4 bytes per
+    entry, and at most one vector of 8-byte entries per unknown: SuperLU's
+    argument shares the block's index arrays (a copy would add another
+    4 bytes per entry)."""
+    double, _ = _extra_at_splu(monkeypatch, assemble_dns_q2, lambda s: s.factor)
+    single, system = _extra_at_splu(
+        monkeypatch,
+        assemble_dns_q2,
+        lambda s: factorize(s.release_block(), single=True),
     )
-    assert at_splu[0] <= bound, f"{(at_splu[0] - bound) / 2**20:.1f} MB over"
+    bound = double + 4 * system._pieces[0].nnz + 8 * system.n_dofs
+    assert single <= bound, f"{(single - bound) / 2**20:.1f} MB over"
 
 
 def test_factored_copy_beyond_32_bits_raises():

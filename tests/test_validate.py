@@ -404,6 +404,22 @@ class TestStudyMembers:
         # Three regions per member.
         assert evaluated == [(False, True)] * 6
 
+    def test_members_mapped_finest_period_first(self):
+        # The mapper gets the costliest member first; the reports keep
+        # the order of the given periods.
+        handed = []
+
+        def recording_map(fn, ells, deltas):
+            handed.append(list(ells))
+            return map(fn, ells, deltas)
+
+        ells = [0.125, 0.25, 0.1]
+        study = validate.convergence_study(
+            PRESETS[1], CONFIGURATIONS["C1"], ells, mapper=recording_map, **self.STUDY
+        )
+        assert handed == [[0.1, 0.125, 0.25]]
+        assert [r.ell for r in study.reports] == ells
+
     def test_delta_sweep(self, monkeypatch):
         freed, evaluated = self.watch(monkeypatch)
         validate.delta_sweep(PRESETS[1], CONFIGURATIONS["C2"], 0.25, **self.STUDY)
