@@ -12,8 +12,10 @@ equal-order pair stable without further tuning.
 Assembled problems are returned as :class:`SaddleSystem` objects that
 carry the raw operator, the constraint bookkeeping (exterior Dirichlet
 data and interface unknowns, the interior unknowns kept in elimination
-order) and a cached factorization of the interior block; factoring
-drops the raw operator before SuperLU runs.
+order) and a cached direct solver of the interior block: a sparse LU
+factor, or for a Darcy system on a mesh without holes an exact
+tensor-product solver.  Either drops the raw operator before it is
+built.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import Factorization, factorize, ordered_block
+from .linalg import Factorization, TensorSolver, factorize, ordered_block
 from .mesh import StructuredMesh, nested_dissection_order
 
 #: Order in which boundary sides are processed; later entries win when a
@@ -180,9 +182,10 @@ class _RefData:
         self.dN_deta = _tensor(Nx, dNy)
         self.nloc = self.N.shape[1]
 
-        # 1-D basis and weights at the Gauss points, for edge integrals.
+        # 1-D basis, its derivative and weights at the Gauss points, for
+        # edge integrals and the tables of mesh lines.
         n1, d1, dd1 = basis_1d(order, pts)
-        self.N_1d, self.wts_1d = n1, wts
+        self.N_1d, self.dN_1d, self.wts_1d = n1, d1, wts
 
         def integral(u, v):
             return (u[:, :, None] * v[:, None, :] * wts[:, None, None]).sum(axis=0)
@@ -212,6 +215,36 @@ def _ref_data(order: int) -> _RefData:
     if order not in _REF_CACHE:
         _REF_CACHE[order] = _RefData(order)
     return _REF_CACHE[order]
+
+
+def _line_tables(lines: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Values ``V`` and derivatives ``D`` of the 1-D Lagrange basis of
+    ``order`` on the elements between ``lines``, dense, one row per
+    Gauss point (``order + 1`` per element) and one column per node,
+    each row scaled by the square root of its quadrature weight.
+
+    So ``V^T V`` is the 1-D mass matrix ``int phi_a phi_b``, ``D^T D``
+    the stiffness ``int phi_a' phi_b'`` and ``V^T D`` the gradient
+    ``int phi_a phi_b'``, with the quadrature of the assembly.  On a
+    mesh without holes every block of an assembled system is a sum of
+    Kronecker products of the y and x matrices (y factor first, as
+    nodes are numbered row by row).
+    """
+    ref = _ref_data(order)
+    h = np.diff(lines)[:, None, None]
+    nq = ref.wts_1d.size
+    root = np.sqrt(0.5 * h * ref.wts_1d[:, None])
+    at = (
+        np.arange(h.size)[:, None, None],
+        np.arange(nq)[:, None],
+        order * np.arange(h.size)[:, None, None] + np.arange(order + 1),
+    )
+    tables = []
+    for element in (root * ref.N_1d, root * (2.0 / h) * ref.dN_1d):
+        table = np.zeros((h.size, nq, order * h.size + 1))
+        table[at] = element
+        tables.append(table.reshape(h.size * nq, -1))
+    return tables[0], tables[1]
 
 
 # ----------------------------------------------------------------------
@@ -367,6 +400,8 @@ class SaddleSystem:
         Mesh nodes carrying interface unknowns, sorted by x.
     mass_scalar : ndarray
         Integrals of the scalar basis functions over active elements.
+    kovermu : float or None
+        ``K / mu`` of a Darcy system, None for a Stokes one.
     """
 
     def __init__(
@@ -379,6 +414,7 @@ class SaddleSystem:
         interface_dofs: np.ndarray,
         interface_nodes: np.ndarray,
         mass_scalar: np.ndarray,
+        kovermu: float | None = None,
     ):
         self.mesh = mesh
         self.matrix = matrix
@@ -388,6 +424,7 @@ class SaddleSystem:
         self.interface_dofs = interface_dofs
         self.interface_nodes = interface_nodes
         self.mass_scalar = mass_scalar
+        self.kovermu = kovermu
         self.n_nodes = mesh.n_nodes
         self.n_dofs = matrix.shape[0]
 
@@ -479,10 +516,44 @@ class SaddleSystem:
         return block
 
     @cached_property
-    def factor(self) -> Factorization:
-        """Factor of :meth:`release_block`, in double precision unless
-        the caller has set a factor of that block before."""
-        return factorize(self.release_block())
+    def factor(self) -> Factorization | TensorSolver:
+        """Direct solver of :meth:`release_block`, unless the caller has
+        set one before.
+
+        A Darcy system on a mesh without holes, whose interior unknowns
+        are field by field products of node rows and columns, gets a
+        :class:`~stokesdarcy.linalg.TensorSolver`: its blocks are
+        Kronecker products of the 1-D matrices of the mesh lines (see
+        :func:`_line_tables`), and its pressure rows hold no velocity,
+        so it needs no sparse LU.  Every other system gets a
+        double-precision :func:`~stokesdarcy.linalg.factorize` factor.
+        Both check each solve's backward error against the block.
+        """
+        lines = self._field_lines()
+        if lines is None:
+            return factorize(self.release_block())
+        # Sorted field-major dofs are the tensor order: field by field,
+        # node row by node row.
+        order = np.argsort(self.interior_dofs)
+        return _darcy_solver(
+            self.mesh, self.kovermu, lines, order, self.release_block()
+        )
+
+    def _field_lines(self) -> list[tuple[np.ndarray, np.ndarray]] | None:
+        """Node rows and columns of the interior unknowns of ``u_x``,
+        ``u_y`` and ``p``, for a Darcy system on a mesh without holes
+        whose interior unknowns are field by field the products of
+        these; None for any other system."""
+        if self.kovermu is None or not self.mesh.active.all():
+            return None
+        interior = self.kind[: 3 * self.n_nodes] == KIND_INTERIOR
+        lines = []
+        for mask in interior.reshape(3, self.mesh.nny, self.mesh.nnx):
+            rows, columns = mask.any(axis=1), mask.any(axis=0)
+            if not np.array_equal(mask, np.outer(rows, columns)):
+                return None
+            lines.append((np.flatnonzero(rows), np.flatnonzero(columns)))
+        return lines
 
     def solve(self, g: np.ndarray | None = None, include_data: bool = True) -> np.ndarray:
         """Solve for the interior unknowns given interface values.
@@ -551,6 +622,46 @@ class SaddleSystem:
     def pressure(self, solution: np.ndarray) -> Field:
         n = self.n_nodes
         return Field(self.mesh, solution[2 * n : 3 * n])
+
+
+def _darcy_solver(
+    mesh: StructuredMesh,
+    kovermu: float,
+    lines: list,
+    order: np.ndarray,
+    block: sp.csc_matrix,
+) -> TensorSolver:
+    """Tensor-product solver of the interior ``block`` of a Darcy system
+    on ``mesh`` whose interior unknowns of ``u_x``, ``u_y`` and ``p``
+    lie on the node rows and columns ``lines``, listed in ``block`` at
+    the positions ``order`` (see :attr:`SaddleSystem.factor`).
+
+    The pressure block is ``(K / mu)(M_y kron K_x + K_y kron M_x)``,
+    the velocity blocks ``(mu / K) M_y kron M_x``, coupled to the
+    pressure by ``M_y kron G_x`` and ``G_y kron M_x``; with the tables
+    ``V`` and ``D`` of :func:`_line_tables`, ``M = V^T V``, ``G = V^T
+    D`` and ``K = D^T D``.
+    """
+    v_y, d_y = _line_tables(mesh.ys, mesh.order)
+    v_x, d_x = _line_tables(mesh.xs, mesh.order)
+    p_y, p_x = lines[2]
+    velocity = [
+        (
+            v_y[:, rows].T @ v_y[:, rows] / kovermu,
+            v_x[:, columns].T @ v_x[:, columns],
+            v_y[:, rows].T @ c_y[:, p_y],
+            v_x[:, columns].T @ c_x[:, p_x],
+        )
+        for (rows, columns), c_y, c_x in zip(lines[:2], (v_y, d_y), (d_x, v_x))
+    ]
+    root = np.sqrt(kovermu)
+    pressure = (
+        root * d_y[:, p_y],
+        v_y[:, p_y].T @ v_y[:, p_y],
+        root * d_x[:, p_x],
+        v_x[:, p_x].T @ v_x[:, p_x],
+    )
+    return TensorSolver(block, order, pressure, velocity)
 
 
 def _node_major(nodes: np.ndarray, n: int, keep: np.ndarray) -> np.ndarray:
@@ -1156,7 +1267,8 @@ def assemble_darcy(
         mesh, bc, interface, "pressure", 3 * n
     )
     return SaddleSystem(
-        mesh, matrix, rhs, kind, values, iface_dofs, iface_nodes, mass_scalar
+        mesh, matrix, rhs, kind, values, iface_dofs, iface_nodes, mass_scalar,
+        kovermu,
     )
 
 

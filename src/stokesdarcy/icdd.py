@@ -416,8 +416,12 @@ class IcddResult:
     dual_pressure : float
         Same for the porous side, driven by the pressure mismatch.
     factor_health : dict
-        :meth:`~stokesdarcy.linalg.Factorization.health` of the two
-        subdomain factors, keyed ``stokes_factor`` and ``darcy_factor``.
+        ``health()`` of the two subdomain solvers, keyed
+        ``stokes_factor`` and ``darcy_factor``: the Stokes sparse LU
+        factor's (:meth:`~stokesdarcy.linalg.Factorization.health`) and,
+        on the hole-free porous mesh, the Darcy tensor-product solver's
+        (:meth:`~stokesdarcy.linalg.TensorSolver.health`, same keys,
+        with ``lu_nnz`` and ``row_interchanges`` 0).
     """
 
     composite: CompositeSolution

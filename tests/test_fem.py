@@ -7,9 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stokesdarcy import fem
 from stokesdarcy.fem import (
     GAMMA_STAB,
     KIND_INTERIOR,
@@ -25,6 +27,7 @@ from stokesdarcy.fem import (
     eval_located,
     nodal_rows,
 )
+from stokesdarcy.linalg import BACKWARD_ERROR_BOUND, Factorization, TensorSolver
 from stokesdarcy.mesh import (
     ObstacleLattice,
     RectDomain,
@@ -794,6 +797,126 @@ def test_assembly_peak_memory(assemble_dns_q2):
     matrix = system.matrix
     size = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
     assert peak <= 3.0 * size, f"peak {peak / size:.2f} times the matrix"
+
+
+# ----------------------------------------------------------------------
+# Tensor-product solver of the Darcy subdomain
+# ----------------------------------------------------------------------
+
+IMPERMEABLE = BoundaryCondition("impermeable")
+
+
+@st.composite
+def tensor_darcy_systems(draw):
+    """Darcy systems laid out as the coupled solve's porous subdomain:
+    graded hole-free meshes, impermeable vertical sides, pressure
+    controls on the top or the bottom, and the opposite side
+    impermeable or at an essential pressure; ``K / mu`` log-uniform in
+    [1e-8, 1e8].
+
+    Element sizes vary up to 20-fold along each direction and the
+    height of the domain is 1/10 to 10 times its width (the porous
+    subdomain's is 1/2, with at most 8-fold grading).  Much longer
+    domains make the pressure Laplacian so ill conditioned (condition
+    numbers beyond 1e8) that two forms of one operator that differ by
+    rounding, the assembled one and the Kronecker one, have solutions
+    up to about 1e-10 apart, whichever solver computes them.
+    """
+    order = draw(st.sampled_from([1, 2]))
+    nex, ney = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+
+    def lines(n, length):
+        steps = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+        return length * np.cumsum([0.0] + steps) / sum(steps)
+
+    xs, ys = lines(nex, 1.0), lines(ney, draw(st.floats(0.1, 10.0)))
+    interface = draw(st.sampled_from(["top", "bottom"]))
+    opposite = "bottom" if interface == "top" else "top"
+    sides = {
+        "left": IMPERMEABLE,
+        "right": IMPERMEABLE,
+        opposite: draw(
+            st.sampled_from(
+                [IMPERMEABLE, BoundaryCondition("pressure", exact_pressure)]
+            )
+        ),
+    }
+    ratio = 10.0 ** draw(st.floats(-8.0, 8.0))
+    return assemble_darcy(
+        StructuredMesh(xs, ys, order), FemConfig(order=order), MU, ratio * MU,
+        f=(1.0, -0.5), bc=BoundarySpec(sides), interface=interface,
+    )
+
+
+class TestTensorSolver:
+    @given(system=tensor_darcy_systems(), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sparse_lu(self, system, seed):
+        matrix = sp.csc_matrix(system.interior_matrix)
+        b = np.random.default_rng(seed).standard_normal(matrix.shape[0])
+        # SuperLU's own pivoting leaves up to 2e-10 in its solve at
+        # K / mu near 1e-8; two refinement steps take that out.
+        lu = spla.splu(matrix)
+        ref = lu.solve(b)
+        for _ in range(2):
+            ref += lu.solve(b - matrix @ ref)
+        solver = system.factor
+        assert isinstance(solver, TensorSolver)
+        x = solver.solve(b)
+        field = system.interior_dofs // system.n_nodes
+        for name, k in (("u_x", 0), ("u_y", 1), ("p", 2)):
+            part = field == k
+            if part.any():
+                gap = np.abs(x[part] - ref[part]).max()
+                assert gap <= 1e-10 * np.abs(ref[part]).max(), name
+        assert 0.0 < solver.backward_error <= BACKWARD_ERROR_BOUND
+        assert solver.health() == {
+            "unknowns": matrix.shape[0],
+            "precision": "float64",
+            "lu_nnz": 0,
+            "row_interchanges": 0,
+            "refinement_steps": 0,
+            "backward_error": f"{solver.backward_error:.2e}",
+        }
+
+    @pytest.mark.parametrize(
+        ("perforation", "order"), [("lattice", 1), ("lattice", 2), ("one hole", 1)]
+    )
+    def test_perforated_darcy_is_factored(self, monkeypatch, perforation, order):
+        # A Q1 mesh with one interior hole has no dead node: every
+        # field's interior unknowns are still products of line sets, but
+        # the matrix is no Kronecker sum.
+        calls = []
+        real = fem.factorize
+
+        def counting(block):
+            calls.append(block.shape[0])
+            return real(block)
+
+        monkeypatch.setattr(fem, "factorize", counting)
+        if perforation == "lattice":
+            lattice = ObstacleLattice(0.5, 0.6, RectDomain(0.0, 1.0, 0.0, 0.5))
+            mesh = build_perforated_mesh(UNIT, lattice, n_per_cell=5, order=order)
+        else:
+            lines = np.linspace(0.0, 1.0, 5)
+            mesh = StructuredMesh(lines, lines, order, np.arange(16) != 5)
+            assert mesh.node_active.all()
+        bc = BoundarySpec({"left": IMPERMEABLE, "right": IMPERMEABLE})
+        system = assemble_darcy(
+            mesh, FemConfig(order=order), MU, KAPPA, bc=bc, interface="top"
+        )
+        assert isinstance(system.factor, Factorization)
+        assert calls == [system.interior_dofs.size]
+        assert system.matrix is None
+
+    def test_singular_pressure_raises(self):
+        # No essential pressure data: the pressure is fixed only up to
+        # a constant.
+        mesh = build_rect_mesh(UNIT, 0.25, order=2)
+        bc = BoundarySpec({side: IMPERMEABLE for side in ("left", "right", "bottom")})
+        system = assemble_darcy(mesh, FemConfig(order=2), MU, KAPPA, bc=bc)
+        with pytest.raises(RuntimeError, match="singular"):
+            system.factor
 
 
 def reference_rows(parts):

@@ -343,7 +343,8 @@ class TestFactorCopies:
         )
         for system in (problem.stokes, problem.darcy):
             assert self.holds_only(system.factor, system._pieces[0])
-        assert calls == [set(), set()]
+        # The Darcy solver is a tensor-product one: no SuperLU call.
+        assert calls == [set()]
 
     def test_cell_factor(self, monkeypatch):
         calls = self.watch(monkeypatch)
@@ -402,17 +403,25 @@ class TestFactorCopies:
         elif case == "subdomains":
             record(icdd, "assemble_stokes")
             record(icdd, "assemble_darcy")
+            built = []
+            tensor_solver = fem.TensorSolver
+
+            def recording_solver(*args, **kwargs):
+                built.append(sorted(n for n, ref in refs.items() if ref() is None))
+                return tensor_solver(*args, **kwargs)
+
+            monkeypatch.setattr(fem, "TensorSolver", recording_solver)
             problem = assemble_problem(
                 FemConfig(order=2),
                 IcddGeometry(delta=0.036, hx=0.1),
                 IcddPhysics(preset=preset, permeability=7.231e-6),
             )
             icdd_solve(problem, KrylovConfig())
-            # The Stokes subdomain is factored first.
-            assert dead == [
-                ["assemble_stokes"],
-                ["assemble_darcy", "assemble_stokes"],
-            ]
+            # The Stokes subdomain is factored first, by SuperLU; the
+            # Darcy one gets a tensor-product solver, built once its
+            # assembled matrix is gone too.
+            assert dead == [["assemble_stokes"]]
+            assert built == [["assemble_darcy", "assemble_stokes"]]
         else:
             # The Stokes system the cell is folded from, and the folded
             # operator its block is gathered from (the block itself is

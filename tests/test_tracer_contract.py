@@ -74,8 +74,10 @@ def traced_run(tmp_path, command: str, config_text: str) -> dict:
 
 
 def test_traced_icdd_counts_its_two_factors(tmp_path):
+    # Of the two subdomain solvers only the Stokes one is a sparse
+    # factor; the Darcy one is a tensor-product solver.
     summary = traced_run(tmp_path, "icdd", ICDD_CONFIG)
-    assert summary["linalg.factor_calls"] == 2
+    assert summary["linalg.factor_calls"] == 1
     assert summary["linalg.factor_nnz"] > 0
 
 
