@@ -41,7 +41,7 @@ from .icdd import (
     icdd_solve,
     subdomain_meshes,
 )
-from .io import config_digest, write_csv, write_manifest, write_vtk
+from .io import config_digest, format_value, write_csv, write_manifest, write_vtk
 from .linalg import KrylovConfig
 from .presets import CONFIGURATIONS, PRESETS, PorousConfiguration
 from .validate import DEFAULT_FACTORS, convergence_study, delta_sweep
@@ -539,6 +539,9 @@ def cmd_validate(config: RunConfig, mapper) -> Outputs:
             "configuration": configuration.name,
             "ells": ells,
             "cell_factor": study.cell.factor_health,
+            "member_factors": {
+                f"ell={r.ell:g}": r.factor_health for r in study.reports
+            },
         },
         files={
             "errors.csv": (
@@ -571,6 +574,12 @@ def cmd_sweep(config: RunConfig, mapper) -> Outputs:
             "delta_star": sweep.delta_star,
             "interior_minimum": sweep.is_interior_minimum(),
             "cell_factor": sweep.cell.factor_health,
+            "dns_factor": sweep.dns_factor_health,
+            # Keyed by the thickness as sweep.csv prints it.
+            "member_factors": {
+                f"delta={format_value(d)}": health
+                for d, health in zip(sweep.deltas, sweep.factor_health)
+            },
         },
         files={
             "sweep.csv": (

@@ -10,9 +10,10 @@ inside the band, so obstacle edges land exactly on mesh lines, and
 grades geometrically towards a coarser spacing above it.  Fields on the perforated mesh evaluate to zero inside obstacles,
 realizing the trivial extension of pore-scale fields to the full band.
 
-The system is solved once, so it is factored in single precision and
-the solve refined in double precision
-(:func:`~stokesdarcy.linalg.factorize` with ``single=True``).
+The system is solved once, by its
+:attr:`~stokesdarcy.fem.SaddleSystem.factor`: a single-precision sparse
+LU whose solve is refined in double precision, as every sparse LU of
+the package is (:func:`~stokesdarcy.linalg.factorize`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import FemConfig, assemble_stokes, divergence_l2, nodal_rows
-from .linalg import factorize
 from .mesh import ObstacleLattice, build_perforated_mesh
 from .presets import TestCasePreset
 
@@ -144,6 +144,5 @@ def solve_dns(
         bc=preset.dns_bc(),
         null_mean_pressure=preset.pin_pressure,
     )
-    system.factor = factorize(system.release_block(), single=True)
     x = system.solve()
     return DnsSolution(system, x, resolution)

@@ -380,9 +380,8 @@ class SaddleSystem:
         in :attr:`interior_dofs` order, which the factor keeps to check
         each solve's backward error, and the interior rows of the
         constrained (Dirichlet and interface) columns.
-        :meth:`release_block`, which :attr:`factor` calls, sets
-        ``matrix`` to None before SuperLU runs, so a factorization
-        holds only these pieces; :attr:`interior_matrix`,
+        :attr:`factor` sets ``matrix`` to None before SuperLU runs, so
+        a factorization holds only these pieces; :attr:`interior_matrix`,
         :attr:`interface_matrix` and :attr:`interior_rhs` read the
         pieces, before factoring and after.
     rhs : ndarray
@@ -507,18 +506,10 @@ class SaddleSystem:
             f -= coupling @ lift
         return f
 
-    def release_block(self) -> sp.csc_matrix:
-        """The interior block, for a factorization.  It drops
-        :attr:`matrix` first, so SuperLU works in the memory the
-        assembled matrix held."""
-        block, _ = self._pieces
-        self.matrix = None
-        return block
-
     @cached_property
     def factor(self) -> Factorization | TensorSolver:
-        """Direct solver of :meth:`release_block`, unless the caller has
-        set one before.
+        """Direct solver of the interior block.  It drops :attr:`matrix`
+        first, so SuperLU works in the memory the assembled matrix held.
 
         A Darcy system on a mesh without holes, whose interior unknowns
         are field by field products of node rows and columns, gets a
@@ -526,18 +517,19 @@ class SaddleSystem:
         Kronecker products of the 1-D matrices of the mesh lines (see
         :func:`_line_tables`), and its pressure rows hold no velocity,
         so it needs no sparse LU.  Every other system gets a
-        double-precision :func:`~stokesdarcy.linalg.factorize` factor.
-        Both check each solve's backward error against the block.
+        :func:`~stokesdarcy.linalg.factorize` factor, made in single
+        precision and refined in double.  Both check each solve's
+        backward error against the block.
         """
         lines = self._field_lines()
+        block, _ = self._pieces
+        self.matrix = None
         if lines is None:
-            return factorize(self.release_block())
+            return factorize(block)
         # Sorted field-major dofs are the tensor order: field by field,
         # node row by node row.
         order = np.argsort(self.interior_dofs)
-        return _darcy_solver(
-            self.mesh, self.kovermu, lines, order, self.release_block()
-        )
+        return _darcy_solver(self.mesh, self.kovermu, lines, order, block)
 
     def _field_lines(self) -> list[tuple[np.ndarray, np.ndarray]] | None:
         """Node rows and columns of the interior unknowns of ``u_x``,
@@ -572,6 +564,9 @@ class SaddleSystem:
         ndarray
             Full solution vector over all degrees of freedom.
         """
+        # Factored first, so the assembled matrix is gone before any
+        # load is gathered.
+        factor = self.factor
         rhs = self.interior_rhs.copy() if include_data else np.zeros(
             self.interior_dofs.size
         )
@@ -580,7 +575,7 @@ class SaddleSystem:
             if g.shape[0] != self.n_interface:
                 raise ValueError("interface vector has wrong length")
             rhs -= self.interface_matrix @ g
-        return self.full_vector(self.factor.solve(rhs), g, include_data)
+        return self.full_vector(factor.solve(rhs), g, include_data)
 
     def full_vector(
         self, x: np.ndarray, g: np.ndarray | None, include_data: bool

@@ -15,15 +15,15 @@ against the block they solve: above :data:`BACKWARD_ERROR_BOUND` the
 solve raises ``RuntimeError``.  Each records the largest
 ``backward_error`` of its solves.
 
-A factor that makes few solves, the pore-scale reference's single one,
-can be made in single precision (``factorize(block, single=True)``):
-SuperLU then factors a float32 copy of the block's values, sharing its
-index arrays, in about half the memory, and each solve is refined in
+Every sparse LU is made in single precision: SuperLU factors a float32
+copy of the block's values, sharing its index arrays, in about half the
+memory of a double-precision factor, and each solve is refined in
 double precision against the block until its backward error is at most
 ``2**-52`` or stops halving.  A factor whose refinement misses the
 bound is remade once in double precision, with a ``RuntimeWarning``.
-The Stokes subdomain and unit-cell factors, solved many times each,
-stay in double precision.
+Before SuperLU runs, the C heap's free pages are returned to the
+system (glibc's ``malloc_trim``, where there is one), so the heap that
+assembly and gathering freed is not kept resident beside the factor.
 
 The interface system of the coupled solver is nonsymmetric and only
 available through matrix-vector applications, which is what the
@@ -36,6 +36,7 @@ scale of the data.
 
 from __future__ import annotations
 
+import ctypes
 import warnings
 from dataclasses import dataclass
 
@@ -169,54 +170,55 @@ class Factorization(_CheckedSolver):
     ----------
     block : csc_matrix
         Square block to factor, its unknowns already in elimination
-        order (see :func:`ordered_block`).  SuperLU reads it in place,
-        and the factor keeps it to check its solves.
-    single : bool
-        Factor in single precision and refine each solve in double
-        precision against ``block`` (see Notes).
+        order (see :func:`ordered_block`).  The factor keeps it to
+        refine and check its solves, and sorts its indices in place.
 
     Attributes
     ----------
     shape : tuple of int
         Shape of the factored block.
     precision : str
-        ``"float32"`` or ``"float64"``, the precision of the factor.
+        ``"float32"``, or ``"float64"`` once refinement has failed and
+        the block has been refactored in double precision.
     backward_error : float
         Largest normwise backward error ``|b - A x| / (|A| |x| + |b|)``
         (infinity norms, ``A`` the factored block) over the solves made
         so far; 0 before the first.
     refinement_steps : int
-        Most single-precision solves made for one right-hand side; 0
-        for a factor made in double precision.
+        Most single-precision solves made for one right-hand side.
 
     Notes
     -----
     The infinity norm of ``A`` that the backward error needs is taken
     before SuperLU runs, a bounded chunk of entries at a time.  So
     while SuperLU factors, the arrays alive here are those of
-    ``block`` and vectors of one entry per unknown.  Whatever else the
+    ``block``, the values of ``block`` rounded to float32 (the matrix
+    SuperLU gets shares its row indices and column pointers with
+    ``block``) and vectors of one entry per unknown.  Whatever else the
     caller holds stays alive too, which is why a system drops its
-    assembled matrix before it factors the gathered block.
-
-    A single-precision factor adds one array of 4-byte entries, the
-    values of ``block`` rounded to float32: the matrix SuperLU gets
-    shares its row indices and column pointers with ``block``.  SuperLU
+    assembled matrix before it factors the gathered block.  SuperLU
     sorts its argument's indices in place, so ``block`` is sorted
     first, in place, which leaves that sort nothing to move.  The
     factor itself takes about half the memory of a double-precision
-    one (on the pore-scale blocks, the same entries and interchanges).
+    one (on the pore-scale and Stokes blocks, the same entries and
+    interchanges).
+
     Each solve then starts from ``x = 0`` and repeats: take the
     residual ``r = b - A x`` in double precision, scale it by a power
     of two to a largest entry in [0.5, 1) (so it neither under- nor
     overflows in float32, and scaling ``b`` by a power of two scales
     ``x`` exactly), solve for the correction with the float32 factor
-    and add it.  Refinement stops
-    when the backward error is at most ``2**-52``, when a step fails to
-    halve it (the better iterate is kept), or after
+    and add it (Langou et al., SC'06; Carson and Higham, SIAM J. Sci.
+    Comput. 40(2), 2018).  Refinement stops when the backward error is
+    at most ``2**-52``, when a step fails to halve it (the better
+    iterate is kept), or after
     :data:`MAX_REFINEMENT_STEPS` solves.  If the error is then above
     :data:`BACKWARD_ERROR_BOUND`, the float32 factor is freed and
     ``block`` is factored once more in double precision, with a
-    ``RuntimeWarning``; :attr:`precision` records it.
+    ``RuntimeWarning``; :attr:`precision` records it.  A factor that
+    makes many solves pays for the memory in time: a refined solve
+    costs two or three float32 solves and as many residuals, about
+    twice a double-precision solve.
 
     The pivot threshold on the diagonal is :data:`DIAG_PIVOT_THRESH`, so
     the order is kept up to a row interchange or two (the pressure-mean
@@ -229,16 +231,16 @@ class Factorization(_CheckedSolver):
     raises ``RuntimeError``.
     """
 
-    def __init__(self, block: sp.csc_matrix, single: bool = False):
+    def __init__(self, block: sp.csc_matrix):
         super().__init__(block)
-        if single:
-            self.precision = "float32"
-            block.sort_indices()
-            block = sp.csc_matrix(
+        self.precision = "float32"
+        block.sort_indices()
+        self._lu = _splu(
+            sp.csc_matrix(
                 (block.data.astype(np.float32), block.indices, block.indptr),
                 shape=block.shape,
             )
-        self._lu = _splu(block)
+        )
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``A x = b`` for one right-hand side, both in the
@@ -289,8 +291,28 @@ class Factorization(_CheckedSolver):
         return int(self._lu.nnz), int(moved)
 
 
+#: glibc's ``malloc_trim``, looked up on the first factorization; False
+#: where the C library has none.
+_malloc_trim = None
+
+
+def _trim_heap() -> None:
+    """Return the C heap's free pages to the system, where the C library
+    can (see the module docstring)."""
+    global _malloc_trim
+    if _malloc_trim is None:
+        try:
+            _malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", False)
+        except (OSError, TypeError):  # no C library to load by that name
+            _malloc_trim = False
+    if _malloc_trim:
+        _malloc_trim(0)
+
+
 def _splu(block: sp.csc_matrix):
-    """SuperLU factor of ``block`` in its natural order."""
+    """SuperLU factor of ``block`` in its natural order, made once the
+    heap's free pages are returned."""
+    _trim_heap()
     return spla.splu(
         block,
         permc_spec="NATURAL",
@@ -500,18 +522,16 @@ def _row_sum_norm(a: sp.csc_matrix) -> float:
     return float(sums.max(initial=0.0))
 
 
-def factorize(block: sp.csc_matrix, single: bool = False) -> Factorization:
+def factorize(block: sp.csc_matrix) -> Factorization:
     """Factorize a sparse block, already in elimination order, for
-    repeated solves.
+    repeated solves, in single precision with each solve refined in
+    double precision.
 
     Parameters
     ----------
     block : csc_matrix
         Square block, factored in its natural order.  See
         :class:`Factorization`.
-    single : bool
-        Factor in single precision and refine each solve in double
-        precision; pays where a factor makes few solves.
 
     Returns
     -------
@@ -526,7 +546,7 @@ def factorize(block: sp.csc_matrix, single: bool = False) -> Factorization:
         memory (the message names the number of unknowns).
     """
     try:
-        return Factorization(block, single)
+        return Factorization(block)
     except RuntimeError as exc:
         raise RuntimeError(f"sparse factorization failed: {exc}") from exc
     except MemoryError as exc:

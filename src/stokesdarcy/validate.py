@@ -316,6 +316,13 @@ class ErrorReport:
         Matching reference norms (same keys) for relative readings.
     iterations : int
         Interface-solver iterations of the coupled run.
+    factor_health : dict
+        ``health()`` of the solvers behind the two solutions, keyed
+        ``dns_factor`` (the pore-scale reference's factor,
+        :attr:`~stokesdarcy.dns.DnsSolution.factor_health`),
+        ``stokes_factor`` and ``darcy_factor`` (the coupled run's
+        :attr:`~stokesdarcy.icdd.IcddResult.factor_health`); empty
+        unless the study sets it.
     """
 
     configuration: str
@@ -323,6 +330,7 @@ class ErrorReport:
     errors: dict
     norms: dict
     iterations: int = 0
+    factor_health: dict = field(default_factory=dict)
 
     def relative(self, key: str) -> float:
         return self.errors[key] / self.norms[key]
@@ -566,7 +574,7 @@ def convergence_study(
         say(f"coupled solve ell={ell}")
         result = _coupled_solve(preset, cell, ell, delta, fem_config, hx, krylov)
         say(f"errors ell={ell}")
-        return compare_solutions(
+        report = compare_solutions(
             result.composite,
             dns,
             cell,
@@ -576,6 +584,10 @@ def convergence_study(
             configuration.name,
             iterations=result.info["iterations"],
         )
+        report.factor_health = {
+            "dns_factor": dns.factor_health, **result.factor_health
+        }
+        return report
 
     # Finest period, the costliest member, first (largest-first
     # scheduling); the reports come back in config order.
@@ -602,6 +614,12 @@ class SweepResult:
         Fluid-region velocity error at each thickness (fixed region).
     delta_star : float
         Thickness predicted by the porosity fit.
+    factor_health : list of dict
+        :attr:`~stokesdarcy.icdd.IcddResult.factor_health` of the
+        coupled solve at each thickness.
+    dns_factor_health : dict
+        :attr:`~stokesdarcy.dns.DnsSolution.factor_health` of the one
+        pore-scale reference.
     cell : CellSolution
         Unit-cell solution behind the permeability.
     """
@@ -609,6 +627,8 @@ class SweepResult:
     deltas: list
     errors: list
     delta_star: float
+    factor_health: list = field(default_factory=list)
+    dns_factor_health: dict = field(default_factory=dict)
     cell: CellSolution = field(repr=False, default=None)
 
     def is_interior_minimum(self) -> bool:
@@ -652,7 +672,7 @@ def delta_sweep(
         :func:`convergence_study`.  The error region's quadrature rule
         and the reference velocity on it are computed once, before the
         map; forked workers share them copy-on-write, and only each
-        thickness and its error are pickled.
+        thickness, its error and its solvers' health are pickled.
     ell : float
         Period.
     factors : sequence of float
@@ -682,11 +702,18 @@ def delta_sweep(
     points, weights, elems, ref = _region_rule(dns.mesh, region)
     (u_ref,) = eval_located([dns.velocity], elems, ref)
 
-    def run_one(delta: float) -> float:
+    def run_one(delta: float) -> tuple[float, dict]:
         say(f"coupled solve delta={delta:.4e}")
         result = _coupled_solve(preset, cell, ell, delta, fem_config, hx, krylov)
         u, _ = result.composite.evaluate(points)
-        return _weighted_l2(weights, u, u_ref)
+        return _weighted_l2(weights, u, u_ref), result.factor_health
 
-    errors = list(mapper(run_one, deltas))
-    return SweepResult(deltas=deltas, errors=errors, delta_star=dstar, cell=cell)
+    errors, health = zip(*mapper(run_one, deltas))
+    return SweepResult(
+        deltas=deltas,
+        errors=list(errors),
+        delta_star=dstar,
+        factor_health=list(health),
+        dns_factor_health=dns.factor_health,
+        cell=cell,
+    )

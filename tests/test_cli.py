@@ -196,10 +196,15 @@ class TestIcddCommand:
                 "backward_error", "lu_nnz", "precision", "refinement_steps",
                 "row_interchanges", "unknowns",
             ]
-            # The subdomain factors, solved many times each, stay in
-            # double precision.
-            assert factor["precision"] == "float64"
-            assert factor["refinement_steps"] == 0
+            # The Stokes subdomain is factored in single precision and
+            # its solves refined in double; the Darcy subdomain's
+            # tensor-product solver works in double precision.
+            if name == "stokes_factor":
+                assert factor["precision"] == "float32"
+                assert 1 <= factor["refinement_steps"] <= linalg.MAX_REFINEMENT_STEPS
+            else:
+                assert factor["precision"] == "float64"
+                assert factor["refinement_steps"] == 0
             # Only the pressure-mean multiplier's pair, if any, leaves
             # the diagonal.
             assert factor["row_interchanges"] <= 2
@@ -312,6 +317,46 @@ def test_studies_use_configured_cell_resolution(tmp_path, monkeypatch, command, 
     assert resolutions == [10]  # STUDY_DISCRETIZATION's cell_resolution
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["parameters"]["cell_factor"] == cells[0].factor_health
+
+
+@pytest.mark.parametrize(
+    ("command", "ini"),
+    [("validate", VALIDATE_INI), ("sweep", SWEEP_INI)],
+    ids=["validate", "sweep"],
+)
+def test_member_factor_health_in_manifest(tmp_path, monkeypatch, command, ini):
+    """Every study member's solvers are in the manifest, keyed by period
+    (validate) or by thickness (sweep, whose one pore-scale reference
+    is recorded once): the pore-scale and Stokes factors in single
+    precision, refined, and the Darcy tensor-product solver in double."""
+    studies = recording(
+        monkeypatch, "convergence_study" if command == "validate" else "delta_sweep"
+    )
+    argv = [command, "--config", str(write_config(tmp_path, ini))]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    parameters = json.loads((tmp_path / "out" / "manifest.json").read_text())[
+        "parameters"
+    ]
+    (study,) = studies
+    members = parameters["member_factors"]
+    if command == "validate":
+        assert members == {f"ell={r.ell:g}": r.factor_health for r in study.reports}
+        assert sorted(members) == ["ell=0.125", "ell=0.25"]
+        dns = [member.pop("dns_factor") for member in members.values()]
+    else:
+        assert members == {
+            f"delta={format_value(d)}": health
+            for d, health in zip(study.deltas, study.factor_health)
+        }
+        assert len(members) == 3
+        dns = [parameters["dns_factor"]]
+        assert dns == [study.dns_factor_health]
+    for factor in dns + [member["stokes_factor"] for member in members.values()]:
+        assert factor["precision"] == "float32"
+        assert 1 <= factor["refinement_steps"] <= linalg.MAX_REFINEMENT_STEPS
+    for member in members.values():
+        assert sorted(member) == ["darcy_factor", "stokes_factor"]
+        assert member["darcy_factor"]["precision"] == "float64"
 
 
 class TestWorkerProcesses:

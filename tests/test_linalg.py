@@ -24,7 +24,7 @@ from stokesdarcy.linalg import (
     bicgstab,
     factorize,
 )
-from stokesdarcy.presets import PRESETS
+from stokesdarcy.presets import CONFIGURATIONS, PRESETS
 
 
 def _random_system(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -130,10 +130,10 @@ class TestFactorization:
         dense = _dominant_block(seed, n, density).toarray()
         order = rng.permutation(n)
         b = rng.standard_normal(n)
-        x_double = factorize(_ordered(dense, order)).solve(b)
+        x_double = linalg._splu(_ordered(dense, order)).solve(b)
         solutions, errors = [], []
         for r in (b, 2.0**k * b, np.zeros(n)):
-            factor = factorize(_ordered(dense, order), single=True)
+            factor = factorize(_ordered(dense, order))
             solutions.append(factor.solve(r))
             errors.append(factor.backward_error)
             assert factor.precision == "float32"
@@ -160,14 +160,14 @@ class TestFactorization:
         a = u @ np.diag(np.logspace(0, -10, n)) @ v.T
         assert 0.5e10 < np.linalg.cond(a) < 2e10
         b = rng.standard_normal(n)
-        factor = factorize(sp.csc_matrix(a), single=True)
+        factor = factorize(sp.csc_matrix(a))
         with pytest.warns(RuntimeWarning, match="refactoring in double precision"):
             x = factor.solve(b)
         health = factor.health()
         assert health["precision"] == "float64"
         assert 1 <= health["refinement_steps"] <= linalg.MAX_REFINEMENT_STEPS
         assert factor.backward_error <= linalg.BACKWARD_ERROR_BOUND
-        np.testing.assert_array_equal(x, factorize(sp.csc_matrix(a)).solve(b))
+        np.testing.assert_array_equal(x, linalg._splu(sp.csc_matrix(a)).solve(b))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             factor.solve(b)
@@ -197,17 +197,19 @@ class TestFactorization:
 
 class TestOrderedFactorization:
     def test_solve_above_bound_raises(self, monkeypatch):
-        # A bound below any nonzero backward error; the failed solve is
-        # not recorded.
+        # A bound below any nonzero backward error: refinement misses it,
+        # so the factor is remade in double precision, with a warning,
+        # and that solve raises.  The failed solve is not recorded.
         monkeypatch.setattr(linalg, "BACKWARD_ERROR_BOUND", 1e-300)
         a, b = _random_system(30, 5)
         factor = factorize(_ordered(a, np.arange(30)[::-1]))
-        with pytest.raises(
-            RuntimeError,
-            match=r"backward error \d\.\d\de-\d\d of a sparse direct solve "
-            r"with 30 unknowns exceeds 1e-300",
-        ):
-            factor.solve(b)
+        with pytest.warns(RuntimeWarning, match="refactoring in double precision"):
+            with pytest.raises(
+                RuntimeError,
+                match=r"backward error \d\.\d\de-\d\d of a sparse direct solve "
+                r"with 30 unknowns exceeds 1e-300",
+            ):
+                factor.solve(b)
         assert factor.health()["backward_error"] == "0.00e+00"
 
     def test_order_must_be_permutation(self):
@@ -274,17 +276,17 @@ class TestOrderedFactorization:
 
 
 class TestFactorCopies:
-    """While SuperLU factors, the system's assembled matrix is gone.  A
-    double-precision factor's argument is the only sparse matrix of the
-    factored size, and the factor then keeps that argument, not a copy.
-    The pore-scale factor is made in single precision: its argument's
-    only companion is the double-precision block the factor keeps,
-    whose index arrays it shares."""
+    """While SuperLU factors, the system's assembled matrix is gone.
+    Every factor is made in single precision: SuperLU's argument is a
+    float32 copy of the block's values that shares the block's index
+    arrays, the block is the only other matrix of the factored size,
+    and the factor then keeps that block, not a copy."""
 
     @staticmethod
     def watch(monkeypatch):
-        """Record, per ``splu`` call, the other live matrices of its size."""
-        calls = []
+        """Record, per ``splu`` call, its argument and the other live
+        matrices of its size."""
+        calls, arguments = [], []
         real = linalg.spla.splu
 
         def splu(a, *args, **kwargs):
@@ -296,10 +298,11 @@ class TestFactorCopies:
                     if sp.issparse(o) and o.shape == a.shape and o is not a
                 }
             )
+            arguments.append(a)
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr(linalg.spla, "splu", splu)
-        return calls
+        return calls, arguments
 
     @staticmethod
     def holds_only(factor, block):
@@ -307,23 +310,11 @@ class TestFactorCopies:
         matrices = [v for v in vars(factor).values() if sp.issparse(v)]
         return len(matrices) == 1 and matrices[0] is block
 
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_dns_factor(self, monkeypatch, dns_systems, order):
-        calls = self.watch(monkeypatch)
-        arguments = []
-        watched = linalg.spla.splu
-
-        def splu(a, *args, **kwargs):
-            arguments.append(a)
-            return watched(a, *args, **kwargs)
-
-        monkeypatch.setattr(linalg.spla, "splu", splu)
-        preset = PRESETS[1]
-        solve_dns(
-            preset, preset.lattice(0.25, 0.6), DnsResolution(n_per_cell=5, order=order)
-        )
-        (system,) = dns_systems
-        block = system._pieces[0]
+    def check_single(self, watched, factor, block):
+        """The one ``splu`` call factored a float32 copy of ``block``
+        sharing its sorted index arrays, beside no matrix of its size but
+        ``block``, which ``factor`` keeps as its only matrix."""
+        calls, arguments = watched
         assert calls == [{id(block)}]
         (a,) = arguments
         assert block.dtype == np.float64 and a.dtype == np.float32
@@ -331,23 +322,34 @@ class TestFactorCopies:
         assert np.shares_memory(a.indices, block.indices)
         assert np.shares_memory(a.indptr, block.indptr)
         assert block.has_sorted_indices
-        assert system.factor.precision == "float32"
-        assert self.holds_only(system.factor, block)
+        assert factor.precision == "float32"
+        assert self.holds_only(factor, block)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_dns_factor(self, monkeypatch, dns_systems, order):
+        watched = self.watch(monkeypatch)
+        preset = PRESETS[1]
+        solve_dns(
+            preset, preset.lattice(0.25, 0.6), DnsResolution(n_per_cell=5, order=order)
+        )
+        (system,) = dns_systems
+        self.check_single(watched, system.factor, system._pieces[0])
 
     def test_icdd_subdomain_factors(self, monkeypatch):
-        calls = self.watch(monkeypatch)
+        watched = self.watch(monkeypatch)
         problem = assemble_problem(
             FemConfig(order=2),
             IcddGeometry(delta=0.036, hx=0.1),
             IcddPhysics(preset=PRESETS[1], permeability=7.231e-6),
         )
-        for system in (problem.stokes, problem.darcy):
-            assert self.holds_only(system.factor, system._pieces[0])
-        # The Darcy solver is a tensor-product one: no SuperLU call.
-        assert calls == [set()]
+        self.check_single(watched, problem.stokes.factor, problem.stokes._pieces[0])
+        # The Darcy solver is a tensor-product one: no SuperLU call, and
+        # it keeps its block too.
+        assert self.holds_only(problem.darcy.factor, problem.darcy._pieces[0])
+        assert len(watched[1]) == 1
 
     def test_cell_factor(self, monkeypatch):
-        calls = self.watch(monkeypatch)
+        watched = self.watch(monkeypatch)
         systems = []
         inner = homogenize.assemble_cell_problem
 
@@ -367,8 +369,7 @@ class TestFactorCopies:
         homogenize.solve_cell_problem(0.6, resolution=10)
         (system,) = systems
         assert system.matrix is None
-        assert calls == [set()]
-        assert self.holds_only(factors[0], blocks[0])
+        self.check_single(watched, factors[0], blocks[0])
 
     @pytest.mark.parametrize("case", ["dns", "subdomains", "cell"])
     def test_assembled_matrix_gone_when_splu_runs(self, monkeypatch, case):
@@ -438,6 +439,145 @@ class TestFactorCopies:
             assert dead == [["assemble_stokes", "folded"]]
 
 
+    @pytest.mark.parametrize("case", ["dns", "subdomains"])
+    def test_load_gathered_once_matrix_is_gone(self, monkeypatch, case):
+        # ``SaddleSystem.solve`` on a fresh system factors before it
+        # gathers the interior load, so the assembled matrix is dropped
+        # before any piece is gathered.
+        dropped = []
+        inner = fem.SaddleSystem.interior_rhs
+
+        def recording(system):
+            dropped.append(system.matrix is None)
+            return inner.func(system)
+
+        monkeypatch.setattr(fem.SaddleSystem, "interior_rhs", property(recording))
+        preset = PRESETS[1]
+        if case == "dns":
+            solve_dns(
+                preset, preset.lattice(0.25, 0.6), DnsResolution(n_per_cell=5, order=2)
+            )
+        else:
+            problem = assemble_problem(
+                FemConfig(order=2),
+                IcddGeometry(delta=0.036, hx=0.1),
+                IcddPhysics(preset=preset, permeability=7.231e-6),
+            )
+            icdd_solve(problem, KrylovConfig())
+        assert dropped and all(dropped)
+
+
+class TestHeapTrim:
+    """Before SuperLU runs, the C heap's free pages are returned."""
+
+    def test_factorize_without_malloc_trim(self, monkeypatch):
+        # A C library without ``malloc_trim``: nothing is trimmed, and
+        # the factor is made and solves as before.
+        monkeypatch.setattr(linalg, "_malloc_trim", False)
+        a, b = _random_system(20, 3)
+        x = factorize(sp.csc_matrix(a)).solve(b)
+        np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=1e-12)
+
+    def test_lookup_made_once(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_malloc_trim", None)
+        linalg._trim_heap()
+        found = linalg._malloc_trim
+        assert found is False or callable(found)
+        linalg._trim_heap()
+        assert linalg._malloc_trim is found
+
+    def test_once_per_splu_never_for_tensor_solver(self, monkeypatch):
+        events = []
+        monkeypatch.setattr(linalg, "_malloc_trim", lambda pad: events.append("trim"))
+        real = linalg.spla.splu
+
+        def splu(*args, **kwargs):
+            events.append("splu")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(linalg.spla, "splu", splu)
+        problem = assemble_problem(
+            FemConfig(order=1),
+            IcddGeometry(delta=0.036, hx=0.1),
+            IcddPhysics(preset=PRESETS[1], permeability=7.231e-6),
+        )
+        assert isinstance(problem.darcy.factor, linalg.TensorSolver)
+        assert events == []
+        problem.stokes.factor
+        assert events == ["trim", "splu"]
+        # The double-precision refactor is a second SuperLU call.
+        monkeypatch.setattr(linalg, "BACKWARD_ERROR_BOUND", 1e-300)
+        with pytest.warns(RuntimeWarning, match="refactoring in double precision"):
+            with pytest.raises(RuntimeError, match="backward error"):
+                problem.stokes.solve()
+        assert events == ["trim", "splu"] * 2
+
+
+class _DoubleFactor:
+    """Double-precision SuperLU factor of a block, standing in for a
+    system's single-precision one.  It is made in the same order and
+    with the same options (:func:`linalg._splu`): a COLAMD-ordered
+    factor differs by roundoff alone up to 1.6e-10 in the porous
+    velocity of preset 1, which would hide the precision's effect."""
+
+    def __init__(self, block):
+        self._lu = linalg._splu(block)
+
+    def solve(self, b):
+        return self._lu.solve(b)
+
+    def health(self):
+        return {}
+
+
+@given(
+    preset=st.sampled_from([1, 2, 3]),
+    configuration=st.sampled_from(["C1", "C2"]),
+    order=st.sampled_from([1, 2]),
+    hx=st.sampled_from([1 / 24, 1 / 36, 1 / 48]),
+    ell=st.sampled_from([0.1, 0.05]),
+)
+@settings(max_examples=10, deadline=None)
+def test_single_precision_subdomain_and_cell_factors(
+    preset, configuration, order, hx, ell
+):
+    """The coupled solve with a single-precision Stokes factor gives,
+    field by field, the composite solution of a double-precision factor
+    to 1e-10, and the unit cell its ``k_hat`` to 1e-12; every factor is
+    float32 with at most :data:`MAX_REFINEMENT_STEPS` refinement steps."""
+    porous = CONFIGURATIONS[configuration]
+
+    def solve(factorize):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fem, "factorize", factorize)
+            cell = homogenize.solve_cell_problem(
+                porous.size_ratio, resolution=10, order=order
+            )
+            problem = assemble_problem(
+                FemConfig(order=order),
+                IcddGeometry(delta=homogenize.delta_star(porous.porosity, ell), hx=hx),
+                IcddPhysics(
+                    PRESETS[preset],
+                    homogenize.permeability_dimensional(cell.k_scalar(), ell),
+                ),
+            )
+            return cell, icdd_solve(problem, KrylovConfig())
+
+    cell, result = solve(fem.factorize)
+    cell_oracle, oracle = solve(_DoubleFactor)
+    for health in (cell.factor_health, result.factor_health["stokes_factor"]):
+        assert health["precision"] == "float32"
+        assert 1 <= health["refinement_steps"] <= linalg.MAX_REFINEMENT_STEPS
+    k_hat = cell_oracle.k_hat
+    assert np.abs(cell.k_hat - k_hat).max() <= 1e-12 * np.abs(k_hat).max()
+    for name in (
+        "stokes_velocity", "stokes_pressure", "darcy_velocity", "darcy_pressure"
+    ):
+        got = getattr(result.composite, name).values
+        want = getattr(oracle.composite, name).values
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), name
+
+
 #: Numpy memory allowed per unknown, beyond the pieces, when SuperLU
 #: starts: eight vectors of 8-byte entries (the interior dofs, the
 #: interior positions, the node order and the like).
@@ -484,17 +624,22 @@ def test_factorization_peak_memory(monkeypatch, assemble_dns_q2):
 
 
 def test_single_precision_factorization_peak_memory(monkeypatch, assemble_dns_q2):
-    """Made in single precision, as ``solve_dns`` makes it, the factor
-    adds to the double-precision level the float32 values, 4 bytes per
-    entry, and at most one vector of 8-byte entries per unknown: SuperLU's
-    argument shares the block's index arrays (a copy would add another
-    4 bytes per entry)."""
-    double, _ = _extra_at_splu(monkeypatch, assemble_dns_q2, lambda s: s.factor)
-    single, system = _extra_at_splu(
-        monkeypatch,
-        assemble_dns_q2,
-        lambda s: factorize(s.release_block(), single=True),
-    )
+    """Made in single precision, as every factor is, the factor adds to
+    the level of a double-precision SuperLU factor of the same block the
+    float32 values, 4 bytes per entry, and at most one vector of 8-byte
+    entries per unknown: SuperLU's argument shares the block's index
+    arrays (a copy would add another 4 bytes per entry)."""
+
+    def factor_in_double(system):
+        # What :attr:`SaddleSystem.factor` does before SuperLU runs, and
+        # a double-precision factor in its place.
+        block, _ = system._pieces
+        system.matrix = None
+        linalg._row_sum_norm(block)
+        linalg._splu(block)
+
+    double, _ = _extra_at_splu(monkeypatch, assemble_dns_q2, factor_in_double)
+    single, system = _extra_at_splu(monkeypatch, assemble_dns_q2, lambda s: s.factor)
     bound = double + 4 * system._pieces[0].nnz + 8 * system.n_dofs
     assert single <= bound, f"{(single - bound) / 2**20:.1f} MB over"
 
