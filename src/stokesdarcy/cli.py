@@ -312,9 +312,9 @@ def _mapper(threads: int, pool_holder: list):
 class Outputs:
     """What one command computed, for :func:`run` to write and print.
 
-    ``files`` maps each output name to the arguments after the path of
-    :func:`write_csv` (``.csv``) or :func:`write_vtk` (``.vtk``);
-    ``parameters`` and ``iterations`` go into the manifest.
+    ``files`` maps each output name to a table for :func:`write_csv`
+    (``.csv``) or the arguments after the path of :func:`write_vtk`
+    (``.vtk``); ``parameters`` and ``iterations`` go into the manifest.
     """
 
     summary: str
@@ -357,9 +357,11 @@ def run(command: str, config: RunConfig, out_dir: Path, threads: int) -> None:
         "outputs": sorted([*result.files, "manifest.json"]),
     }
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, args in result.files.items():
-        writer = write_csv if name.endswith(".csv") else write_vtk
-        writer(out_dir / name, *args)
+    for name, content in result.files.items():
+        if name.endswith(".csv"):
+            write_csv(out_dir / name, content)
+        else:
+            write_vtk(out_dir / name, *content)
     write_manifest(out_dir / "manifest.json", manifest)
     _say(result.summary)
 
@@ -367,9 +369,6 @@ def run(command: str, config: RunConfig, out_dir: Path, threads: int) -> None:
 # ----------------------------------------------------------------------
 # Commands
 # ----------------------------------------------------------------------
-
-SOLUTION_HEADER = ["x", "y", "u1", "u2", "p", "domain"]
-
 
 def _fields(velocity, pressure) -> dict:
     return {"velocity": velocity.values, "pressure": pressure.values}
@@ -404,7 +403,7 @@ def cmd_cell(config: RunConfig, mapper) -> Outputs:
             "order": cell.order,
             "cell_factor": cell.factor_health,
         },
-        files={"cell.csv": (list(columns), [list(columns.values())])},
+        files={"cell.csv": {name: [value] for name, value in columns.items()}},
     )
 
 
@@ -444,11 +443,11 @@ def cmd_icdd(config: RunConfig, mapper) -> Outputs:
             **result.factor_health,
         },
         files={
-            "solution.csv": (SOLUTION_HEADER, sol.sample_rows()),
-            "residuals.csv": (
-                ["iteration", "relative_residual"],
-                list(enumerate(result.info["residuals"])),
-            ),
+            "solution.csv": sol.sample_rows(),
+            "residuals.csv": {
+                "iteration": np.arange(len(result.info["residuals"])),
+                "relative_residual": result.info["residuals"],
+            },
             "stokes.vtk": (
                 sol.stokes_velocity.mesh,
                 _fields(sol.stokes_velocity, sol.stokes_pressure),
@@ -489,16 +488,16 @@ def cmd_dns(config: RunConfig, mapper) -> Outputs:
             "factor": solution.factor_health,
         },
         files={
-            "solution.csv": (SOLUTION_HEADER, solution.sample_rows()),
+            "solution.csv": solution.sample_rows(),
             "solution.vtk": (
                 solution.mesh,
                 _fields(solution.velocity, solution.pressure),
                 "pore-scale solution",
             ),
-            "speeds.csv": (
-                ["y", "mean_speed"],
-                [(y, solution.mean_speed(y)) for y in lines.tolist()],
-            ),
+            "speeds.csv": {
+                "y": lines,
+                "mean_speed": [solution.mean_speed(y) for y in lines.tolist()],
+            },
         },
     )
 
@@ -524,33 +523,32 @@ def cmd_validate(config: RunConfig, mapper) -> Outputs:
     study = convergence_study(
         preset, configuration, ells, **_study_settings(config, mapper)
     )
-    error_rows = [
-        (r.configuration, r.ell, metric, value, r.relative(metric))
-        for r in study.reports
-        for metric, value in r.errors.items()
-    ]
+    reports, slopes = study.reports, study.slopes
     return Outputs(
         summary="\n".join(
-            f"slope {metric} = {slope:+.3f}"
-            for metric, slope in study.slopes.items()
+            f"slope {metric} = {slope:+.3f}" for metric, slope in slopes.items()
         ),
         parameters={
             "preset": preset.identifier,
             "configuration": configuration.name,
             "ells": ells,
             "cell_factor": study.cell.factor_health,
-            "member_factors": {
-                f"ell={r.ell:g}": r.factor_health for r in study.reports
+            "member_factors": {f"ell={r.ell:g}": r.factor_health for r in reports},
+            "member_interfaces": {
+                f"ell={r.ell:g}": r.interface_health for r in reports
             },
         },
         files={
-            "errors.csv": (
-                ["config", "ell", "metric", "value", "relative"],
-                error_rows,
-            ),
-            "slopes.csv": (["metric", "slope"], list(study.slopes.items())),
+            "errors.csv": {
+                "config": [r.configuration for r in reports for _ in r.errors],
+                "ell": [r.ell for r in reports for _ in r.errors],
+                "metric": [m for r in reports for m in r.errors],
+                "value": [v for r in reports for v in r.errors.values()],
+                "relative": [r.relative(m) for r in reports for m in r.errors],
+            },
+            "slopes.csv": {"metric": list(slopes), "slope": list(slopes.values())},
         },
-        iterations={f"ell={r.ell:g}": r.iterations for r in study.reports},
+        iterations={f"ell={r.ell:g}": r.iterations for r in reports},
     )
 
 
@@ -562,6 +560,7 @@ def cmd_sweep(config: RunConfig, mapper) -> Outputs:
     sweep = delta_sweep(
         preset, configuration, ell, factors, **_study_settings(config, mapper)
     )
+    keys = [f"delta={format_value(d)}" for d in sweep.deltas]
     return Outputs(
         summary=(
             f"sweep: delta_star={sweep.delta_star:.6e}, interior minimum: "
@@ -576,16 +575,15 @@ def cmd_sweep(config: RunConfig, mapper) -> Outputs:
             "cell_factor": sweep.cell.factor_health,
             "dns_factor": sweep.dns_factor_health,
             # Keyed by the thickness as sweep.csv prints it.
-            "member_factors": {
-                f"delta={format_value(d)}": health
-                for d, health in zip(sweep.deltas, sweep.factor_health)
-            },
+            "member_factors": dict(zip(keys, sweep.factor_health)),
+            "member_interfaces": dict(zip(keys, sweep.interface_health)),
         },
         files={
-            "sweep.csv": (
-                ["factor", "delta", "error_u_fluid"],
-                list(zip(factors, sweep.deltas, sweep.errors)),
-            ),
+            "sweep.csv": {
+                "factor": factors,
+                "delta": sweep.deltas,
+                "error_u_fluid": sweep.errors,
+            },
         },
     )
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import FemConfig, assemble_stokes, divergence_l2, nodal_rows
+from .fem import FemConfig, assemble_stokes, divergence_l2, nodal_table
 from .mesh import ObstacleLattice, build_perforated_mesh
 from .presets import TestCasePreset
 
@@ -103,13 +103,13 @@ class DnsSolution:
         """L2 norm of the velocity divergence (consistency diagnostic)."""
         return divergence_l2(self.velocity)
 
-    def sample_rows(self):
-        """Nodal samples ``(x, y, u1, u2, p, domain)`` for export.
+    def sample_rows(self) -> dict:
+        """Nodal sample columns ``x, y, u1, u2, p, domain`` for export.
 
         Solid (inactive) nodes are skipped; the domain tag is ``"dns"``.
         """
         nodes = np.flatnonzero(self.mesh.node_active)
-        return nodal_rows([(self.mesh, self.x, nodes, "dns")])
+        return nodal_table([(self.mesh, self.x, nodes, "dns")])
 
 
 def solve_dns(

@@ -673,8 +673,8 @@ def _node_major(nodes: np.ndarray, n: int, keep: np.ndarray) -> np.ndarray:
     return dofs[keep[dofs]]
 
 
-def nodal_rows(parts) -> list[tuple]:
-    """Nodal samples ``(x, y, u1, u2, p, tag)`` sorted by y, then x.
+def nodal_table(parts) -> dict:
+    """Nodal sample columns ``x, y, u1, u2, p, domain``, sorted by y, then x.
 
     Parameters
     ----------
@@ -686,18 +686,18 @@ def nodal_rows(parts) -> list[tuple]:
 
     Returns
     -------
-    list of tuple
-        Values as Python floats, tag last.
+    dict
+        Column name to array: floats, and each row's tag as text.
     """
     tables, tags = [], []
     for mesh, solution, nodes, tag in parts:
         fields = solution[: 3 * mesh.n_nodes].reshape(3, -1)[:, nodes].T
         tables.append(np.column_stack([mesh.node_coords[nodes], fields]))
-        tags += [tag] * nodes.size
+        tags.append(np.full(nodes.size, tag))
     table = np.concatenate(tables)
     order = np.lexsort((table[:, 0], table[:, 1]))
-    tags = [tags[i] for i in order.tolist()]
-    return list(zip(*table[order].T.tolist(), tags))
+    columns = dict(zip(["x", "y", "u1", "u2", "p"], table[order].T))
+    return {**columns, "domain": np.concatenate(tags)[order]}
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .fem import (
     assemble_stokes,
     classify_dofs,
     eval_fields,
-    nodal_rows,
+    nodal_table,
 )
 from .linalg import KrylovConfig, bicgstab
 from .mesh import StructuredMesh, overlap_line_set
@@ -373,19 +373,19 @@ class CompositeSolution:
             pressure[~in_stokes] = p[~in_stokes[in_darcy]]
         return velocity, pressure
 
-    def sample_rows(self):
+    def sample_rows(self) -> dict:
         """Nodal samples for tabular export.
 
         Returns
         -------
-        list of tuple
-            Rows ``(x, y, u1, u2, p, domain)`` over the free-flow
+        dict
+            Columns ``x, y, u1, u2, p, domain`` over the free-flow
             nodes and the porous nodes strictly below the overlap,
             sorted by y then x.
         """
         smesh, dmesh = self.stokes_velocity.mesh, self.darcy_velocity.mesh
         below = np.flatnonzero(dmesh.node_coords[:, 1] < -self.delta - 1e-12)
-        return nodal_rows(
+        return nodal_table(
             [
                 (smesh, self.x_stokes, np.arange(smesh.n_nodes), "stokes"),
                 (dmesh, self.x_darcy, below, "darcy"),
@@ -431,6 +431,15 @@ class IcddResult:
     dual_velocity: float
     dual_pressure: float
     factor_health: dict
+
+    def interface_health(self) -> dict:
+        """The matching residuals and the interface solver's true
+        residual (``info["true_residual"]``), each as ``%.2e`` text."""
+        return {
+            "matching_velocity": f"{self.matching_velocity:.2e}",
+            "matching_pressure": f"{self.matching_pressure:.2e}",
+            "true_residual": f"{self.info['true_residual']:.2e}",
+        }
 
 
 def _relative_mismatch(a: np.ndarray, b: np.ndarray) -> float:

@@ -1,6 +1,7 @@
 """Deterministic artifact writers: CSV tables, legacy VTK, manifests.
 
-All floating-point output uses scientific notation with nine
+A CSV table is a ``dict`` of named, equal-length columns.  All
+floating-point output uses scientific notation with nine
 significant digits, so identical inputs always serialize to identical
 bytes.  Manifests are JSON with sorted keys and no timestamps.
 """
@@ -36,50 +37,49 @@ def _fill(row_template: str, n_rows: int, values) -> str:
     return "\n".join([row_template] * n_rows) % tuple(values)
 
 
-def _is_float_column(cells) -> bool:
-    return all(
-        issubclass(t, (float, np.floating)) for t in set(map(type, cells))
-    )
+#: printf template of a CSV column, by the kind of its numpy dtype.
+_TEMPLATES = {"f": FLOAT_FORMAT, "i": "%d", "u": "%d", "U": "%s"}
 
 
-def write_csv(path, header, rows) -> None:
-    """Write a CSV table with a header row and fixed number formatting.
+def write_csv(path, table: dict) -> None:
+    """Write a table of named, equal-length columns as CSV.
 
-    Cells render as :func:`format_value` renders them.  A column whose
-    cells are all floats is formatted in one pass over the table.
+    Each column is rendered with the printf template of its numpy
+    dtype (floats :data:`FLOAT_FORMAT`, integers ``%d``, text ``%s``),
+    all in one pass; a cell reads as :func:`format_value` renders its
+    value in that dtype.
 
     Parameters
     ----------
     path : path-like
         Output file.
-    header : sequence of str
-        Column names.
-    rows : iterable of sequences
-        Row values, as many per row as there are columns; floats are
-        formatted with nine significant digits.
+    table : dict
+        Column name to values (an array or a sequence), in output order.
 
     Raises
     ------
     ValueError
-        If a row does not have one value per column.
+        If the columns differ in length, or a column holds anything but
+        only floats, only integers or only text (booleans included).
     """
-    path = Path(path)
-    lines = [",".join(str(h) for h in header)]
-    rows = list(rows)
-    if any(len(row) != len(header) for row in rows):
-        raise ValueError(f"every row needs {len(header)} values")
-    if rows:
-        templates, columns = [], []
-        for cells in zip(*rows):
-            if _is_float_column(cells):
-                templates.append(FLOAT_FORMAT)
-                columns.append(cells)
-            else:
-                templates.append("%s")
-                columns.append(list(map(format_value, cells)))
+    lengths = {len(column) for column in table.values()}
+    if len(lengths) > 1:
+        raise ValueError(f"columns of unequal length {sorted(lengths)}")
+    templates, columns = [], []
+    for name, column in table.items():
+        array = np.asarray(column)
+        kind = array.dtype.kind
+        # numpy turns numbers listed among strings into text.
+        text = isinstance(column, np.ndarray) or all(isinstance(v, str) for v in column)
+        if kind not in _TEMPLATES or (kind == "U" and not text):
+            raise ValueError(f"column {name!r} must be all floats, ints or text")
+        templates.append(_TEMPLATES[kind])
+        columns.append(array.tolist())
+    lines = [",".join(table)]
+    if lengths and (n_rows := lengths.pop()):
         values = itertools.chain.from_iterable(zip(*columns))
-        lines.append(_fill(",".join(templates), len(rows), values))
-    path.write_text("\n".join(lines) + "\n")
+        lines.append(_fill(",".join(templates), n_rows, values))
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_csv(path) -> tuple[list, list]:

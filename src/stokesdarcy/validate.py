@@ -323,6 +323,9 @@ class ErrorReport:
         ``stokes_factor`` and ``darcy_factor`` (the coupled run's
         :attr:`~stokesdarcy.icdd.IcddResult.factor_health`); empty
         unless the study sets it.
+    interface_health : dict
+        :meth:`~stokesdarcy.icdd.IcddResult.interface_health` of the
+        coupled run; empty unless the study sets it.
     """
 
     configuration: str
@@ -331,6 +334,7 @@ class ErrorReport:
     norms: dict
     iterations: int = 0
     factor_health: dict = field(default_factory=dict)
+    interface_health: dict = field(default_factory=dict)
 
     def relative(self, key: str) -> float:
         return self.errors[key] / self.norms[key]
@@ -587,6 +591,7 @@ def convergence_study(
         report.factor_health = {
             "dns_factor": dns.factor_health, **result.factor_health
         }
+        report.interface_health = result.interface_health()
         return report
 
     # Finest period, the costliest member, first (largest-first
@@ -617,6 +622,9 @@ class SweepResult:
     factor_health : list of dict
         :attr:`~stokesdarcy.icdd.IcddResult.factor_health` of the
         coupled solve at each thickness.
+    interface_health : list of dict
+        :meth:`~stokesdarcy.icdd.IcddResult.interface_health` of the
+        coupled solve at each thickness.
     dns_factor_health : dict
         :attr:`~stokesdarcy.dns.DnsSolution.factor_health` of the one
         pore-scale reference.
@@ -628,6 +636,7 @@ class SweepResult:
     errors: list
     delta_star: float
     factor_health: list = field(default_factory=list)
+    interface_health: list = field(default_factory=list)
     dns_factor_health: dict = field(default_factory=dict)
     cell: CellSolution = field(repr=False, default=None)
 
@@ -702,18 +711,20 @@ def delta_sweep(
     points, weights, elems, ref = _region_rule(dns.mesh, region)
     (u_ref,) = eval_located([dns.velocity], elems, ref)
 
-    def run_one(delta: float) -> tuple[float, dict]:
+    def run_one(delta: float) -> tuple[float, dict, dict]:
         say(f"coupled solve delta={delta:.4e}")
         result = _coupled_solve(preset, cell, ell, delta, fem_config, hx, krylov)
         u, _ = result.composite.evaluate(points)
-        return _weighted_l2(weights, u, u_ref), result.factor_health
+        error = _weighted_l2(weights, u, u_ref)
+        return error, result.factor_health, result.interface_health()
 
-    errors, health = zip(*mapper(run_one, deltas))
+    errors, health, interfaces = zip(*mapper(run_one, deltas))
     return SweepResult(
         deltas=deltas,
         errors=list(errors),
         delta_star=dstar,
         factor_health=list(health),
+        interface_health=list(interfaces),
         dns_factor_health=dns.factor_health,
         cell=cell,
     )

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokesdarcy import cli, linalg, mesh, validate
+from stokesdarcy import cli, icdd, linalg, mesh, validate
 from stokesdarcy.cli import CliError, load_run_config, main
 from stokesdarcy.icdd import CompositeSolution
 from stokesdarcy.io import format_value, read_csv
@@ -68,6 +68,19 @@ hx = 0.1
 
 [solver]
 tolerance = 1e-10
+"""
+
+
+#: The Q1 coupled solve at hx = 1/48 that tests/test_tracer_contract.py runs.
+ICDD_FINE_INI = """\
+[case]
+preset = 1
+configuration = C1
+ell = 0.1
+
+[discretization]
+order = 1
+hx = 0.020833333333333332  # 1/48
 """
 
 
@@ -211,6 +224,29 @@ class TestIcddCommand:
             assert float(factor["backward_error"]) <= linalg.BACKWARD_ERROR_BOUND
             assert re.fullmatch(r"\d\.\d\de[+-]\d\d", factor["backward_error"])
 
+    def test_solution_csv_matches_row_by_row_rendering(self, tmp_path, monkeypatch):
+        """End to end, the column writer gives ``solution.csv`` the bytes
+        of its table rendered row by row, cell by cell."""
+        tables = []
+        inner = CompositeSolution.sample_rows
+
+        def recording(solution):
+            tables.append(inner(solution))
+            return tables[-1]
+
+        monkeypatch.setattr(CompositeSolution, "sample_rows", recording)
+        config_path, out = write_config(tmp_path, ICDD_FINE_INI), tmp_path / "out"
+        assert main(["icdd", "--config", str(config_path), "--out", str(out)]) == 0
+        (table,) = tables
+        lines = [",".join(table)]
+        lines += [",".join(map(format_value, row)) for row in zip(*table.values())]
+        written = (out / "solution.csv").read_text().split("\n")
+        # Name the first differing line; a diff of the whole file takes minutes.
+        bad = next((i for i, (a, b) in enumerate(zip(written, lines)) if a != b), None)
+        assert bad is None, f"line {bad}: {written[bad]!r} != {lines[bad]!r}"
+        assert len(written) == len(lines) + 1 and written[-1] == ""
+        assert len(lines) > 1000 and lines[1].endswith(",darcy")
+
     def test_systems_freed_before_outputs(self, tmp_path, monkeypatch):
         """Both assembled subdomain systems are gone when the outputs
         are built (the solution rows sampled) and written; the manifest
@@ -339,15 +375,18 @@ def test_member_factor_health_in_manifest(tmp_path, monkeypatch, command, ini):
     ]
     (study,) = studies
     members = parameters["member_factors"]
+    interfaces = parameters["member_interfaces"]
     if command == "validate":
         assert members == {f"ell={r.ell:g}": r.factor_health for r in study.reports}
+        assert interfaces == {
+            f"ell={r.ell:g}": r.interface_health for r in study.reports
+        }
         assert sorted(members) == ["ell=0.125", "ell=0.25"]
         dns = [member.pop("dns_factor") for member in members.values()]
     else:
-        assert members == {
-            f"delta={format_value(d)}": health
-            for d, health in zip(study.deltas, study.factor_health)
-        }
+        keys = [f"delta={format_value(d)}" for d in study.deltas]
+        assert members == dict(zip(keys, study.factor_health))
+        assert interfaces == dict(zip(keys, study.interface_health))
         assert len(members) == 3
         dns = [parameters["dns_factor"]]
         assert dns == [study.dns_factor_health]
@@ -357,6 +396,16 @@ def test_member_factor_health_in_manifest(tmp_path, monkeypatch, command, ini):
     for member in members.values():
         assert sorted(member) == ["darcy_factor", "stokes_factor"]
         assert member["darcy_factor"]["precision"] == "float64"
+    # Each member's coupled solve: matching residuals within the bound
+    # icdd_solve checks, and the Krylov true residual, as %.2e text.
+    assert sorted(interfaces) == sorted(members)
+    bound = icdd.MATCHING_FACTOR * linalg.KrylovConfig.tol
+    for health in interfaces.values():
+        assert sorted(health) == ["matching_pressure", "matching_velocity", "true_residual"]
+        for value in health.values():
+            assert re.fullmatch(r"\d\.\d\de[+-]\d\d", value)
+        assert float(health["matching_velocity"]) <= bound
+        assert float(health["matching_pressure"]) <= bound
 
 
 class TestWorkerProcesses:

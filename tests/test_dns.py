@@ -81,10 +81,10 @@ class TestSolution:
         assert s0 > s1 > s2 >= 0.0
 
     def test_sample_rows_skip_solid_nodes(self, solution):
-        rows = solution.sample_rows()
+        table = solution.sample_rows()
         active = int(solution.mesh.node_active.sum())
-        assert len(rows) == active
-        assert {r[5] for r in rows} == {"dns"}
+        assert {len(column) for column in table.values()} == {active}
+        assert set(table["domain"]) == {"dns"}
 
 
 @pytest.mark.parametrize("order", [1, 2])

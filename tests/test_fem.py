@@ -25,7 +25,7 @@ from stokesdarcy.fem import (
     divergence_l2,
     eval_fields,
     eval_located,
-    nodal_rows,
+    nodal_table,
 )
 from stokesdarcy.linalg import BACKWARD_ERROR_BOUND, Factorization, TensorSolver
 from stokesdarcy.mesh import (
@@ -920,7 +920,7 @@ class TestTensorSolver:
 
 
 def reference_rows(parts):
-    """Per-node loop and key sort that :func:`nodal_rows` replaced."""
+    """Per-node loop and key sort that :func:`nodal_table` replaced."""
     rows = []
     for mesh, x, nodes, tag in parts:
         n = mesh.n_nodes
@@ -950,4 +950,7 @@ def test_nodal_rows_match_sorted_loop(nex, ney, order, seed):
         nodes = np.flatnonzero(rng.random(mesh.n_nodes) < 0.7)
         parts.append((mesh, rng.standard_normal(system.n_dofs), nodes, tag))
     # The meshes share the line y = 0, so equal (y, x) keys occur.
-    assert nodal_rows(parts) == reference_rows(parts)
+    table = nodal_table(parts)
+    assert list(table) == ["x", "y", "u1", "u2", "p", "domain"]
+    assert [c.dtype.kind for c in table.values()] == ["f"] * 5 + ["U"]
+    assert list(zip(*(c.tolist() for c in table.values()))) == reference_rows(parts)

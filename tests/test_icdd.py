@@ -289,6 +289,20 @@ class TestInterfaceSolve:
         assert result.matching_velocity <= bound
         assert result.matching_pressure <= bound
 
+    def test_converged_solve_off_the_true_system_raises(self, problem, monkeypatch):
+        """A right-hand side 1e-4 off its true value: BiCGStab converges
+        to tol on the wrong system, and the fresh subdomain solves at its
+        controls show a pressure matching residual of about 1e-4, far
+        above 10 * tol."""
+        exact = icdd.schur_rhs
+        monkeypatch.setattr(icdd, "schur_rhs", lambda p: exact(p) * (1.0 + 1e-4))
+        with pytest.raises(
+            RuntimeError,
+            match=r"interface solve stopped with matching_pressure \d\.\d\de-0[45] "
+            r"above 10 \* tol = 1\.00e-07",
+        ):
+            icdd_solve(problem, KrylovConfig(tol=1e-8))
+
     def test_matching_residual_above_bound_raises(self, problem, monkeypatch):
         monkeypatch.setattr(icdd, "MATCHING_FACTOR", 0.0)
         with pytest.raises(
@@ -347,13 +361,12 @@ class TestCoupledSolutions:
 
     def test_sample_rows_sorted_and_tagged(self, problem):
         result = icdd_solve(problem, KrylovConfig(tol=1e-8))
-        rows = result.composite.sample_rows()
-        ys = np.array([r[1] for r in rows])
-        assert np.all(np.diff(ys) >= 0)
-        tags = {r[5] for r in rows}
-        assert tags == {"stokes", "darcy"}
+        table = result.composite.sample_rows()
+        assert list(table) == ["x", "y", "u1", "u2", "p", "domain"]
+        assert np.all(np.diff(table["y"]) >= 0)
+        assert set(table["domain"]) == {"stokes", "darcy"}
         # Porous samples stay strictly below the overlap.
-        darcy_y = np.array([r[1] for r in rows if r[5] == "darcy"])
+        darcy_y = table["y"][table["domain"] == "darcy"]
         assert darcy_y.max() < -COARSE["delta"]
 
 

@@ -57,25 +57,25 @@ class TestFormatValue:
 class TestCsv:
     def test_exact_bytes(self, tmp_path):
         path = tmp_path / "table.csv"
-        write_csv(path, ["a", "b", "c"], [(1, 0.5, "x"), (2, -1.0, "y")])
+        write_csv(path, {"a": [1, 2], "b": [0.5, -1.0], "c": ["x", "y"]})
         assert path.read_text() == (
             "a,b,c\n1,5.00000000e-01,x\n2,-1.00000000e+00,y\n"
         )
 
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "table.csv"
-        rows = [(1, 2.5e-3, "s"), (2, 3.25, "d")]
-        write_csv(path, ["i", "v", "tag"], rows)
+        table = {"i": np.arange(1, 3), "v": np.array([2.5e-3, 3.25]), "tag": ["s", "d"]}
+        write_csv(path, table)
         header, back = read_csv(path)
         assert header == ["i", "v", "tag"]
         assert [r[2] for r in back] == ["s", "d"]
         assert float(back[0][1]) == pytest.approx(2.5e-3)
 
     def test_rerun_byte_identical(self, tmp_path):
-        rows = [(k, np.sin(k)) for k in range(20)]
+        table = {"k": np.arange(20), "v": np.sin(np.arange(20))}
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_csv(p1, ["k", "v"], rows)
-        write_csv(p2, ["k", "v"], rows)
+        write_csv(p1, table)
+        write_csv(p2, table)
         assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -87,10 +87,10 @@ def assert_same_text(text, expected):
     assert len(lines) == len(want)
 
 
-def reference_csv(header, rows) -> str:
+def reference_csv(table) -> str:
     """Cell-by-cell rendering that the column writer must reproduce."""
-    lines = [",".join(str(h) for h in header)]
-    lines += [",".join(format_value(v) for v in row) for row in rows]
+    lines = [",".join(table)]
+    lines += [",".join(format_value(v) for v in row) for row in zip(*table.values())]
     return "\n".join(lines) + "\n"
 
 
@@ -99,48 +99,54 @@ any_float = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
 cell_kinds = {
     "float": st.one_of(any_float, any_float.map(np.float64)),
     "int": st.one_of(st.integers(-(10**12), 10**12), st.integers(-5, 5).map(np.int64)),
-    "bool": st.one_of(st.booleans(), st.booleans().map(np.bool_)),
     "str": st.text("ab%s,.-", max_size=4),
 }
 
 
 @st.composite
 def tables(draw):
-    kinds = draw(st.lists(st.sampled_from([*cell_kinds, "mixed"]), min_size=1, max_size=5))
+    """Columns of one kind each, as lists or numpy arrays, 0-12 rows."""
+    kinds = draw(st.lists(st.sampled_from(list(cell_kinds)), min_size=1, max_size=5))
     n_rows = draw(st.integers(0, 12))
-    columns = [
-        draw(
-            st.lists(
-                st.one_of(*cell_kinds.values()) if kind == "mixed" else cell_kinds[kind],
-                min_size=n_rows,
-                max_size=n_rows,
-            )
-        )
-        for kind in kinds
-    ]
-    header = [f"c{k}" for k in range(len(kinds))]
-    return header, [tuple(row) for row in zip(*columns)] if n_rows else []
+    table = {}
+    for k, kind in enumerate(kinds):
+        column = draw(st.lists(cell_kinds[kind], min_size=n_rows, max_size=n_rows))
+        table[f"c{k}"] = np.array(column) if draw(st.booleans()) else column
+    return table
 
 
 class TestCsvColumns:
     @given(table=tables())
     @settings(max_examples=100, deadline=None)
     def test_bytes_match_cell_by_cell(self, tmp_path_factory, table):
-        header, rows = table
         path = tmp_path_factory.mktemp("csv") / "t.csv"
-        write_csv(path, header, rows)
-        assert_same_text(path.read_text(), reference_csv(header, rows))
+        write_csv(path, table)
+        assert_same_text(path.read_text(), reference_csv(table))
 
     def test_special_floats(self, tmp_path):
-        rows = [(-0.0, float("nan"), float("inf"), 5e-324, np.float64(-np.inf))]
+        values = [-0.0, float("nan"), float("inf"), 5e-324, np.float64(-np.inf)]
+        table = {name: [value] for name, value in zip("abcde", values)}
         path = tmp_path / "t.csv"
-        write_csv(path, list("abcde"), rows)
-        assert path.read_text() == reference_csv(list("abcde"), rows)
+        write_csv(path, table)
+        assert path.read_text() == reference_csv(table)
         assert path.read_text().splitlines()[1].startswith("-0.00000000e+00,nan,inf,")
 
     def test_row_length_mismatch_raises(self, tmp_path):
-        with pytest.raises(ValueError, match="2 values"):
-            write_csv(tmp_path / "t.csv", ["a", "b"], [(1.0, 2.0), (3.0,)])
+        # A short column would leave the last row without its cell.
+        with pytest.raises(ValueError, match=r"unequal length \[1, 2\]"):
+            write_csv(tmp_path / "t.csv", {"a": [1.0, 3.0], "b": [2.0]})
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize(
+        "column",
+        [["dns", 1.0], [0.5, "stokes"], ["a", None], [True, False], np.array([True])],
+        ids=["text-float", "float-text", "text-none", "bool-list", "bool-array"],
+    )
+    def test_mixed_or_bool_column_raises(self, tmp_path, column):
+        # numpy would render the number among strings as "1.0".
+        with pytest.raises(ValueError, match="column .tag. must be all floats, ints or text"):
+            write_csv(tmp_path / "t.csv", {"tag": column})
+        assert not (tmp_path / "t.csv").exists()
 
 
 def reference_vtk(mesh, point_data, title) -> str:
