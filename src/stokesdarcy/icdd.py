@@ -422,6 +422,9 @@ class IcddResult:
         on the hole-free porous mesh, the Darcy tensor-product solver's
         (:meth:`~stokesdarcy.linalg.TensorSolver.health`, same keys,
         with ``lu_nnz`` and ``row_interchanges`` 0).
+
+    :meth:`health` gathers the deterministic part of all this into the
+    one record that every manifest writes for a coupled solve.
     """
 
     composite: CompositeSolution
@@ -432,10 +435,15 @@ class IcddResult:
     dual_pressure: float
     factor_health: dict
 
-    def interface_health(self) -> dict:
-        """The matching residuals and the interface solver's true
-        residual (``info["true_residual"]``), each as ``%.2e`` text."""
+    def health(self) -> dict:
+        """The deterministic record of this solve: the interface
+        solver's ``iterations``, the two entries of
+        :attr:`factor_health`, and the matching residuals and the
+        interface solver's true residual (``info["true_residual"]``),
+        each as ``%.2e`` text."""
         return {
+            "iterations": self.info["iterations"],
+            **self.factor_health,
             "matching_velocity": f"{self.matching_velocity:.2e}",
             "matching_pressure": f"{self.matching_pressure:.2e}",
             "true_residual": f"{self.info['true_residual']:.2e}",

@@ -23,8 +23,6 @@ FLOAT_FORMAT = "%.8e"
 
 def format_value(value) -> str:
     """Render one CSV cell: fixed-format floats, plain ints and text."""
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):

@@ -314,27 +314,18 @@ class ErrorReport:
         ``p_porous``, ``u_porous_deep``, ``p_porous_deep``.
     norms : dict
         Matching reference norms (same keys) for relative readings.
-    iterations : int
-        Interface-solver iterations of the coupled run.
-    factor_health : dict
-        ``health()`` of the solvers behind the two solutions, keyed
-        ``dns_factor`` (the pore-scale reference's factor,
-        :attr:`~stokesdarcy.dns.DnsSolution.factor_health`),
-        ``stokes_factor`` and ``darcy_factor`` (the coupled run's
-        :attr:`~stokesdarcy.icdd.IcddResult.factor_health`); empty
-        unless the study sets it.
-    interface_health : dict
-        :meth:`~stokesdarcy.icdd.IcddResult.interface_health` of the
-        coupled run; empty unless the study sets it.
+    health : dict
+        The pore-scale reference's factor as ``dns_factor``
+        (:attr:`~stokesdarcy.dns.DnsSolution.factor_health`) and the
+        coupled run's :meth:`~stokesdarcy.icdd.IcddResult.health`;
+        empty unless the study sets it.
     """
 
     configuration: str
     ell: float
     errors: dict
     norms: dict
-    iterations: int = 0
-    factor_health: dict = field(default_factory=dict)
-    interface_health: dict = field(default_factory=dict)
+    health: dict = field(default_factory=dict)
 
     def relative(self, key: str) -> float:
         return self.errors[key] / self.norms[key]
@@ -348,7 +339,6 @@ def compare_solutions(
     ell: float,
     preset: TestCasePreset,
     configuration: str = "",
-    iterations: int = 0,
 ) -> ErrorReport:
     """Measure a coupled solution against a pore-scale reference.
 
@@ -378,12 +368,11 @@ def compare_solutions(
         Scenario (domains and pressure-pinning flag).
     configuration : str
         Microstructure label recorded in the report.
-    iterations : int
-        Interface iterations to record.
 
     Returns
     -------
     ErrorReport
+        With an empty ``health``, which the studies fill in.
     """
     recon = ReconstructedVelocity(cell, preset.lattice(ell, cell.s_hat))
     errors: dict[str, float] = {}
@@ -401,11 +390,7 @@ def compare_solutions(
         norms[f"p_{name}"] = _weighted_l2(w, p_ref, np.zeros_like(p_ref))
 
     return ErrorReport(
-        configuration=configuration,
-        ell=ell,
-        errors=errors,
-        norms=norms,
-        iterations=iterations,
+        configuration=configuration, ell=ell, errors=errors, norms=norms
     )
 
 
@@ -579,19 +564,9 @@ def convergence_study(
         result = _coupled_solve(preset, cell, ell, delta, fem_config, hx, krylov)
         say(f"errors ell={ell}")
         report = compare_solutions(
-            result.composite,
-            dns,
-            cell,
-            delta,
-            ell,
-            preset,
-            configuration.name,
-            iterations=result.info["iterations"],
+            result.composite, dns, cell, delta, ell, preset, configuration.name
         )
-        report.factor_health = {
-            "dns_factor": dns.factor_health, **result.factor_health
-        }
-        report.interface_health = result.interface_health()
+        report.health = {"dns_factor": dns.factor_health, **result.health()}
         return report
 
     # Finest period, the costliest member, first (largest-first
@@ -619,12 +594,9 @@ class SweepResult:
         Fluid-region velocity error at each thickness (fixed region).
     delta_star : float
         Thickness predicted by the porosity fit.
-    factor_health : list of dict
-        :attr:`~stokesdarcy.icdd.IcddResult.factor_health` of the
-        coupled solve at each thickness.
-    interface_health : list of dict
-        :meth:`~stokesdarcy.icdd.IcddResult.interface_health` of the
-        coupled solve at each thickness.
+    health : list of dict
+        :meth:`~stokesdarcy.icdd.IcddResult.health` of the coupled
+        solve at each thickness.
     dns_factor_health : dict
         :attr:`~stokesdarcy.dns.DnsSolution.factor_health` of the one
         pore-scale reference.
@@ -635,8 +607,7 @@ class SweepResult:
     deltas: list
     errors: list
     delta_star: float
-    factor_health: list = field(default_factory=list)
-    interface_health: list = field(default_factory=list)
+    health: list = field(default_factory=list)
     dns_factor_health: dict = field(default_factory=dict)
     cell: CellSolution = field(repr=False, default=None)
 
@@ -711,20 +682,19 @@ def delta_sweep(
     points, weights, elems, ref = _region_rule(dns.mesh, region)
     (u_ref,) = eval_located([dns.velocity], elems, ref)
 
-    def run_one(delta: float) -> tuple[float, dict, dict]:
+    def run_one(delta: float) -> tuple[float, dict]:
         say(f"coupled solve delta={delta:.4e}")
         result = _coupled_solve(preset, cell, ell, delta, fem_config, hx, krylov)
         u, _ = result.composite.evaluate(points)
         error = _weighted_l2(weights, u, u_ref)
-        return error, result.factor_health, result.interface_health()
+        return error, result.health()
 
-    errors, health, interfaces = zip(*mapper(run_one, deltas))
+    errors, health = zip(*mapper(run_one, deltas))
     return SweepResult(
         deltas=deltas,
         errors=list(errors),
         delta_star=dstar,
-        factor_health=list(health),
-        interface_health=list(interfaces),
+        health=list(health),
         dns_factor_health=dns.factor_health,
         cell=cell,
     )

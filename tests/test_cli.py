@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import inspect
 import io
 import json
 import multiprocessing
 import os
 import re
+import sys
 import tempfile
 import weakref
 from concurrent.futures import process
@@ -69,6 +71,10 @@ hx = 0.1
 [solver]
 tolerance = 1e-10
 """
+
+
+#: How a manifest prints a residual or a backward error: ``%.2e`` text.
+RESIDUAL_TEXT = r"\d\.\d\de[+-]\d\d"
 
 
 #: The Q1 coupled solve at hx = 1/48 that tests/test_tracer_contract.py runs.
@@ -148,6 +154,23 @@ class TestLoadRunConfig:
         )
         assert config.preset().identifier == 1
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_benchmark_workload_configs_load(self, tmp_path, monkeypatch, seed):
+        """Every config the benchmark writes (perfbench/workloads.py)
+        loads, so dropping a key that it sets, such as ``[solver]
+        seed``, fails here and not only in every benchmark run."""
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", REPO / "perfbench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for @dataclass
+        spec.loader.exec_module(workloads)
+        assert workloads.WORKLOADS
+        for name, workload in workloads.WORKLOADS.items():
+            path = write_config(tmp_path, workload.config_text(seed), f"{name}.ini")
+            load_run_config(path)
+            assert workload.command in cli.COMMANDS, name
+
 
 class TestCellCommand:
     def test_outputs_and_manifest(self, tmp_path, capsys):
@@ -201,10 +224,18 @@ class TestIcddCommand:
         _, res_rows = read_csv(out / "residuals.csv")
         assert float(res_rows[-1][1]) < 1e-10
         manifest = json.loads((out / "manifest.json").read_text())
+        parameters = manifest["parameters"]
+        assert "iterations" not in manifest
         # residuals.csv row 0 records the initial residual before iterating
-        assert manifest["iterations"]["interface"] == len(res_rows) - 1
+        assert parameters["iterations"] == len(res_rows) - 1
+        assert re.fullmatch(RESIDUAL_TEXT, parameters["true_residual"])
+        # The matching residuals stay JSON numbers, within icdd_solve's bound.
+        bound = icdd.MATCHING_FACTOR * 1e-10  # ICDD_INI's tolerance
+        for name in ("matching_velocity", "matching_pressure"):
+            assert type(parameters[name]) is float
+            assert parameters[name] <= bound
         for name in ("stokes_factor", "darcy_factor"):
-            factor = manifest["parameters"][name]
+            factor = parameters[name]
             assert sorted(factor) == [
                 "backward_error", "lu_nnz", "precision", "refinement_steps",
                 "row_interchanges", "unknowns",
@@ -222,7 +253,7 @@ class TestIcddCommand:
             # the diagonal.
             assert factor["row_interchanges"] <= 2
             assert float(factor["backward_error"]) <= linalg.BACKWARD_ERROR_BOUND
-            assert re.fullmatch(r"\d\.\d\de[+-]\d\d", factor["backward_error"])
+            assert re.fullmatch(RESIDUAL_TEXT, factor["backward_error"])
 
     def test_solution_csv_matches_row_by_row_rendering(self, tmp_path, monkeypatch):
         """End to end, the column writer gives ``solution.csv`` the bytes
@@ -361,51 +392,56 @@ def test_studies_use_configured_cell_resolution(tmp_path, monkeypatch, command, 
     ids=["validate", "sweep"],
 )
 def test_member_factor_health_in_manifest(tmp_path, monkeypatch, command, ini):
-    """Every study member's solvers are in the manifest, keyed by period
-    (validate) or by thickness (sweep, whose one pore-scale reference
-    is recorded once): the pore-scale and Stokes factors in single
-    precision, refined, and the Darcy tensor-product solver in double."""
+    """Every study member's health is in the manifest under ``members``,
+    keyed by period (validate) or by thickness (sweep, whose one
+    pore-scale reference is recorded once), exactly as the study
+    returned it: the coupled solve's iterations and matching and true
+    residuals, the pore-scale and Stokes factors in single precision,
+    refined, and the Darcy tensor-product solver in double."""
     studies = recording(
         monkeypatch, "convergence_study" if command == "validate" else "delta_sweep"
     )
     argv = [command, "--config", str(write_config(tmp_path, ini))]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
-    parameters = json.loads((tmp_path / "out" / "manifest.json").read_text())[
-        "parameters"
-    ]
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    parameters = manifest["parameters"]
+    assert "iterations" not in manifest
+    assert not {"member_factors", "member_interfaces"} & set(parameters)
     (study,) = studies
-    members = parameters["member_factors"]
-    interfaces = parameters["member_interfaces"]
+    members = parameters["members"]
+    record_keys = [
+        "darcy_factor", "iterations", "matching_pressure", "matching_velocity",
+        "stokes_factor", "true_residual",
+    ]
     if command == "validate":
-        assert members == {f"ell={r.ell:g}": r.factor_health for r in study.reports}
-        assert interfaces == {
-            f"ell={r.ell:g}": r.interface_health for r in study.reports
-        }
+        expected = {f"ell={r.ell:g}": r.health for r in study.reports}
         assert sorted(members) == ["ell=0.125", "ell=0.25"]
-        dns = [member.pop("dns_factor") for member in members.values()]
+        record_keys = sorted(record_keys + ["dns_factor"])
+        dns = [member["dns_factor"] for member in members.values()]
     else:
         keys = [f"delta={format_value(d)}" for d in study.deltas]
-        assert members == dict(zip(keys, study.factor_health))
-        assert interfaces == dict(zip(keys, study.interface_health))
+        expected = dict(zip(keys, study.health))
         assert len(members) == 3
         dns = [parameters["dns_factor"]]
         assert dns == [study.dns_factor_health]
+    assert sorted(members) == sorted(expected)
+    for key, member in members.items():
+        assert member == expected[key], key
     for factor in dns + [member["stokes_factor"] for member in members.values()]:
         assert factor["precision"] == "float32"
         assert 1 <= factor["refinement_steps"] <= linalg.MAX_REFINEMENT_STEPS
-    for member in members.values():
-        assert sorted(member) == ["darcy_factor", "stokes_factor"]
-        assert member["darcy_factor"]["precision"] == "float64"
-    # Each member's coupled solve: matching residuals within the bound
-    # icdd_solve checks, and the Krylov true residual, as %.2e text.
-    assert sorted(interfaces) == sorted(members)
+    # Each member's coupled solve: at least one interface iteration,
+    # matching residuals within the bound icdd_solve checks, and the
+    # Krylov true residual, as %.2e text.
     bound = icdd.MATCHING_FACTOR * linalg.KrylovConfig.tol
-    for health in interfaces.values():
-        assert sorted(health) == ["matching_pressure", "matching_velocity", "true_residual"]
-        for value in health.values():
-            assert re.fullmatch(r"\d\.\d\de[+-]\d\d", value)
-        assert float(health["matching_velocity"]) <= bound
-        assert float(health["matching_pressure"]) <= bound
+    for member in members.values():
+        assert sorted(member) == record_keys
+        assert member["darcy_factor"]["precision"] == "float64"
+        assert type(member["iterations"]) is int and member["iterations"] >= 1
+        for name in ("matching_velocity", "matching_pressure", "true_residual"):
+            assert re.fullmatch(RESIDUAL_TEXT, member[name])
+        assert float(member["matching_velocity"]) <= bound
+        assert float(member["matching_pressure"]) <= bound
 
 
 class TestWorkerProcesses:

@@ -31,14 +31,11 @@ class TestFormatValue:
     @pytest.mark.parametrize(
         ("value", "expected"),
         [
-            (True, "true"),
-            (False, "false"),
-            (np.bool_(True), "true"),
             (7, "7"),
-            (np.int64(-3), "-3"),
             (0.5, "5.00000000e-01"),
             (np.float64(1.0 / 3.0), "3.33333333e-01"),
             (-2.5e-11, "-2.50000000e-11"),
+            (np.int64(-3), "-3"),
             ("stokes", "stokes"),
         ],
     )
