@@ -26,7 +26,6 @@ import scipy
 
 from . import __version__
 from .dns import DnsResolution, solve_dns
-from .fem import FemConfig
 from .homogenize import (
     DEFAULT_CELL_RESOLUTION,
     delta_star,
@@ -36,7 +35,6 @@ from .homogenize import (
 from .icdd import (
     DEFAULT_HX,
     IcddGeometry,
-    IcddPhysics,
     assemble_problem,
     icdd_solve,
     subdomain_meshes,
@@ -142,8 +140,8 @@ class RunConfig:
 
     # -- discretization -----------------------------------------------------
 
-    def fem_config(self) -> FemConfig:
-        return FemConfig(order=self._get("discretization", "order", FemConfig.order))
+    def order(self) -> int:
+        return self._get("discretization", "order", 2)
 
     def hx(self) -> float:
         hx = self._get("discretization", "hx", DEFAULT_HX)
@@ -375,11 +373,10 @@ def _fields(velocity, pressure) -> dict:
 
 def cmd_cell(config: RunConfig, mapper) -> Outputs:
     configuration = config.configuration(need_mesh=True)
-    fem = config.fem_config()
     cell = solve_cell_problem(
         configuration.size_ratio,
         resolution=config.cell_resolution(),
-        order=fem.order,
+        order=config.order(),
     )
     columns = {
         "s_hat": cell.s_hat,
@@ -411,17 +408,14 @@ def cmd_icdd(config: RunConfig, mapper) -> Outputs:
     configuration = config.configuration(need_mesh=False)
     ell = config.ell()
     delta = delta_star(configuration.porosity, ell)
-    fem = config.fem_config()
+    order = config.order()
     geometry = IcddGeometry(delta=delta, hx=config.hx())
     krylov = config.krylov()
     # Check the subdomains before a unit-cell solve can run.
-    subdomain_meshes(fem.order, geometry, preset)
+    subdomain_meshes(order, geometry, preset)
     permeability, k_source = _permeability_for(config, configuration, ell)
     result = icdd_solve(
-        assemble_problem(
-            fem, geometry, IcddPhysics(preset=preset, permeability=permeability)
-        ),
-        krylov,
+        assemble_problem(order, geometry, preset, permeability), krylov
     )
     sol = result.composite
     return Outputs(
@@ -507,7 +501,7 @@ def _study_settings(config: RunConfig, mapper) -> dict:
     """Settings that both studies take from the config; their reference
     solves default to first order."""
     return {
-        "fem_config": config.fem_config(),
+        "order": config.order(),
         "hx": config.hx(),
         "dns_resolution": config.dns_resolution(1),
         "krylov": config.krylov(),

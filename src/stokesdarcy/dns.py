@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import FemConfig, assemble_stokes, divergence_l2, nodal_table
+from .fem import assemble_stokes, divergence_l2, nodal_table
 from .mesh import ObstacleLattice, build_perforated_mesh
 from .presets import TestCasePreset
 
@@ -135,10 +135,8 @@ def solve_dns(
     mesh = build_perforated_mesh(
         preset.domain, lattice, resolution.n_per_cell, order=resolution.order
     )
-    config = FemConfig(order=resolution.order)
     system = assemble_stokes(
         mesh,
-        config,
         mu=preset.mu,
         f=preset.force,
         bc=preset.dns_bc(),

@@ -40,23 +40,6 @@ GAMMA_STAB = 0.1
 
 
 @dataclass(frozen=True)
-class FemConfig:
-    """Discretization settings.
-
-    Parameters
-    ----------
-    order : int
-        Polynomial order of the shared velocity/pressure space (1 or 2).
-    """
-
-    order: int = 2
-
-    def __post_init__(self):
-        if self.order not in (1, 2):
-            raise ValueError(f"order must be 1 or 2, got {self.order}")
-
-
-@dataclass(frozen=True)
 class BoundaryCondition:
     """One boundary condition.
 
@@ -928,7 +911,6 @@ def _field_csc(batch: _ElementBatch, grid, border=None) -> sp.csc_matrix:
 
 def assemble_stokes(
     mesh: StructuredMesh,
-    config: FemConfig,
     mu: float,
     f=None,
     bc: BoundarySpec | None = None,
@@ -953,9 +935,8 @@ def assemble_stokes(
     Parameters
     ----------
     mesh : StructuredMesh
-        Computational mesh (possibly perforated).
-    config : FemConfig
-        Polynomial order; must equal ``mesh.order``.
+        Computational mesh (possibly perforated); its ``order`` is the
+        polynomial order of the discretization.
     mu : float
         Dynamic viscosity.
     f : pair, callable or None
@@ -972,7 +953,6 @@ def assemble_stokes(
     -------
     SaddleSystem
     """
-    _check_order(mesh, config)
     if bc is None:
         bc = BoundarySpec()
     order = mesh.order
@@ -1024,15 +1004,6 @@ def assemble_stokes(
     return SaddleSystem(
         mesh, matrix, rhs, kind, values, iface_dofs, iface_nodes, mass_scalar
     )
-
-
-def _check_order(mesh: StructuredMesh, config: FemConfig) -> None:
-    """Reject a discretization order that differs from the mesh's."""
-    if config.order != mesh.order:
-        raise ValueError(
-            f"FemConfig order {config.order} does not match the mesh order "
-            f"{mesh.order}; build the mesh with order={config.order}"
-        )
 
 
 def _force_load(batch: _ElementBatch, mu: float, f) -> np.ndarray:
@@ -1178,7 +1149,6 @@ def classify_dofs(
 
 def assemble_darcy(
     mesh: StructuredMesh,
-    config: FemConfig,
     mu: float,
     permeability: float,
     f=None,
@@ -1207,13 +1177,12 @@ def assemble_darcy(
     Parameters
     ----------
     mesh : StructuredMesh
-        Computational mesh.
-    config : FemConfig
-        Polynomial order; must equal ``mesh.order``.
+        Computational mesh; its ``order`` is the polynomial order of the
+        discretization.
     mu : float
         Dynamic viscosity.
     permeability : float
-        Scalar intrinsic permeability ``K``.
+        Scalar intrinsic permeability ``K``; must be positive.
     f : pair, callable or None
         Body force per unit volume.
     bc : BoundarySpec
@@ -1228,7 +1197,6 @@ def assemble_darcy(
     -------
     SaddleSystem
     """
-    _check_order(mesh, config)
     if bc is None:
         bc = BoundarySpec()
     if permeability <= 0:
@@ -1329,7 +1297,7 @@ def assemble_cell_problem(cell_mesh: StructuredMesh) -> CellSystem:
     CellSystem
     """
     raw = assemble_stokes(
-        cell_mesh, FemConfig(order=cell_mesh.order), mu=1.0,
+        cell_mesh, mu=1.0,
         bc=BoundarySpec({"obstacle": BoundaryCondition("velocity", (0.0, 0.0))}),
         null_mean_pressure=True,
     )

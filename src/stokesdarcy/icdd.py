@@ -28,7 +28,6 @@ import scipy.sparse.linalg as spla
 
 from .fem import (
     KIND_INTERIOR,
-    FemConfig,
     SaddleSystem,
     assemble_darcy,
     assemble_stokes,
@@ -77,26 +76,6 @@ class IcddGeometry:
     def h_max(self) -> float:
         """Coarse vertical spacing away from the overlap."""
         return 4.0 * self.hx
-
-
-@dataclass(frozen=True)
-class IcddPhysics:
-    """Physical data of the coupled problem.
-
-    Parameters
-    ----------
-    preset : TestCasePreset
-        Driving scenario (domain, boundary data, force, viscosity).
-    permeability : float
-        Dimensional permeability of the porous subdomain.
-    """
-
-    preset: TestCasePreset
-    permeability: float
-
-    def __post_init__(self):
-        if self.permeability <= 0:
-            raise ValueError("permeability must be positive")
 
 
 def _trace(own: SaddleSystem, other: SaddleSystem, y: float) -> np.ndarray:
@@ -198,7 +177,10 @@ def subdomain_meshes(
 
 
 def assemble_problem(
-    config: FemConfig, geometry: IcddGeometry, physics: IcddPhysics
+    order: int,
+    geometry: IcddGeometry,
+    preset: TestCasePreset,
+    permeability: float,
 ) -> IcddProblem:
     """Mesh (:func:`subdomain_meshes`) and assemble both subdomains of
     the coupled problem, with velocity controls on the free-flow bottom
@@ -206,22 +188,24 @@ def assemble_problem(
 
     Parameters
     ----------
-    config : FemConfig
-        Shared discretization settings.
+    order : int
+        Polynomial order (1 or 2) of both subdomain meshes, and so of
+        both discretizations.
     geometry : IcddGeometry
         Overlap thickness and mesh spacings.
-    physics : IcddPhysics
-        Scenario and permeability.
+    preset : TestCasePreset
+        Driving scenario (domain, boundary data, force, viscosity).
+    permeability : float
+        Dimensional permeability of the porous subdomain; it must be
+        positive.
 
     Returns
     -------
     IcddProblem
     """
-    preset = physics.preset
-    stokes_mesh, darcy_mesh = subdomain_meshes(config.order, geometry, preset)
+    stokes_mesh, darcy_mesh = subdomain_meshes(order, geometry, preset)
     stokes = assemble_stokes(
         stokes_mesh,
-        config,
         mu=preset.mu,
         f=preset.force,
         bc=preset.stokes_bc(),
@@ -230,9 +214,8 @@ def assemble_problem(
     )
     darcy = assemble_darcy(
         darcy_mesh,
-        config,
         mu=preset.mu,
-        permeability=physics.permeability,
+        permeability=permeability,
         f=preset.force,
         bc=preset.darcy_bc(),
         interface="top",
@@ -402,7 +385,12 @@ class IcddResult:
     composite : CompositeSolution
         Stitched two-field solution.
     info : dict
-        Krylov diagnostics (iterations, residual history, status).
+        Diagnostics of the solve.  From :func:`icdd_solve`, BiCGStab's
+        (iterations, residual history, status, breakdowns), with
+        ``true_residual`` the relative residual of the interface system
+        at the returned controls; from :func:`monolithic_solve`,
+        ``iterations`` 0 and ``true_residual`` the relative residual of
+        the stacked direct system.
     matching_velocity : float
         Relative interface mismatch between the free-flow velocity and
         the porous velocity on the lower interface.
@@ -539,7 +527,9 @@ def monolithic_solve(problem: IcddProblem) -> IcddResult:
     -------
     IcddResult
         Same layout as :func:`icdd_solve`; the ``info`` dict reports the
-        direct solve.
+        direct solve: ``method`` ``"monolithic"``, ``iterations`` 0,
+        ``converged`` True and ``true_residual``, the relative residual
+        ``||rhs - system sol|| / ||rhs||`` of the stacked system.
     """
     stokes, darcy = problem.stokes, problem.darcy
     nf = stokes.interior_dofs.size
@@ -583,5 +573,10 @@ def monolithic_solve(problem: IcddProblem) -> IcddResult:
     x_f = stokes.full_vector(sol[:nf], g_f, include_data=True)
     x_p = darcy.full_vector(sol[nf : nf + npp], g_p, include_data=True)
 
-    info = {"method": "monolithic", "iterations": 0, "converged": True}
+    info = {
+        "method": "monolithic",
+        "iterations": 0,
+        "converged": True,
+        "true_residual": _relative_norm(rhs - system @ sol, rhs),
+    }
     return _result_from_solution(problem, g, x_f, x_p, info)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dns import DnsResolution, DnsSolution, solve_dns
-from .fem import FemConfig, eval_fields, eval_located
+from .fem import eval_fields, eval_located
 from .homogenize import (
     DEFAULT_CELL_RESOLUTION,
     CellSolution,
@@ -38,7 +38,6 @@ from .homogenize import (
 from .icdd import (
     DEFAULT_HX,
     IcddGeometry,
-    IcddPhysics,
     IcddResult,
     assemble_problem,
     icdd_solve,
@@ -63,16 +62,12 @@ class RegionSpec:
     kind : str
         Region label, one of :data:`REGION_KINDS`.
     y0, y1 : float
-        Vertical extent, ``y0 < y1``.
-    x0, x1 : float or None
-        Optional horizontal clipping; ``None`` leaves the mesh width.
+        Vertical extent, ``y0 < y1``; the slab spans the mesh's width.
     """
 
     kind: str
     y0: float
     y1: float
-    x0: float | None = None
-    x1: float | None = None
 
     def __post_init__(self):
         if self.kind not in REGION_KINDS:
@@ -125,8 +120,8 @@ def region_quadrature(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gauss points and weights over the active part of a region.
 
-    Every active element is clipped to the region rectangle; elements
-    reduced to zero width or height drop out.  Points of sub-clipped
+    Every active element is clipped to the region's vertical extent;
+    elements reduced to zero height drop out.  Points of sub-clipped
     elements stay interior to their element, so fields on the host mesh
     evaluate exactly.
 
@@ -166,10 +161,6 @@ def _region_rule(mesh: StructuredMesh, region: RegionSpec, n_gauss: int = 3):
     x_hi = mesh.xs[ex + 1]
     y_lo = mesh.ys[ey]
     y_hi = mesh.ys[ey + 1]
-    if region.x0 is not None:
-        x_lo = np.maximum(x_lo, region.x0)
-    if region.x1 is not None:
-        x_hi = np.minimum(x_hi, region.x1)
     y_lo = np.maximum(y_lo, region.y0)
     y_hi = np.minimum(y_hi, region.y1)
     w = x_hi - x_lo
@@ -471,16 +462,14 @@ def _study_cell(
     return solve_cell_problem(configuration.size_ratio, resolution=cell_resolution)
 
 
-def _coupled_solve(preset, cell, ell, delta, fem_config, hx, krylov) -> IcddResult:
+def _coupled_solve(preset, cell, ell, delta, order, hx, krylov) -> IcddResult:
     """Assemble and solve one member's coupled problem.
 
     The subdomain systems, with their matrices and factors, live only
     inside this call; the result holds meshes, fields and vectors.
     """
     k = permeability_dimensional(cell.k_scalar(), ell)
-    problem = assemble_problem(
-        fem_config, IcddGeometry(delta=delta, hx=hx), IcddPhysics(preset, k)
-    )
+    problem = assemble_problem(order, IcddGeometry(delta=delta, hx=hx), preset, k)
     return icdd_solve(problem, krylov)
 
 
@@ -488,7 +477,7 @@ def convergence_study(
     preset: TestCasePreset,
     configuration: PorousConfiguration,
     ells,
-    fem_config: FemConfig = FemConfig(),
+    order: int = 2,
     hx: float = DEFAULT_HX,
     dns_resolution: DnsResolution = DnsResolution(order=1),
     krylov: KrylovConfig = KrylovConfig(),
@@ -516,8 +505,9 @@ def convergence_study(
     ells : sequence of float
         Periods, at least two and none repeated; checked before any
         solve.
-    fem_config : FemConfig, optional
-        Discretization of the coupled solve (default order 2).
+    order : int
+        Polynomial order (1 or 2) of the coupled solve; checked with
+        the members, before the cell solve.
     hx : float
         Horizontal spacing of the coupled solve.
     dns_resolution : DnsResolution, optional
@@ -552,7 +542,7 @@ def convergence_study(
     deltas = [delta_star(configuration.porosity, ell) for ell in ells]
     members = zip(ells, deltas)
     cell = _study_cell(
-        preset, configuration, members, fem_config.order, hx,
+        preset, configuration, members, order, hx,
         dns_resolution, cell_resolution, say,
     )
 
@@ -561,7 +551,7 @@ def convergence_study(
         say(f"pore-scale reference ell={ell}")
         dns = solve_dns(preset, lattice, dns_resolution)
         say(f"coupled solve ell={ell}")
-        result = _coupled_solve(preset, cell, ell, delta, fem_config, hx, krylov)
+        result = _coupled_solve(preset, cell, ell, delta, order, hx, krylov)
         say(f"errors ell={ell}")
         report = compare_solutions(
             result.composite, dns, cell, delta, ell, preset, configuration.name
@@ -571,9 +561,9 @@ def convergence_study(
 
     # Finest period, the costliest member, first (largest-first
     # scheduling); the reports come back in config order.
-    order = sorted(range(len(ells)), key=ells.__getitem__)
-    done = mapper(run_one, [ells[i] for i in order], [deltas[i] for i in order])
-    reports = [report for _, report in sorted(zip(order, done))]
+    schedule = sorted(range(len(ells)), key=ells.__getitem__)
+    done = mapper(run_one, [ells[i] for i in schedule], [deltas[i] for i in schedule])
+    reports = [report for _, report in sorted(zip(schedule, done))]
     return StudyResult(reports=reports, slopes=error_slopes(reports), cell=cell)
 
 
@@ -626,7 +616,7 @@ def delta_sweep(
     configuration: PorousConfiguration,
     ell: float,
     factors=DEFAULT_FACTORS,
-    fem_config: FemConfig = FemConfig(),
+    order: int = 2,
     hx: float = DEFAULT_HX,
     dns_resolution: DnsResolution = DnsResolution(order=1),
     krylov: KrylovConfig = KrylovConfig(),
@@ -644,7 +634,7 @@ def delta_sweep(
 
     Parameters
     ----------
-    preset, configuration, fem_config, hx, dns_resolution, krylov,
+    preset, configuration, order, hx, dns_resolution, krylov,
     cell_resolution, progress
         As in :func:`convergence_study`.
     mapper : callable
@@ -672,7 +662,7 @@ def delta_sweep(
     deltas = [f * dstar for f in factors]
     members = [(ell, delta) for delta in deltas]
     cell = _study_cell(
-        preset, configuration, members, fem_config.order, hx,
+        preset, configuration, members, order, hx,
         dns_resolution, cell_resolution, say,
     )
     lattice = preset.lattice(ell, configuration.size_ratio)
@@ -684,7 +674,7 @@ def delta_sweep(
 
     def run_one(delta: float) -> tuple[float, dict]:
         say(f"coupled solve delta={delta:.4e}")
-        result = _coupled_solve(preset, cell, ell, delta, fem_config, hx, krylov)
+        result = _coupled_solve(preset, cell, ell, delta, order, hx, krylov)
         u, _ = result.composite.evaluate(points)
         error = _weighted_l2(weights, u, u_ref)
         return error, result.health()

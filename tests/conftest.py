@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from stokesdarcy import dns
-from stokesdarcy.fem import FemConfig, assemble_stokes
+from stokesdarcy.fem import assemble_stokes
 from stokesdarcy.homogenize import solve_cell_problem
 from stokesdarcy.mesh import build_perforated_mesh
 from stokesdarcy.presets import CONFIGURATIONS, PRESETS
@@ -42,7 +42,6 @@ def assemble_dns_q2():
     mesh = build_perforated_mesh(preset.domain, lattice, 10, order=2)
     return lambda: assemble_stokes(
         mesh,
-        FemConfig(order=2),
         mu=preset.mu,
         f=preset.force,
         bc=preset.dns_bc(),

@@ -18,14 +18,12 @@ from stokesdarcy.dns import DnsResolution, solve_dns
 from stokesdarcy.fem import (
     BoundaryCondition,
     BoundarySpec,
-    FemConfig,
     assemble_darcy,
     assemble_stokes,
 )
 from stokesdarcy.homogenize import delta_star, solve_cell_problem
 from stokesdarcy.icdd import (
     IcddGeometry,
-    IcddPhysics,
     assemble_problem,
     icdd_solve,
     monolithic_solve,
@@ -78,10 +76,7 @@ def coupled_problem(name: str, ell: float, hx: float):
     """Coupled two-domain instance driven by published cell data."""
     configuration = CONFIGURATIONS[name]
     geometry = IcddGeometry(delta=configuration.delta_star(ell), hx=hx)
-    physics = IcddPhysics(
-        preset=PRESETS[1], permeability=configuration.k_hat * ell**2
-    )
-    return assemble_problem(FemConfig(order=1), geometry, physics)
+    return assemble_problem(1, geometry, PRESETS[1], configuration.k_hat * ell**2)
 
 
 # ----------------------------------------------------------------------
@@ -417,14 +412,13 @@ def mms_stokes_velocity_error(n: int, order: int) -> float:
     )
     system = assemble_stokes(
         mesh,
-        FemConfig(order=order),
         MMS_MU,
         f=mms_stokes_force,
         bc=bc,
         null_mean_pressure=True,
     )
     x = system.solve()
-    region = RegionSpec("fluid", 0.0, 1.0, 0.0, 1.0)
+    region = RegionSpec("fluid", 0.0, 1.0)
     return l2_error(
         system.velocity(x), mms_velocity_points, region, mesh, n_gauss=4
     )
@@ -440,14 +434,13 @@ def mms_darcy_pressure_error(n: int, order: int) -> float:
     )
     system = assemble_darcy(
         mesh,
-        FemConfig(order=order),
         MMS_MU,
         MMS_KAPPA,
         bc=bc,
         source=mms_darcy_source,
     )
     x = system.solve()
-    region = RegionSpec("fluid", 0.0, 1.0, 0.0, 1.0)
+    region = RegionSpec("fluid", 0.0, 1.0)
     return l2_error(
         system.pressure(x), mms_pressure_points, region, mesh, n_gauss=4
     )

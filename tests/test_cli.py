@@ -635,6 +635,17 @@ class TestFailureModes:
                 ICDD_INI.replace("order = 1", "order = 3"),
                 "order must be 1 or 2, got 3",
             ),
+            ("cell", CELL_INI + "order = 3\n", "order must be 1 or 2, got 3"),
+            (
+                "validate",
+                VALIDATE_INI.replace("\norder = 1\n", "\norder = 3\n"),
+                "order must be 1 or 2, got 3",
+            ),
+            (
+                "sweep",
+                SWEEP_INI.replace("\norder = 1\n", "\norder = 3\n"),
+                "order must be 1 or 2, got 3",
+            ),
         ],
         ids=[
             "negative_tolerance",
@@ -654,6 +665,9 @@ class TestFailureModes:
             "bad_period",
             "negative_period",
             "bad_order",
+            "bad_order_cell",
+            "bad_order_validate",
+            "bad_order_sweep",
         ],
     )
     def test_run_failure_exits_2_without_outputs(

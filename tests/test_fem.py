@@ -17,7 +17,6 @@ from stokesdarcy.fem import (
     KIND_INTERIOR,
     BoundaryCondition,
     BoundarySpec,
-    FemConfig,
     Field,
     assemble_darcy,
     assemble_stokes,
@@ -77,7 +76,7 @@ def solve_stokes_manufactured(n, order):
         }
     )
     system = assemble_stokes(
-        mesh, FemConfig(order=order), MU, f=stokes_force, bc=bc,
+        mesh, MU, f=stokes_force, bc=bc,
         null_mean_pressure=True,
     )
     return system, system.solve()
@@ -92,7 +91,7 @@ def solve_darcy_manufactured(n, order):
         }
     )
     system = assemble_darcy(
-        mesh, FemConfig(order=order), MU, KAPPA, bc=bc, source=darcy_source
+        mesh, MU, KAPPA, bc=bc, source=darcy_source
     )
     return system, system.solve()
 
@@ -105,7 +104,7 @@ def field_l2_error(field: Field, exact) -> float:
         out = exact(points[:, 0], points[:, 1])
         return np.column_stack(out) if isinstance(out, tuple) else out
 
-    region = RegionSpec("fluid", UNIT.y0, UNIT.y1, UNIT.x0, UNIT.x1)
+    region = RegionSpec("fluid", UNIT.y0, UNIT.y1)
     return l2_error(field, exact_points, region, field.mesh, n_gauss=4)
 
 
@@ -139,14 +138,14 @@ class TestBoundarySpecs:
         mesh = build_rect_mesh(UNIT, 0.5, order=1)
         args = (1.0,) if assemble is assemble_stokes else (1.0, 1.0)
         with pytest.raises(ValueError, match="interface side must be horizontal"):
-            assemble(mesh, FemConfig(order=1), *args, interface="left")
+            assemble(mesh, *args, interface="left")
 
     def test_interface_side_conflict_raises(self):
         mesh = build_rect_mesh(UNIT, 0.5, order=1)
         bc = BoundarySpec({"bottom": BoundaryCondition("velocity", (0.0, 0.0))})
         with pytest.raises(ValueError, match="interface side"):
             assemble_stokes(
-                mesh, FemConfig(order=1), 1.0, bc=bc,
+                mesh, 1.0, bc=bc,
                 interface="bottom",
             )
 
@@ -157,7 +156,7 @@ class TestBoundarySpecs:
         mesh = build_rect_mesh(UNIT, 0.5, order=1)
         bc = BoundarySpec({"left": BoundaryCondition("impermeable")})
         with pytest.raises(ValueError, match="mixed velocity constraints"):
-            assemble_stokes(mesh, FemConfig(order=1), 1.0, bc=bc, interface="bottom")
+            assemble_stokes(mesh, 1.0, bc=bc, interface="bottom")
 
 
 class TestTraction:
@@ -176,7 +175,7 @@ class TestTraction:
         mesh = build_rect_mesh(domain, 0.25, order=order)
         t = (0.3, -0.7)
         bc = BoundarySpec({side: BoundaryCondition("normal_stress", t)})
-        rhs = assemble_stokes(mesh, FemConfig(order=order), MU, bc=bc).rhs
+        rhs = assemble_stokes(mesh, MU, bc=bc).rhs
         n = mesh.n_nodes
         nodes = mesh.boundary_nodes(side)
         along = 0 if side in ("bottom", "top") else 1
@@ -383,7 +382,7 @@ class TestDarcySolver:
     def test_nonpositive_permeability_raises(self):
         mesh = build_rect_mesh(UNIT, 0.5, order=1)
         with pytest.raises(ValueError, match="permeability"):
-            assemble_darcy(mesh, FemConfig(order=1), 1.0, 0.0)
+            assemble_darcy(mesh, 1.0, 0.0)
 
 
 class TestSolveDecomposition:
@@ -398,7 +397,7 @@ class TestSolveDecomposition:
             }
         )
         return assemble_stokes(
-            mesh, FemConfig(order=1), MU, f=stokes_force, bc=bc,
+            mesh, MU, f=stokes_force, bc=bc,
             interface="bottom",
             null_mean_pressure=True,
         )
@@ -440,7 +439,7 @@ class TestFactorOrder:
             }
         )
         system = assemble_stokes(
-            mesh, FemConfig(order=order), MU, bc=bc,
+            mesh, MU, bc=bc,
             interface="bottom",
             null_mean_pressure=True,
         )
@@ -472,7 +471,6 @@ class TestFactorOrder:
         # solve satisfies the assembled interior rows.
         lattice = ObstacleLattice(period, s_hat, RectDomain(0.0, 1.0, 0.0, 0.5))
         mesh = build_perforated_mesh(UNIT, lattice, n_per_cell=5, order=order)
-        config = FemConfig(order=order)
         if case == "darcy":
             bc = BoundarySpec(
                 {
@@ -482,7 +480,7 @@ class TestFactorOrder:
                 }
             )
             system = assemble_darcy(
-                mesh, config, MU, KAPPA, bc=bc, interface="bottom",
+                mesh, MU, KAPPA, bc=bc, interface="bottom",
                 source=darcy_source,
             )
         else:
@@ -493,7 +491,7 @@ class TestFactorOrder:
                 {side: BoundaryCondition("velocity", exact_velocity) for side in sides}
             )
             system = assemble_stokes(
-                mesh, config, MU, f=stokes_force, bc=bc, interface="bottom",
+                mesh, MU, f=stokes_force, bc=bc, interface="bottom",
                 null_mean_pressure=case == "stokes+multiplier",
             )
         matrix = system.matrix
@@ -624,11 +622,10 @@ def kernel_case(mesh, mu, a, b, permeability=None, multiplier=False):
     def source(x, y):
         return np.exp(-x) * y + 0.25
 
-    config = FemConfig(order=mesh.order)
     if permeability is not None:
-        system = assemble_darcy(mesh, config, mu, permeability, f=force, source=source)
+        system = assemble_darcy(mesh, mu, permeability, f=force, source=source)
     else:
-        system = assemble_stokes(mesh, config, mu, f=force, null_mean_pressure=multiplier)
+        system = assemble_stokes(mesh, mu, f=force, null_mean_pressure=multiplier)
     return system, oracle_assembly(mesh, mu, force, permeability, source, multiplier)
 
 
@@ -742,12 +739,11 @@ def assembled_systems(draw):
         active = np.array(draw(st.lists(st.booleans(), min_size=cells, max_size=cells)))
         active[draw(st.integers(0, cells - 1))] = True
     mesh = StructuredMesh(xs, ys, order, active)
-    config = FemConfig(order=order)
     kind = draw(st.sampled_from(["stokes", "stokes-mean", "darcy"]))
     if kind == "darcy":
-        return assemble_darcy(mesh, config, MU, KAPPA, f=(1.0, -0.5))
+        return assemble_darcy(mesh, MU, KAPPA, f=(1.0, -0.5))
     return assemble_stokes(
-        mesh, config, MU, f=(1.0, -0.5), null_mean_pressure=kind == "stokes-mean"
+        mesh, MU, f=(1.0, -0.5), null_mean_pressure=kind == "stokes-mean"
     )
 
 
@@ -765,22 +761,6 @@ def test_assembled_matrix_is_canonical_csc(system):
     assert matrix.indices.min(initial=0) >= 0
     assert matrix.indices.max(initial=0) < matrix.shape[0]
     assert np.all(matrix.data != 0.0)
-
-
-@pytest.mark.parametrize(
-    "assemble",
-    [
-        lambda mesh, config: assemble_stokes(mesh, config, 1.0),
-        lambda mesh, config: assemble_darcy(mesh, config, 1.0, 1.0),
-    ],
-    ids=["stokes", "darcy"],
-)
-@pytest.mark.parametrize(("mesh_order", "fem_order"), [(1, 2), (2, 1)])
-def test_assembly_order_mismatch_raises(assemble, mesh_order, fem_order):
-    mesh = build_rect_mesh(UNIT, 0.5, order=mesh_order)
-    match = f"FemConfig order {fem_order} .* mesh order {mesh_order}"
-    with pytest.raises(ValueError, match=match):
-        assemble(mesh, FemConfig(order=fem_order))
 
 
 def test_assembly_peak_memory(assemble_dns_q2):
@@ -843,7 +823,7 @@ def tensor_darcy_systems(draw):
     }
     ratio = 10.0 ** draw(st.floats(-8.0, 8.0))
     return assemble_darcy(
-        StructuredMesh(xs, ys, order), FemConfig(order=order), MU, ratio * MU,
+        StructuredMesh(xs, ys, order), MU, ratio * MU,
         f=(1.0, -0.5), bc=BoundarySpec(sides), interface=interface,
     )
 
@@ -903,7 +883,7 @@ class TestTensorSolver:
             assert mesh.node_active.all()
         bc = BoundarySpec({"left": IMPERMEABLE, "right": IMPERMEABLE})
         system = assemble_darcy(
-            mesh, FemConfig(order=order), MU, KAPPA, bc=bc, interface="top"
+            mesh, MU, KAPPA, bc=bc, interface="top"
         )
         assert isinstance(system.factor, Factorization)
         assert calls == [system.interior_dofs.size]
@@ -914,7 +894,7 @@ class TestTensorSolver:
         # a constant.
         mesh = build_rect_mesh(UNIT, 0.25, order=2)
         bc = BoundarySpec({side: IMPERMEABLE for side in ("left", "right", "bottom")})
-        system = assemble_darcy(mesh, FemConfig(order=2), MU, KAPPA, bc=bc)
+        system = assemble_darcy(mesh, MU, KAPPA, bc=bc)
         with pytest.raises(RuntimeError, match="singular"):
             system.factor
 
@@ -946,7 +926,7 @@ def test_nodal_rows_match_sorted_loop(nex, ney, order, seed):
     lower = StructuredMesh(np.linspace(0, 1, nex + 2), np.linspace(-1, 0, ney + 1), order)
     parts = []
     for mesh, tag in ((upper, "upper"), (lower, "lower")):
-        system = assemble_darcy(mesh, FemConfig(order=order), MU, KAPPA)
+        system = assemble_darcy(mesh, MU, KAPPA)
         nodes = np.flatnonzero(rng.random(mesh.n_nodes) < 0.7)
         parts.append((mesh, rng.standard_normal(system.n_dofs), nodes, tag))
     # The meshes share the line y = 0, so equal (y, x) keys occur.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -12,10 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stokesdarcy import fem, icdd
-from stokesdarcy.fem import FemConfig
 from stokesdarcy.icdd import (
     IcddGeometry,
-    IcddPhysics,
     assemble_problem,
     icdd_solve,
     monolithic_solve,
@@ -32,8 +31,7 @@ COARSE = dict(delta=0.036, hx=0.1)
 
 
 def coarse_problem():
-    physics = IcddPhysics(preset=PRESETS[1], permeability=7.231e-6)
-    return assemble_problem(FemConfig(order=1), IcddGeometry(**COARSE), physics)
+    return assemble_problem(1, IcddGeometry(**COARSE), PRESETS[1], 7.231e-6)
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +86,7 @@ class TestGeometryConfig:
 
     def test_nonpositive_permeability_raises(self):
         with pytest.raises(ValueError, match="permeability"):
-            IcddPhysics(preset=PRESETS[1], permeability=0.0)
+            assemble_problem(1, IcddGeometry(**COARSE), PRESETS[1], 0.0)
 
 
 class TestProblemStructure:
@@ -198,10 +196,7 @@ class TestSubdomainFactors:
         # unknowns of a node depend only on the boundary sides it lies
         # on, so all candidate separator lines of a block weigh the same
         # and every separator stays the middle line.
-        physics = IcddPhysics(preset=PRESETS[1], permeability=7.231e-6)
-        problem = assemble_problem(
-            FemConfig(order=order), IcddGeometry(**COARSE), physics
-        )
+        problem = assemble_problem(order, IcddGeometry(**COARSE), PRESETS[1], 7.231e-6)
         for system in (problem.stokes, problem.darcy):
             n = system.n_nodes
             plain = nested_dissection_order(system.mesh.nnx, system.mesh.nny, order)
@@ -338,6 +333,18 @@ class TestCoupledSolutions:
         assert reference.matching_velocity < 1e-10
         assert reference.matching_pressure < 1e-10
 
+    def test_monolithic_health_has_the_interface_record(self, problem):
+        """The direct path writes the same record as the interface
+        solver: 0 iterations, its own residual as the true residual."""
+        health = monolithic_solve(problem).health()
+        interface = icdd_solve(problem, KrylovConfig()).health()
+        assert list(health) == list(interface)
+        assert len(health) == 6
+        assert health["iterations"] == 0
+        for key in ("matching_velocity", "matching_pressure", "true_residual"):
+            assert re.fullmatch(r"\d\.\d\de[+-]\d\d", health[key])
+        assert float(health["true_residual"]) < 1e-12
+
     def test_iteration_count_small(self, problem):
         result = icdd_solve(problem, KrylovConfig(tol=1e-8))
         assert result.info["converged"]
@@ -376,11 +383,10 @@ def test_filtration_presets_solve(preset_id):
     instead of a wall, give finite, nonzero fields in both subdomains."""
     configuration, ell = CONFIGURATIONS["C2"], 0.25
     problem = assemble_problem(
-        FemConfig(order=1),
+        1,
         IcddGeometry(delta=configuration.delta_star(ell), hx=0.1),
-        IcddPhysics(
-            preset=PRESETS[preset_id], permeability=configuration.k_hat * ell**2
-        ),
+        PRESETS[preset_id],
+        configuration.k_hat * ell**2,
     )
     sol = icdd_solve(problem, KrylovConfig()).composite
     for field in (

@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 
 from stokesdarcy import dns, fem, homogenize, icdd, linalg
 from stokesdarcy.dns import DnsResolution, solve_dns
-from stokesdarcy.fem import FemConfig
-from stokesdarcy.icdd import IcddGeometry, IcddPhysics, assemble_problem, icdd_solve
+from stokesdarcy.icdd import IcddGeometry, assemble_problem, icdd_solve
 from stokesdarcy.linalg import (
     KrylovConfig,
     Factorization,
@@ -338,9 +337,7 @@ class TestFactorCopies:
     def test_icdd_subdomain_factors(self, monkeypatch):
         watched = self.watch(monkeypatch)
         problem = assemble_problem(
-            FemConfig(order=2),
-            IcddGeometry(delta=0.036, hx=0.1),
-            IcddPhysics(preset=PRESETS[1], permeability=7.231e-6),
+            2, IcddGeometry(delta=0.036, hx=0.1), PRESETS[1], 7.231e-6
         )
         self.check_single(watched, problem.stokes.factor, problem.stokes._pieces[0])
         # The Darcy solver is a tensor-product one: no SuperLU call, and
@@ -413,9 +410,7 @@ class TestFactorCopies:
 
             monkeypatch.setattr(fem, "TensorSolver", recording_solver)
             problem = assemble_problem(
-                FemConfig(order=2),
-                IcddGeometry(delta=0.036, hx=0.1),
-                IcddPhysics(preset=preset, permeability=7.231e-6),
+                2, IcddGeometry(delta=0.036, hx=0.1), preset, 7.231e-6
             )
             icdd_solve(problem, KrylovConfig())
             # The Stokes subdomain is factored first, by SuperLU; the
@@ -459,9 +454,7 @@ class TestFactorCopies:
             )
         else:
             problem = assemble_problem(
-                FemConfig(order=2),
-                IcddGeometry(delta=0.036, hx=0.1),
-                IcddPhysics(preset=preset, permeability=7.231e-6),
+                2, IcddGeometry(delta=0.036, hx=0.1), preset, 7.231e-6
             )
             icdd_solve(problem, KrylovConfig())
         assert dropped and all(dropped)
@@ -497,9 +490,7 @@ class TestHeapTrim:
 
         monkeypatch.setattr(linalg.spla, "splu", splu)
         problem = assemble_problem(
-            FemConfig(order=1),
-            IcddGeometry(delta=0.036, hx=0.1),
-            IcddPhysics(preset=PRESETS[1], permeability=7.231e-6),
+            1, IcddGeometry(delta=0.036, hx=0.1), PRESETS[1], 7.231e-6
         )
         assert isinstance(problem.darcy.factor, linalg.TensorSolver)
         assert events == []
@@ -554,12 +545,10 @@ def test_single_precision_subdomain_and_cell_factors(
                 porous.size_ratio, resolution=10, order=order
             )
             problem = assemble_problem(
-                FemConfig(order=order),
+                order,
                 IcddGeometry(delta=homogenize.delta_star(porous.porosity, ell), hx=hx),
-                IcddPhysics(
-                    PRESETS[preset],
-                    homogenize.permeability_dimensional(cell.k_scalar(), ell),
-                ),
+                PRESETS[preset],
+                homogenize.permeability_dimensional(cell.k_scalar(), ell),
             )
             return cell, icdd_solve(problem, KrylovConfig())
 
