@@ -5,11 +5,12 @@ cell, ``icdd`` runs one coupled solve, ``dns`` runs one pore-scale
 solve, ``validate`` runs the period-refinement study and ``sweep``
 scans the layer thickness.  Every run is described by a flat INI file
 (``key = value`` under a few fixed sections); unknown sections or keys
-abort before any output is written.  Each command only computes and
-returns its results; :func:`run` writes them and the manifest, and
-:func:`main` turns every failure into a message and exit status 2.
-Outputs are deterministic: identical configurations yield
-byte-identical files.
+abort before any output is written.  Settings are plain values (see
+:class:`RunConfig`), each range checked once, where the value is used.
+Each command only computes and returns its results; :func:`run` writes
+them and the manifest, and :func:`main` turns every failure into a
+message and exit status 2.  Outputs are deterministic: identical
+configurations yield byte-identical files.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .homogenize import (
 )
 from .icdd import (
     DEFAULT_HX,
-    IcddGeometry,
     assemble_problem,
     icdd_solve,
     subdomain_meshes,
@@ -70,109 +70,41 @@ SCHEMA: dict[str, dict] = {
 }
 
 
-class RunConfig:
-    """Validated run configuration.
+#: Default of every key that a command may leave out.
+DEFAULTS: dict = {
+    "order": 2,
+    "hx": DEFAULT_HX,
+    "cell_resolution": DEFAULT_CELL_RESOLUTION,
+    "dns_cells": DnsResolution.n_per_cell,
+    "tolerance": KrylovConfig.tol,
+    "max_iterations": KrylovConfig.maxiter,
+    "seed": KrylovConfig.seed,
+    "factors": DEFAULT_FACTORS,
+}
+
+
+class RunConfig(dict):
+    """Parsed value of every key the file sets, over :data:`DEFAULTS`,
+    keyed by key name (no two sections of :data:`SCHEMA` share one).
+    ``config[key]`` raises :class:`CliError` for a key neither set nor
+    defaulted; ``config.get(key)`` reads an optional one.
 
     Parameters
     ----------
     values : dict
-        Parsed value of every key the file sets, keyed ``(section,
-        key)``.
+        Parsed value of every key the file sets.
     text : str
         Raw file text (hashed into the manifest).
     """
 
     def __init__(self, values: dict, text: str):
-        self._values = values
+        super().__init__(DEFAULTS)
+        self.update(values)
         self.digest = config_digest(text)
 
-    def _get(self, section, key, default=None, required=False):
-        if (section, key) not in self._values:
-            if required:
-                raise CliError(f"missing required key [{section}] {key}")
-            return default
-        return self._values[section, key]
-
-    # -- case --------------------------------------------------------------
-
-    def preset(self):
-        pid = self._get("case", "preset", required=True)
-        if pid not in PRESETS:
-            raise CliError(f"unknown preset {pid}; choose from 1, 2, 3")
-        return PRESETS[pid]
-
-    def configuration(self, need_mesh: bool) -> PorousConfiguration:
-        """Resolve the microstructure row or a custom square obstacle."""
-        name = self._get("case", "configuration")
-        s_hat = self._get("case", "s_hat")
-        if name is not None and s_hat is not None:
-            raise CliError("give either [case] configuration or s_hat, not both")
-        if name is not None:
-            if name not in CONFIGURATIONS:
-                raise CliError(
-                    f"unknown configuration {name!r}; choose from "
-                    + ", ".join(CONFIGURATIONS)
-                )
-            cfg = CONFIGURATIONS[name]
-            if need_mesh and not cfg.meshable:
-                raise CliError(
-                    f"configuration {name} has circular obstacles and cannot "
-                    "be meshed; use a square row or give s_hat"
-                )
-            return cfg
-        if s_hat is None:
-            raise CliError("need [case] configuration or s_hat")
-        if not 0.0 < s_hat < 1.0:
-            raise CliError(f"s_hat must lie in (0, 1), got {s_hat}")
-        return PorousConfiguration(
-            name=f"square(s_hat={s_hat:g})",
-            shape="square",
-            size_ratio=s_hat,
-            porosity=1.0 - s_hat**2,
-            k_hat=float("nan"),
-        )
-
-    def ell(self) -> float:
-        ell = self._get("case", "ell", required=True)
-        if ell <= 0:
-            raise CliError(f"ell must be positive, got {ell}")
-        return ell
-
-    # -- discretization -----------------------------------------------------
-
-    def order(self) -> int:
-        return self._get("discretization", "order", 2)
-
-    def hx(self) -> float:
-        hx = self._get("discretization", "hx", DEFAULT_HX)
-        if hx <= 0:
-            raise CliError(f"hx must be positive, got {hx}")
-        return hx
-
-    def cell_resolution(self) -> int:
-        return self._get("discretization", "cell_resolution", DEFAULT_CELL_RESOLUTION)
-
-    def dns_resolution(self, default_order: int) -> DnsResolution:
-        cells = self._get("discretization", "dns_cells", DnsResolution.n_per_cell)
-        order = self._get("discretization", "dns_order", default_order)
-        return DnsResolution(n_per_cell=cells, order=order)
-
-    # -- solver --------------------------------------------------------------
-
-    def krylov(self) -> KrylovConfig:
-        return KrylovConfig(
-            tol=self._get("solver", "tolerance", KrylovConfig.tol),
-            maxiter=self._get("solver", "max_iterations", KrylovConfig.maxiter),
-            seed=self._get("solver", "seed", KrylovConfig.seed),
-        )
-
-    # -- study ----------------------------------------------------------------
-
-    def ells(self) -> list:
-        return self._get("study", "ells", required=True)
-
-    def factors(self):
-        return self._get("study", "factors", DEFAULT_FACTORS)
+    def __missing__(self, key):
+        section = {k: name for name, keys in SCHEMA.items() for k in keys}[key]
+        raise CliError(f"missing required key [{section}] {key}")
 
 
 def load_run_config(path) -> RunConfig:
@@ -219,8 +151,61 @@ def load_run_config(path) -> RunConfig:
                 raise CliError(f"[{section}] {key} is empty")
             if isinstance(value, (float, list)) and not np.all(np.isfinite(value)):
                 raise CliError(f"[{section}] {key} must be finite, got {raw!r}")
-            values[section, key] = value
+            values[key] = value
     return RunConfig(values, text)
+
+
+def _preset(config: RunConfig):
+    pid = config["preset"]
+    if pid not in PRESETS:
+        raise CliError(f"unknown preset {pid}; choose from 1, 2, 3")
+    return PRESETS[pid]
+
+
+def _configuration(config: RunConfig, need_mesh: bool) -> PorousConfiguration:
+    """Resolve the microstructure row or a custom square obstacle."""
+    name = config.get("configuration")
+    s_hat = config.get("s_hat")
+    if name is not None and s_hat is not None:
+        raise CliError("give either [case] configuration or s_hat, not both")
+    if name is not None:
+        if name not in CONFIGURATIONS:
+            raise CliError(
+                f"unknown configuration {name!r}; choose from "
+                + ", ".join(CONFIGURATIONS)
+            )
+        cfg = CONFIGURATIONS[name]
+        if need_mesh and not cfg.meshable:
+            raise CliError(
+                f"configuration {name} has circular obstacles and cannot "
+                "be meshed; use a square row or give s_hat"
+            )
+        return cfg
+    if s_hat is None:
+        raise CliError("need [case] configuration or s_hat")
+    if not 0.0 < s_hat < 1.0:
+        raise CliError(f"s_hat must lie in (0, 1), got {s_hat}")
+    return PorousConfiguration(
+        name=f"square(s_hat={s_hat:g})",
+        shape="square",
+        size_ratio=s_hat,
+        porosity=1.0 - s_hat**2,
+        k_hat=float("nan"),
+    )
+
+
+def _dns_resolution(config: RunConfig, default_order: int) -> DnsResolution:
+    cells = config["dns_cells"]
+    order = config.get("dns_order", default_order)
+    return DnsResolution(n_per_cell=cells, order=order)
+
+
+def _krylov(config: RunConfig) -> KrylovConfig:
+    return KrylovConfig(
+        tol=config["tolerance"],
+        maxiter=config["max_iterations"],
+        seed=config["seed"],
+    )
 
 
 def _versions() -> dict:
@@ -237,7 +222,7 @@ def _permeability_for(config, configuration, ell):
     if np.isfinite(configuration.k_hat):
         return permeability_dimensional(configuration.k_hat, ell), "published"
     cell = solve_cell_problem(
-        configuration.size_ratio, resolution=config.cell_resolution()
+        configuration.size_ratio, resolution=config["cell_resolution"]
     )
     return permeability_dimensional(cell.k_scalar(), ell), "computed"
 
@@ -372,11 +357,11 @@ def _fields(velocity, pressure) -> dict:
 
 
 def cmd_cell(config: RunConfig, mapper) -> Outputs:
-    configuration = config.configuration(need_mesh=True)
+    configuration = _configuration(config, need_mesh=True)
     cell = solve_cell_problem(
         configuration.size_ratio,
-        resolution=config.cell_resolution(),
-        order=config.order(),
+        resolution=config["cell_resolution"],
+        order=config["order"],
     )
     columns = {
         "s_hat": cell.s_hat,
@@ -404,18 +389,17 @@ def cmd_cell(config: RunConfig, mapper) -> Outputs:
 
 
 def cmd_icdd(config: RunConfig, mapper) -> Outputs:
-    preset = config.preset()
-    configuration = config.configuration(need_mesh=False)
-    ell = config.ell()
+    preset = _preset(config)
+    configuration = _configuration(config, need_mesh=False)
+    ell = config["ell"]
     delta = delta_star(configuration.porosity, ell)
-    order = config.order()
-    geometry = IcddGeometry(delta=delta, hx=config.hx())
-    krylov = config.krylov()
+    order, hx = config["order"], config["hx"]
+    krylov = _krylov(config)
     # Check the subdomains before a unit-cell solve can run.
-    subdomain_meshes(order, geometry, preset)
+    subdomain_meshes(order, delta, hx, preset)
     permeability, k_source = _permeability_for(config, configuration, ell)
     result = icdd_solve(
-        assemble_problem(order, geometry, preset, permeability), krylov
+        assemble_problem(order, delta, hx, preset, permeability), krylov
     )
     sol = result.composite
     return Outputs(
@@ -459,11 +443,11 @@ def cmd_icdd(config: RunConfig, mapper) -> Outputs:
 
 
 def cmd_dns(config: RunConfig, mapper) -> Outputs:
-    preset = config.preset()
-    configuration = config.configuration(need_mesh=True)
-    ell = config.ell()
+    preset = _preset(config)
+    configuration = _configuration(config, need_mesh=True)
+    ell = config["ell"]
     lattice = preset.lattice(ell, configuration.size_ratio)
-    solution = solve_dns(preset, lattice, config.dns_resolution(2))
+    solution = solve_dns(preset, lattice, _dns_resolution(config, 2))
     divergence = solution.divergence()
     # Cell-boundary lines of the porous band, top first: node lines at
     # every period, so two periods' tables join on ``y``.
@@ -501,20 +485,20 @@ def _study_settings(config: RunConfig, mapper) -> dict:
     """Settings that both studies take from the config; their reference
     solves default to first order."""
     return {
-        "order": config.order(),
-        "hx": config.hx(),
-        "dns_resolution": config.dns_resolution(1),
-        "krylov": config.krylov(),
-        "cell_resolution": config.cell_resolution(),
+        "order": config["order"],
+        "hx": config["hx"],
+        "dns_resolution": _dns_resolution(config, 1),
+        "krylov": _krylov(config),
+        "cell_resolution": config["cell_resolution"],
         "mapper": mapper,
         "progress": _say,
     }
 
 
 def cmd_validate(config: RunConfig, mapper) -> Outputs:
-    preset = config.preset()
-    configuration = config.configuration(need_mesh=True)
-    ells = config.ells()
+    preset = _preset(config)
+    configuration = _configuration(config, need_mesh=True)
+    ells = config["ells"]
     study = convergence_study(
         preset, configuration, ells, **_study_settings(config, mapper)
     )
@@ -544,10 +528,10 @@ def cmd_validate(config: RunConfig, mapper) -> Outputs:
 
 
 def cmd_sweep(config: RunConfig, mapper) -> Outputs:
-    preset = config.preset()
-    configuration = config.configuration(need_mesh=True)
-    ell = config.ell()
-    factors = config.factors()
+    preset = _preset(config)
+    configuration = _configuration(config, need_mesh=True)
+    ell = config["ell"]
+    factors = config["factors"]
     sweep = delta_sweep(
         preset, configuration, ell, factors, **_study_settings(config, mapper)
     )

@@ -44,40 +44,6 @@ from .presets import POROUS_DEPTH, TestCasePreset
 DEFAULT_HX = 1.0 / 144.0
 
 
-@dataclass(frozen=True)
-class IcddGeometry:
-    """Overlap placement and mesh resolution for one coupled problem.
-
-    Parameters
-    ----------
-    delta : float
-        Overlap thickness; the free-flow subdomain ends at ``-delta``.
-    hx : float
-        Horizontal element size (uniform, shared by both subdomains).
-    """
-
-    delta: float
-    hx: float
-
-    def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("overlap thickness must be positive")
-        if self.delta >= POROUS_DEPTH:
-            raise ValueError("overlap must stay inside the porous band")
-        if self.hx <= 0:
-            raise ValueError("horizontal spacing must be positive")
-
-    @property
-    def h_fine(self) -> float:
-        """Vertical spacing inside and next to the overlap."""
-        return min(self.hx, self.delta / 2.0)
-
-    @property
-    def h_max(self) -> float:
-        """Coarse vertical spacing away from the overlap."""
-        return 4.0 * self.hx
-
-
 def _trace(own: SaddleSystem, other: SaddleSystem, y: float) -> np.ndarray:
     """Dofs of ``other`` under the controls of ``own``, whose interface
     lies at height ``y``: the same fields, at every control node's
@@ -102,21 +68,18 @@ class IcddProblem:
     trace_pressure : ndarray of int
         Indices into the free-flow solution vector returning its
         pressure at the porous control nodes.
+    delta : float
+        Overlap thickness; the free-flow controls lie on ``y = -delta``.
     """
 
-    def __init__(
-        self,
-        stokes: SaddleSystem,
-        darcy: SaddleSystem,
-        geometry: IcddGeometry,
-    ):
+    def __init__(self, stokes: SaddleSystem, darcy: SaddleSystem, delta: float):
         self.stokes = stokes
         self.darcy = darcy
-        self.geometry = geometry
+        self.delta = delta
         self.n_gf = stokes.n_interface
         self.n_gp = darcy.n_interface
         self.n_g = self.n_gf + self.n_gp
-        self.trace_velocity = _trace(stokes, darcy, -geometry.delta)
+        self.trace_velocity = _trace(stokes, darcy, -delta)
         self.trace_pressure = _trace(darcy, stokes, 0.0)
 
     # -- control vector helpers ------------------------------------------
@@ -132,27 +95,36 @@ class IcddProblem:
 
 
 def subdomain_meshes(
-    order: int, geometry: IcddGeometry, preset: TestCasePreset
+    order: int, delta: float, hx: float, preset: TestCasePreset
 ) -> tuple[StructuredMesh, StructuredMesh]:
     """Free-flow and porous meshes of order ``order``, checked before
     anything is assembled.
 
     Both meshes share one set of vertical lines over the full channel
     (sliced at ``-delta`` and at ``0``) and identical horizontal lines,
-    so every cross-domain trace is a plain nodal gather.
+    so every cross-domain trace is a plain nodal gather.  Spacing:
+    ``hx`` along ``x``; along ``y``, at most ``min(hx, delta / 2)`` in
+    and next to the overlap, grading to ``4 hx`` away from it.
 
     Raises
     ------
     ValueError
-        If a subdomain has no interior or no interface unknowns (a mesh
-        too coarse for the overlap).
+        If ``delta`` is not positive or reaches the band bottom, if
+        ``hx`` is not positive (the one check of both, made before any
+        solve), or if a subdomain has no interior or no interface
+        unknowns (a mesh too coarse for the overlap).
     """
+    if delta <= 0:
+        raise ValueError("overlap thickness must be positive")
+    if delta >= POROUS_DEPTH:
+        raise ValueError("overlap must stay inside the porous band")
+    if hx <= 0:
+        raise ValueError(f"hx must be positive, got {hx}")
     dom = preset.domain
-    delta = geometry.delta
     ys = overlap_line_set(
-        -POROUS_DEPTH, dom.y1, delta, geometry.h_fine, geometry.h_max
+        -POROUS_DEPTH, dom.y1, delta, min(hx, delta / 2.0), 4.0 * hx
     )
-    nx = max(1, round(dom.width / geometry.hx))
+    nx = max(1, round(dom.width / hx))
     xs = np.linspace(dom.x0, dom.x1, nx + 1)
     i_delta = int(np.argmin(np.abs(ys + delta)))
     i_zero = int(np.argmin(np.abs(ys)))
@@ -168,7 +140,7 @@ def subdomain_meshes(
         counts = (np.count_nonzero(kind == KIND_INTERIOR), iface_dofs.size)
         if min(counts) == 0:
             raise ValueError(
-                f"hx = {geometry.hx:g} and delta = {delta:g} leave the {name} "
+                f"hx = {hx:g} and delta = {delta:g} leave the {name} "
                 f"subdomain with {counts[0]} interior and {counts[1]} "
                 "interface unknowns; each subdomain needs at least one of "
                 "each, so use a smaller hx"
@@ -178,7 +150,8 @@ def subdomain_meshes(
 
 def assemble_problem(
     order: int,
-    geometry: IcddGeometry,
+    delta: float,
+    hx: float,
     preset: TestCasePreset,
     permeability: float,
 ) -> IcddProblem:
@@ -191,8 +164,11 @@ def assemble_problem(
     order : int
         Polynomial order (1 or 2) of both subdomain meshes, and so of
         both discretizations.
-    geometry : IcddGeometry
-        Overlap thickness and mesh spacings.
+    delta : float
+        Overlap thickness; the free-flow subdomain ends at ``-delta``.
+    hx : float
+        Horizontal element size of both subdomains (see
+        :func:`subdomain_meshes` for the vertical spacing).
     preset : TestCasePreset
         Driving scenario (domain, boundary data, force, viscosity).
     permeability : float
@@ -203,7 +179,7 @@ def assemble_problem(
     -------
     IcddProblem
     """
-    stokes_mesh, darcy_mesh = subdomain_meshes(order, geometry, preset)
+    stokes_mesh, darcy_mesh = subdomain_meshes(order, delta, hx, preset)
     stokes = assemble_stokes(
         stokes_mesh,
         mu=preset.mu,
@@ -220,7 +196,7 @@ def assemble_problem(
         bc=preset.darcy_bc(),
         interface="top",
     )
-    return IcddProblem(stokes, darcy, geometry)
+    return IcddProblem(stokes, darcy, delta)
 
 
 # ----------------------------------------------------------------------
@@ -459,7 +435,7 @@ def _result_from_solution(problem, g, x_f, x_p, info) -> IcddResult:
     tau_f, tau_p = problem.split(tau)
     y_f, y_p = _homogeneous_solves(problem, g - tau)
     composite = CompositeSolution(
-        problem.stokes, x_f, problem.darcy, x_p, problem.geometry.delta
+        problem.stokes, x_f, problem.darcy, x_p, problem.delta
     )
     return IcddResult(
         composite=composite,

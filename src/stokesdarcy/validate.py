@@ -37,7 +37,6 @@ from .homogenize import (
 )
 from .icdd import (
     DEFAULT_HX,
-    IcddGeometry,
     IcddResult,
     assemble_problem,
     icdd_solve,
@@ -157,17 +156,14 @@ def _region_rule(mesh: StructuredMesh, region: RegionSpec, n_gauss: int = 3):
     elems = np.flatnonzero(mesh.active)
     ex = elems % mesh.nex
     ey = elems // mesh.nex
-    x_lo = mesh.xs[ex]
-    x_hi = mesh.xs[ex + 1]
     y_lo = mesh.ys[ey]
     y_hi = mesh.ys[ey + 1]
     y_lo = np.maximum(y_lo, region.y0)
     y_hi = np.minimum(y_hi, region.y1)
-    w = x_hi - x_lo
     h = y_hi - y_lo
-    keep = (w > 1e-14) & (h > 1e-14)
+    keep = h > 1e-14
     elems, ex, ey = elems[keep], ex[keep], ey[keep]
-    x_lo, y_lo, w, h = x_lo[keep], y_lo[keep], w[keep], h[keep]
+    y_lo, h, w = y_lo[keep], h[keep], mesh.hx[ex]
     if elems.size == 0:
         raise ValueError(f"region {region.kind!r} misses the active mesh")
     pts, wts = np.polynomial.legendre.leggauss(n_gauss)
@@ -175,14 +171,13 @@ def _region_rule(mesh: StructuredMesh, region: RegionSpec, n_gauss: int = 3):
     WX, WY = np.meshgrid(wts, wts, indexing="ij")
     tx = 0.5 * (PX.ravel() + 1.0)[None, :]
     ty = 0.5 * (PY.ravel() + 1.0)[None, :]
-    px = x_lo[:, None] + tx * w[:, None]
+    px = mesh.xs[ex][:, None] + tx * w[:, None]
     py = y_lo[:, None] + ty * h[:, None]
     ww = 0.25 * (w * h)[:, None] * (WX * WY).ravel()[None, :]
-    # Offsets of the clipped box inside its element: reference
+    # Offset of the clipped box inside its element: reference
     # coordinates without point location, also in clipped elements.
-    dx = (x_lo - mesh.xs[ex])[:, None]
     dy = (y_lo - mesh.ys[ey])[:, None]
-    xi = 2.0 * (dx + tx * w[:, None]) / mesh.hx[ex][:, None] - 1.0
+    xi = 2.0 * (tx * w[:, None]) / mesh.hx[ex][:, None] - 1.0
     eta = 2.0 * (dy + ty * h[:, None]) / mesh.hy[ey][:, None] - 1.0
     points = np.column_stack([px.ravel(), py.ravel()])
     return points, ww.ravel(), elems, np.stack([xi, eta], axis=-1)
@@ -457,7 +452,7 @@ def _study_cell(
     for ell, delta in members:
         lattice = preset.lattice(ell, configuration.size_ratio)
         lattice.edge_offsets(dns_resolution.n_per_cell)
-        subdomain_meshes(order, IcddGeometry(delta=delta, hx=hx), preset)
+        subdomain_meshes(order, delta, hx, preset)
     say(f"unit cell s_hat={configuration.size_ratio}")
     return solve_cell_problem(configuration.size_ratio, resolution=cell_resolution)
 
@@ -469,7 +464,7 @@ def _coupled_solve(preset, cell, ell, delta, order, hx, krylov) -> IcddResult:
     inside this call; the result holds meshes, fields and vectors.
     """
     k = permeability_dimensional(cell.k_scalar(), ell)
-    problem = assemble_problem(order, IcddGeometry(delta=delta, hx=hx), preset, k)
+    problem = assemble_problem(order, delta, hx, preset, k)
     return icdd_solve(problem, krylov)
 
 

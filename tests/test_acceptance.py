@@ -23,7 +23,6 @@ from stokesdarcy.fem import (
 )
 from stokesdarcy.homogenize import delta_star, solve_cell_problem
 from stokesdarcy.icdd import (
-    IcddGeometry,
     assemble_problem,
     icdd_solve,
     monolithic_solve,
@@ -75,8 +74,8 @@ def round_sig(value: float, digits: int) -> float:
 def coupled_problem(name: str, ell: float, hx: float):
     """Coupled two-domain instance driven by published cell data."""
     configuration = CONFIGURATIONS[name]
-    geometry = IcddGeometry(delta=configuration.delta_star(ell), hx=hx)
-    return assemble_problem(1, geometry, PRESETS[1], configuration.k_hat * ell**2)
+    delta = configuration.delta_star(ell)
+    return assemble_problem(1, delta, hx, PRESETS[1], configuration.k_hat * ell**2)
 
 
 # ----------------------------------------------------------------------

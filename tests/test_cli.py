@@ -117,7 +117,7 @@ class TestLoadRunConfig:
     def test_missing_required_key(self, tmp_path):
         config = load_run_config(write_config(tmp_path, "[case]\nell = 0.1\n"))
         with pytest.raises(CliError, match=r"missing required key \[case\] preset"):
-            config.preset()
+            cli._preset(config)
 
     def test_bad_cast(self, tmp_path):
         path = write_config(tmp_path, "[case]\npreset = 1\nell = fast\n")
@@ -131,20 +131,20 @@ class TestLoadRunConfig:
             )
         )
         with pytest.raises(CliError, match="not both"):
-            config.configuration(need_mesh=False)
+            cli._configuration(config, need_mesh=False)
 
     def test_circle_configuration_rejected_for_meshing(self, tmp_path):
         config = load_run_config(
             write_config(tmp_path, "[case]\npreset = 1\nconfiguration = C3\n")
         )
         with pytest.raises(CliError, match="square"):
-            config.configuration(need_mesh=True)
+            cli._configuration(config, need_mesh=True)
 
     def test_custom_s_hat_builds_configuration(self, tmp_path):
         config = load_run_config(
             write_config(tmp_path, "[case]\npreset = 1\ns_hat = 0.7\n")
         )
-        porous = config.configuration(need_mesh=True)
+        porous = cli._configuration(config, need_mesh=True)
         assert porous.size_ratio == pytest.approx(0.7)
         assert porous.porosity == pytest.approx(1.0 - 0.49)
 
@@ -152,7 +152,7 @@ class TestLoadRunConfig:
         config = load_run_config(
             write_config(tmp_path, "[case]\npreset = 1  # lid driven\n")
         )
-        assert config.preset().identifier == 1
+        assert cli._preset(config).identifier == 1
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_benchmark_workload_configs_load(self, tmp_path, monkeypatch, seed):
@@ -628,7 +628,7 @@ class TestFailureModes:
             (
                 "icdd",
                 ICDD_INI.replace("ell = 0.1", "ell = -0.1"),
-                "ell must be positive, got -0.1",
+                "period must be positive, got -0.1",
             ),
             (
                 "icdd",
@@ -645,6 +645,41 @@ class TestFailureModes:
                 "sweep",
                 SWEEP_INI.replace("\norder = 1\n", "\norder = 3\n"),
                 "order must be 1 or 2, got 3",
+            ),
+            (
+                "icdd",
+                ICDD_INI.replace("hx = 0.1", "hx = 0"),
+                "hx must be positive, got 0.0",
+            ),
+            (
+                "validate",
+                VALIDATE_INI.replace("hx = 0.125", "hx = 0"),
+                "hx must be positive, got 0.0",
+            ),
+            (
+                "sweep",
+                SWEEP_INI.replace("hx = 0.125", "hx = 0"),
+                "hx must be positive, got 0.0",
+            ),
+            (
+                "icdd",
+                ICDD_INI.replace("ell = 0.1\n", ""),
+                "missing required key [case] ell",
+            ),
+            (
+                "dns",
+                DNS_INI.replace("ell = 0.25\n", ""),
+                "missing required key [case] ell",
+            ),
+            (
+                "sweep",
+                SWEEP_INI.replace("ell = 0.25\n", ""),
+                "missing required key [case] ell",
+            ),
+            (
+                "validate",
+                VALIDATE_INI.replace("ells = 0.25 0.125\n", ""),
+                "missing required key [study] ells",
             ),
         ],
         ids=[
@@ -668,6 +703,13 @@ class TestFailureModes:
             "bad_order_cell",
             "bad_order_validate",
             "bad_order_sweep",
+            "zero_hx_icdd",
+            "zero_hx_validate",
+            "zero_hx_sweep",
+            "no_period_icdd",
+            "no_period_dns",
+            "no_period_sweep",
+            "no_periods_validate",
         ],
     )
     def test_run_failure_exits_2_without_outputs(

@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 
 from stokesdarcy import fem, icdd
 from stokesdarcy.icdd import (
-    IcddGeometry,
     assemble_problem,
     icdd_solve,
     monolithic_solve,
     schur_apply,
     schur_rhs,
     schur_solve,
+    subdomain_meshes,
 )
 from stokesdarcy.linalg import KrylovConfig, TensorSolver
 from stokesdarcy.mesh import nested_dissection_order
@@ -31,7 +31,7 @@ COARSE = dict(delta=0.036, hx=0.1)
 
 
 def coarse_problem():
-    return assemble_problem(1, IcddGeometry(**COARSE), PRESETS[1], 7.231e-6)
+    return assemble_problem(1, **COARSE, preset=PRESETS[1], permeability=7.231e-6)
 
 
 @pytest.fixture(scope="module")
@@ -72,9 +72,10 @@ def dense_schur(problem):
 
 class TestGeometryConfig:
     def test_defaults_derived(self):
-        geo = IcddGeometry(delta=0.02, hx=0.05)
-        assert geo.h_fine == pytest.approx(0.01)
-        assert geo.h_max == pytest.approx(0.2)
+        stokes_mesh, _ = subdomain_meshes(1, 0.02, 0.05, PRESETS[1])
+        ys = stokes_mesh.ys
+        np.testing.assert_allclose(np.diff(ys[ys <= 1e-15]), 0.01)
+        assert np.diff(ys).max() <= 0.2 + 1e-12
 
     @pytest.mark.parametrize(
         ("delta", "hx"),
@@ -82,11 +83,11 @@ class TestGeometryConfig:
     )
     def test_invalid_raises(self, delta, hx):
         with pytest.raises(ValueError):
-            IcddGeometry(delta=delta, hx=hx)
+            subdomain_meshes(1, delta, hx, PRESETS[1])
 
     def test_nonpositive_permeability_raises(self):
         with pytest.raises(ValueError, match="permeability"):
-            assemble_problem(1, IcddGeometry(**COARSE), PRESETS[1], 0.0)
+            assemble_problem(1, **COARSE, preset=PRESETS[1], permeability=0.0)
 
 
 class TestProblemStructure:
@@ -196,7 +197,9 @@ class TestSubdomainFactors:
         # unknowns of a node depend only on the boundary sides it lies
         # on, so all candidate separator lines of a block weigh the same
         # and every separator stays the middle line.
-        problem = assemble_problem(order, IcddGeometry(**COARSE), PRESETS[1], 7.231e-6)
+        problem = assemble_problem(
+            order, **COARSE, preset=PRESETS[1], permeability=7.231e-6
+        )
         for system in (problem.stokes, problem.darcy):
             n = system.n_nodes
             plain = nested_dissection_order(system.mesh.nnx, system.mesh.nny, order)
@@ -384,7 +387,8 @@ def test_filtration_presets_solve(preset_id):
     configuration, ell = CONFIGURATIONS["C2"], 0.25
     problem = assemble_problem(
         1,
-        IcddGeometry(delta=configuration.delta_star(ell), hx=0.1),
+        configuration.delta_star(ell),
+        0.1,
         PRESETS[preset_id],
         configuration.k_hat * ell**2,
     )

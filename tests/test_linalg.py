@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from stokesdarcy import dns, fem, homogenize, icdd, linalg
 from stokesdarcy.dns import DnsResolution, solve_dns
-from stokesdarcy.icdd import IcddGeometry, assemble_problem, icdd_solve
+from stokesdarcy.icdd import assemble_problem, icdd_solve
 from stokesdarcy.linalg import (
     KrylovConfig,
     Factorization,
@@ -336,9 +336,7 @@ class TestFactorCopies:
 
     def test_icdd_subdomain_factors(self, monkeypatch):
         watched = self.watch(monkeypatch)
-        problem = assemble_problem(
-            2, IcddGeometry(delta=0.036, hx=0.1), PRESETS[1], 7.231e-6
-        )
+        problem = assemble_problem(2, 0.036, 0.1, PRESETS[1], 7.231e-6)
         self.check_single(watched, problem.stokes.factor, problem.stokes._pieces[0])
         # The Darcy solver is a tensor-product one: no SuperLU call, and
         # it keeps its block too.
@@ -409,9 +407,7 @@ class TestFactorCopies:
                 return tensor_solver(*args, **kwargs)
 
             monkeypatch.setattr(fem, "TensorSolver", recording_solver)
-            problem = assemble_problem(
-                2, IcddGeometry(delta=0.036, hx=0.1), preset, 7.231e-6
-            )
+            problem = assemble_problem(2, 0.036, 0.1, preset, 7.231e-6)
             icdd_solve(problem, KrylovConfig())
             # The Stokes subdomain is factored first, by SuperLU; the
             # Darcy one gets a tensor-product solver, built once its
@@ -453,9 +449,7 @@ class TestFactorCopies:
                 preset, preset.lattice(0.25, 0.6), DnsResolution(n_per_cell=5, order=2)
             )
         else:
-            problem = assemble_problem(
-                2, IcddGeometry(delta=0.036, hx=0.1), preset, 7.231e-6
-            )
+            problem = assemble_problem(2, 0.036, 0.1, preset, 7.231e-6)
             icdd_solve(problem, KrylovConfig())
         assert dropped and all(dropped)
 
@@ -489,9 +483,7 @@ class TestHeapTrim:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(linalg.spla, "splu", splu)
-        problem = assemble_problem(
-            1, IcddGeometry(delta=0.036, hx=0.1), PRESETS[1], 7.231e-6
-        )
+        problem = assemble_problem(1, 0.036, 0.1, PRESETS[1], 7.231e-6)
         assert isinstance(problem.darcy.factor, linalg.TensorSolver)
         assert events == []
         problem.stokes.factor
@@ -546,7 +538,8 @@ def test_single_precision_subdomain_and_cell_factors(
             )
             problem = assemble_problem(
                 order,
-                IcddGeometry(delta=homogenize.delta_star(porous.porosity, ell), hx=hx),
+                homogenize.delta_star(porous.porosity, ell),
+                hx,
                 PRESETS[preset],
                 homogenize.permeability_dimensional(cell.k_scalar(), ell),
             )

@@ -7,7 +7,7 @@ import ast
 from collections import Counter
 from pathlib import Path
 
-from stokesdarcy.cli import SCHEMA
+from stokesdarcy.cli import DEFAULTS, SCHEMA
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "stokesdarcy"
 
@@ -223,13 +223,25 @@ def test_every_defaulted_parameter_is_passed_in_src():
 
 
 def test_every_config_key_is_read():
-    """Every key of ``cli.SCHEMA`` is read by a ``RunConfig`` accessor,
-    as ``self._get(section, key, ...)`` with literal names."""
+    """Every key of ``cli.SCHEMA`` is read in ``cli.py``, as
+    ``config[key]`` or ``config.get(key, ...)`` with a literal name."""
     tree = ast.parse((SRC / "cli.py").read_text())
-    (cls,) = [n for n in tree.body if getattr(n, "name", None) == "RunConfig"]
-    read = {
-        (call.args[0].value, call.args[1].value)
-        for call in ast.walk(cls)
-        if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "_get"
-    }
-    assert read == {(s, k) for s, keys in SCHEMA.items() for k in keys}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript):
+            owner, key = node.value, node.slice
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "get":
+            owner, key = node.func.value, node.args[0]
+        else:
+            continue
+        if getattr(owner, "id", None) == "config" and isinstance(key, ast.Constant):
+            read.add(key.value)
+    assert read == {k for keys in SCHEMA.values() for k in keys}
+
+
+def test_config_keys_are_flat():
+    """``cli.RunConfig`` keys values by key name alone: no key name is
+    in two sections of ``cli.SCHEMA``, and every default is a key."""
+    names = Counter(k for keys in SCHEMA.values() for k in keys)
+    assert [k for k, n in names.items() if n > 1] == []
+    assert set(DEFAULTS) <= set(names)

@@ -17,7 +17,6 @@ from stokesdarcy.fem import Field
 from stokesdarcy.homogenize import permeability_dimensional
 from stokesdarcy.icdd import (
     CompositeSolution,
-    IcddGeometry,
     assemble_problem,
     icdd_solve,
 )
@@ -302,7 +301,8 @@ class TestCompareSolutions:
         assert (ell < delta) == (ell == 0.05)
         problem = assemble_problem(
             1,
-            IcddGeometry(delta=delta, hx=1.0 / 8.0),
+            delta,
+            1.0 / 8.0,
             preset,
             permeability_dimensional(cell_small.k_scalar(), ell),
         )
