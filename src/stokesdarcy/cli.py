@@ -9,13 +9,15 @@ abort before any output is written.  Settings are plain values (see
 :class:`RunConfig`), each range checked once, where the value is used.
 Each command only computes and returns its results; :func:`run` writes
 them and the manifest, and :func:`main` turns every failure into a
-message and exit status 2.  Outputs are deterministic: identical
-configurations yield byte-identical files.
+message and exit status 2; only :func:`main` prints the ``stokesdarcy``
+logger's INFO records (progress, summaries).  Outputs are
+deterministic: identical configurations yield byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import platform
 import sys
 from configparser import ConfigParser
@@ -43,6 +45,8 @@ from .io import config_digest, format_value, write_csv, write_manifest, write_vt
 from .linalg import KrylovConfig
 from .presets import CONFIGURATIONS, PRESETS, PorousConfiguration
 from .validate import DEFAULT_FACTORS, convergence_study, delta_sweep
+
+_log = logging.getLogger("stokesdarcy")
 
 
 class CliError(Exception):
@@ -227,18 +231,6 @@ def _permeability_for(config, configuration, ell):
     return permeability_dimensional(cell.k_scalar(), ell), "computed"
 
 
-def _say(message: str) -> None:
-    """Print a message and its newline in a single write, flushed.
-
-    Study members in worker processes print their progress
-    concurrently; ``print`` writes the text and the newline apart,
-    which unbuffered output (``PYTHONUNBUFFERED``) passes on as two
-    writes that interleave with other workers' lines.
-    """
-    sys.stdout.write(message + "\n")
-    sys.stdout.flush()
-
-
 #: The study member a worker process runs; set by :func:`_start_worker`,
 #: in worker processes only.
 _member = None
@@ -307,7 +299,8 @@ class Outputs:
 
 
 def run(command: str, config: RunConfig, out_dir: Path, threads: int) -> None:
-    """Run one command, then write its files and manifest.
+    """Run one command, write its files and manifest, then log its
+    summary as an INFO record of the ``stokesdarcy`` logger.
 
     The command gets a ``map``-like function for study members, which
     runs them in ``threads`` worker processes (fork) when ``threads >
@@ -318,8 +311,9 @@ def run(command: str, config: RunConfig, out_dir: Path, threads: int) -> None:
     ------
     CliError
         For any ``ValueError`` or ``RuntimeError`` of the command (bad
-        settings, unaligned geometry, a solver that fails), and for a
-        ``MemoryError`` (an allocation that cannot be made).
+        settings, unaligned geometry, a solver that fails), for a
+        ``MemoryError`` (an allocation that cannot be made), and for an
+        ``OSError`` while writing the outputs.
     """
     pools: list = []
     try:
@@ -338,14 +332,17 @@ def run(command: str, config: RunConfig, out_dir: Path, threads: int) -> None:
         "parameters": result.parameters,
         "outputs": sorted([*result.files, "manifest.json"]),
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, content in result.files.items():
-        if name.endswith(".csv"):
-            write_csv(out_dir / name, content)
-        else:
-            write_vtk(out_dir / name, *content)
-    write_manifest(out_dir / "manifest.json", manifest)
-    _say(result.summary)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, content in result.files.items():
+            if name.endswith(".csv"):
+                write_csv(out_dir / name, content)
+            else:
+                write_vtk(out_dir / name, *content)
+        write_manifest(out_dir / "manifest.json", manifest)
+    except OSError as err:
+        raise CliError(f"cannot write outputs to {out_dir}: {err}") from err
+    _log.info(result.summary)
 
 
 # ----------------------------------------------------------------------
@@ -491,7 +488,6 @@ def _study_settings(config: RunConfig, mapper) -> dict:
         "krylov": _krylov(config),
         "cell_resolution": config["cell_resolution"],
         "mapper": mapper,
-        "progress": _say,
     }
 
 
@@ -512,7 +508,7 @@ def cmd_validate(config: RunConfig, mapper) -> Outputs:
             "configuration": configuration.name,
             "ells": ells,
             "cell_factor": study.cell.factor_health,
-            "members": {f"ell={r.ell:g}": r.health for r in reports},
+            "members": {f"ell={r.ell!r}": r.health for r in reports},
         },
         files={
             "errors.csv": {
@@ -604,16 +600,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command line, printing the ``stokesdarcy`` logger's INFO
+    records to stdout meanwhile; returns the exit status (0, or 2)."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error(f"argument --threads: must be at least 1, got {args.threads}")
+    # Forked study workers share stdout: StreamHandler.emit writes each
+    # line with its newline in one write, then flushes, so none interleave.
+    handler = logging.StreamHandler(sys.stdout)
+    level = _log.level
+    _log.addHandler(handler)
+    _log.setLevel(logging.INFO)
     try:
         config = load_run_config(args.config)
         run(args.command, config, Path(args.out), args.threads)
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    finally:
+        _log.removeHandler(handler)
+        _log.setLevel(level)
     return 0
 
 

@@ -80,20 +80,6 @@ def write_csv(path, table: dict) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_csv(path) -> tuple[list, list]:
-    """Read back a CSV table written by :func:`write_csv`.
-
-    Returns
-    -------
-    (header, rows)
-        Column names and rows of strings.
-    """
-    text = Path(path).read_text().strip().split("\n")
-    header = text[0].split(",")
-    rows = [line.split(",") for line in text[1:]]
-    return header, rows
-
-
 def write_vtk(path, mesh: StructuredMesh, point_data: dict, title: str) -> None:
     """Write a legacy-VTK ASCII rectilinear grid with nodal fields.
 

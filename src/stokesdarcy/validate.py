@@ -22,6 +22,7 @@ the overlap-thickness sweep built on these metrics.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,9 +43,12 @@ from .icdd import (
     icdd_solve,
     subdomain_meshes,
 )
+from .io import format_value
 from .linalg import KrylovConfig
 from .mesh import ObstacleLattice, StructuredMesh
 from .presets import POROUS_DEPTH, PorousConfiguration, TestCasePreset
+
+_log = logging.getLogger(__name__)
 
 #: Kinds of slab where errors are measured: ``fluid`` spans (-delta*,
 #: top), ``porous`` spans (-depth, -delta*) and ``porous_deep`` spans
@@ -419,9 +423,10 @@ class StudyResult:
 
 
 def _reject_repeats(values: list, what: str) -> None:
-    """Raise if a study lists a member value twice."""
+    """Raise if two member values print alike in the output tables."""
+    printed = [format_value(value) for value in values]
     for i, value in enumerate(values):
-        if value in values[:i]:
+        if printed[i] in printed[:i]:
             raise ValueError(
                 f"{what} {value:g} is given twice; each {what} is one study member"
             )
@@ -435,7 +440,6 @@ def _study_cell(
     hx: float,
     dns_resolution: DnsResolution,
     cell_resolution: int,
-    say,
 ) -> CellSolution:
     """Check every member of a study, then solve the study's unit cell.
 
@@ -443,7 +447,7 @@ def _study_cell(
     obstacle lattice must tile the band and align with the pore-scale
     mesh, and its coupled subdomains of order ``order`` must pass
     :func:`~stokesdarcy.icdd.subdomain_meshes`, so that a bad member
-    stops the study before any solve.
+    stops the study before any solve.  The cell solve is logged.
     """
     if not configuration.meshable:
         raise ValueError(
@@ -453,7 +457,7 @@ def _study_cell(
         lattice = preset.lattice(ell, configuration.size_ratio)
         lattice.edge_offsets(dns_resolution.n_per_cell)
         subdomain_meshes(order, delta, hx, preset)
-    say(f"unit cell s_hat={configuration.size_ratio}")
+    _log.info("unit cell s_hat=%s", configuration.size_ratio)
     return solve_cell_problem(configuration.size_ratio, resolution=cell_resolution)
 
 
@@ -477,7 +481,6 @@ def convergence_study(
     dns_resolution: DnsResolution = DnsResolution(order=1),
     krylov: KrylovConfig = KrylovConfig(),
     cell_resolution: int = DEFAULT_CELL_RESOLUTION,
-    progress=None,
     mapper=map,
 ) -> StudyResult:
     """Period-refinement study of the coupled solver against references.
@@ -489,7 +492,8 @@ def convergence_study(
     measured region by region and log-log slopes fitted at the end.
     Every member is checked before the cell solve.  Each solve's
     matrices and factors are freed when it returns, before any error
-    is computed.
+    is computed.  Each expensive step is first logged as an INFO record
+    of the ``stokesdarcy.validate`` logger.
 
     Parameters
     ----------
@@ -513,8 +517,6 @@ def convergence_study(
         Interface solver settings.
     cell_resolution : int
         Elements per edge of the unit-cell mesh.
-    progress : callable, optional
-        Called with a status string before each expensive step.
     mapper : callable
         ``map``-like function used over the periods and their layer
         thicknesses, finest period first (the costliest member starts
@@ -533,21 +535,20 @@ def convergence_study(
     if np.unique(ells).size < 2:
         raise ValueError("need at least two distinct periods")
     _reject_repeats(ells, "period")
-    say = progress or (lambda msg: None)
     deltas = [delta_star(configuration.porosity, ell) for ell in ells]
     members = zip(ells, deltas)
     cell = _study_cell(
         preset, configuration, members, order, hx,
-        dns_resolution, cell_resolution, say,
+        dns_resolution, cell_resolution,
     )
 
     def run_one(ell: float, delta: float) -> ErrorReport:
         lattice = preset.lattice(ell, configuration.size_ratio)
-        say(f"pore-scale reference ell={ell}")
+        _log.info("pore-scale reference ell=%s", ell)
         dns = solve_dns(preset, lattice, dns_resolution)
-        say(f"coupled solve ell={ell}")
+        _log.info("coupled solve ell=%s", ell)
         result = _coupled_solve(preset, cell, ell, delta, order, hx, krylov)
-        say(f"errors ell={ell}")
+        _log.info("errors ell=%s", ell)
         report = compare_solutions(
             result.composite, dns, cell, delta, ell, preset, configuration.name
         )
@@ -616,7 +617,6 @@ def delta_sweep(
     dns_resolution: DnsResolution = DnsResolution(order=1),
     krylov: KrylovConfig = KrylovConfig(),
     cell_resolution: int = DEFAULT_CELL_RESOLUTION,
-    progress=None,
     mapper=map,
 ) -> SweepResult:
     """Sweep the layer thickness and measure the fluid-region error.
@@ -625,12 +625,13 @@ def delta_sweep(
     re-solved with the lower interface at each multiple of the
     predicted thickness.  The error region is fixed at the predicted
     thickness for every run so the sweep compares like with like.
-    Every thickness is checked before the cell solve.
+    Every thickness is checked before the cell solve, and each solve is
+    logged as in :func:`convergence_study`.
 
     Parameters
     ----------
     preset, configuration, order, hx, dns_resolution, krylov,
-    cell_resolution, progress
+    cell_resolution
         As in :func:`convergence_study`.
     mapper : callable
         ``map``-like function used over the factors, as in
@@ -652,23 +653,22 @@ def delta_sweep(
     if not any(abs(f - 1.0) < 1e-12 for f in factors):
         raise ValueError("factors must include 1.0")
     _reject_repeats(factors, "factor")
-    say = progress or (lambda msg: None)
     dstar = delta_star(configuration.porosity, ell)
     deltas = [f * dstar for f in factors]
     members = [(ell, delta) for delta in deltas]
     cell = _study_cell(
         preset, configuration, members, order, hx,
-        dns_resolution, cell_resolution, say,
+        dns_resolution, cell_resolution,
     )
     lattice = preset.lattice(ell, configuration.size_ratio)
-    say(f"pore-scale reference ell={ell}")
+    _log.info("pore-scale reference ell=%s", ell)
     dns = solve_dns(preset, lattice, dns_resolution)
     region = RegionSpec("fluid", -dstar, preset.domain.y1)
     points, weights, elems, ref = _region_rule(dns.mesh, region)
     (u_ref,) = eval_located([dns.velocity], elems, ref)
 
     def run_one(delta: float) -> tuple[float, dict]:
-        say(f"coupled solve delta={delta:.4e}")
+        _log.info("coupled solve delta=%.4e", delta)
         result = _coupled_solve(preset, cell, ell, delta, order, hx, krylov)
         u, _ = result.composite.evaluate(points)
         error = _weighted_l2(weights, u, u_ref)

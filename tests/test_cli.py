@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import importlib.util
 import inspect
 import io
 import json
+import logging
 import multiprocessing
 import os
 import re
@@ -25,7 +27,7 @@ from hypothesis import strategies as st
 from stokesdarcy import cli, icdd, linalg, mesh, validate
 from stokesdarcy.cli import CliError, load_run_config, main
 from stokesdarcy.icdd import CompositeSolution
-from stokesdarcy.io import format_value, read_csv
+from stokesdarcy.io import format_value
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -179,7 +181,8 @@ class TestCellCommand:
         code = main(["cell", "--config", str(config_path), "--out", str(out)])
         assert code == 0
         assert "cell: s_hat=0.6" in capsys.readouterr().out
-        header, rows = read_csv(out / "cell.csv")
+        with open(out / "cell.csv", newline="") as f:
+            header, *rows = csv.reader(f)
         assert header[:2] == ["s_hat", "porosity"]
         assert len(rows) == 1
         assert float(rows[0][1]) == pytest.approx(1.0 - 0.36)
@@ -201,6 +204,25 @@ class TestCellCommand:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+@pytest.mark.parametrize(
+    ("ini", "status"),
+    [(CELL_INI, 0), (CELL_INI + "\n[case2]\nz = 1\n", 2)],
+    ids=["ok", "error"],
+)
+def test_main_leaves_the_package_logger_as_it_was(tmp_path, ini, status):
+    """``main`` prints the package's records only while it runs."""
+    logger = logging.getLogger("stokesdarcy")
+    level = logger.level
+    logger.setLevel(logging.WARNING)
+    try:
+        argv = ["cell", "--config", str(write_config(tmp_path, ini))]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == status
+        assert logger.handlers == []
+        assert logger.level == logging.WARNING
+    finally:
+        logger.setLevel(level)
+
+
 class TestIcddCommand:
     def test_outputs(self, tmp_path, capsys):
         config_path = write_config(tmp_path, ICDD_INI)
@@ -218,10 +240,12 @@ class TestIcddCommand:
             "manifest.json",
         ):
             assert (out / name).exists()
-        header, rows = read_csv(out / "solution.csv")
+        with open(out / "solution.csv", newline="") as f:
+            header, *rows = csv.reader(f)
         assert header == ["x", "y", "u1", "u2", "p", "domain"]
         assert {r[5] for r in rows} == {"stokes", "darcy"}
-        _, res_rows = read_csv(out / "residuals.csv")
+        with open(out / "residuals.csv", newline="") as f:
+            _, *res_rows = csv.reader(f)
         assert float(res_rows[-1][1]) < 1e-10
         manifest = json.loads((out / "manifest.json").read_text())
         parameters = manifest["parameters"]
@@ -353,7 +377,8 @@ def test_outputs_independent_of_thread_count(tmp_path, monkeypatch, command, ini
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
     if command == "validate":
-        header, rows = read_csv(outs[0] / "errors.csv")
+        with open(outs[0] / "errors.csv", newline="") as f:
+            header, *rows = csv.reader(f)
         assert header == ["config", "ell", "metric", "value", "relative"]
         reports = studies[0].reports
         expected = [
@@ -487,7 +512,7 @@ class TestWorkerProcesses:
         assert len(pids) == 2 and len(set(pids)) == 2
         assert os.getpid() not in pids
 
-    def test_progress_lines_written_whole(self, tmp_path, monkeypatch):
+    def test_progress_lines_written_whole(self, tmp_path, monkeypatch, caplog):
         # Workers share stdout; a line written in parts can interleave.
         writes = []
 
@@ -499,11 +524,15 @@ class TestWorkerProcesses:
                 pass
 
         monkeypatch.setattr("sys.stdout", Recorder())
+        caplog.set_level(logging.INFO, logger="stokesdarcy")
         code, _ = self.validate(tmp_path, 1)
         assert code == 0
         assert writes[0] == "unit cell s_hat=0.8\n"
         assert all(w.endswith("\n") for w in writes)
         assert writes[-1].startswith("slope u_fluid = ")  # the summary, whole
+        # Each line printed is one record of the package's logger.
+        records = [r for r in caplog.records if r.name.startswith("stokesdarcy")]
+        assert writes == [r.getMessage() + "\n" for r in records]
 
     @pytest.mark.parametrize(
         ("killed", "message"),
@@ -726,6 +755,22 @@ class TestFailureModes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "out_name", ["taken", "taken/sub"], ids=["out_is_a_file", "out_below_a_file"]
+    )
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, out_name):
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        out = tmp_path / out_name
+        code = main(
+            ["cell", "--config", str(write_config(tmp_path, CELL_INI)),
+             "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write outputs to {out}: "), err
+        assert taken.read_text() == "keep"
+
+    @pytest.mark.parametrize(
         ("command", "ini", "threads"),
         [("validate", VALIDATE_INI, "0"), ("validate", VALIDATE_INI, "-3"),
          ("dns", DNS_INI, "-1")],
@@ -920,6 +965,11 @@ class TestFailureModes:
             ("validate", VALIDATE_INI.replace("dns_cells = 10", "dns_cells = 5"),
              "does not align with 5 elements per cell"),
             ("sweep", SWEEP_INI + "\n[study]\nfactors = 1 0.5 1\n",
+             "factor 1 is given twice"),
+            # Members that the output tables would print alike.
+            ("validate", VALIDATE_INI.replace(ells, "ells = 0.25 0.2500000000001"),
+             "period 0.25 is given twice"),
+            ("sweep", SWEEP_INI + "\n[study]\nfactors = 0.5 1 1.0000000001\n",
              "factor 1 is given twice"),
             ("sweep", SWEEP_INI + "\n[study]\nfactors = 1 -0.5\n",
              "overlap thickness must be positive"),
@@ -1119,7 +1169,8 @@ class TestDnsCommand:
         )
         assert code == 0
         printed = capsys.readouterr().out
-        header, rows = read_csv(out / "solution.csv")
+        with open(out / "solution.csv", newline="") as f:
+            header, *rows = csv.reader(f)
         assert header == ["x", "y", "u1", "u2", "p", "domain"]
         assert {r[5] for r in rows} == {"dns"}
         manifest = json.loads((out / "manifest.json").read_text())
@@ -1143,7 +1194,8 @@ class TestDnsCommand:
             "# vtk DataFile Version 3.0"
         )
         # Mean speed on each cell-boundary line of the band, top first.
-        header, rows = read_csv(out / "speeds.csv")
+        with open(out / "speeds.csv", newline="") as f:
+            header, *rows = csv.reader(f)
         assert header == ["y", "mean_speed"]
         assert [r[0] for r in rows] == ["0.00000000e+00", "-2.50000000e-01"]
         for y, speed in rows:

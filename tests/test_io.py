@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 
@@ -14,7 +15,6 @@ from stokesdarcy.io import (
     FLOAT_FORMAT,
     config_digest,
     format_value,
-    read_csv,
     write_csv,
     write_manifest,
     write_vtk,
@@ -63,7 +63,8 @@ class TestCsv:
         path = tmp_path / "table.csv"
         table = {"i": np.arange(1, 3), "v": np.array([2.5e-3, 3.25]), "tag": ["s", "d"]}
         write_csv(path, table)
-        header, back = read_csv(path)
+        with open(path, newline="") as f:
+            header, *back = csv.reader(f)
         assert header == ["i", "v", "tag"]
         assert [r[2] for r in back] == ["s", "d"]
         assert float(back[0][1]) == pytest.approx(2.5e-3)

@@ -17,7 +17,6 @@ TEST_ONLY = {
     "l2_error": "region error norm of the manufactured-solution and FEM tests",
     "l2_norm": "region norm of the quadrature tests; compare_solutions reuses its kernel",
     "monolithic_solve": "independent direct-solve oracle of the interface solver",
-    "read_csv": "reads the CLI outputs back in the output tests",
 }
 
 #: Class members whose only readers are tests, each with the reason it stays.
