@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import platform
 import sys
 from configparser import ConfigParser
@@ -298,6 +299,27 @@ class Outputs:
     files: dict
 
 
+def _check_writable(out_dir: Path) -> None:
+    """Raise :class:`CliError` unless ``out_dir`` is a writable
+    directory or can be made in one, without making it: its nearest
+    existing ancestor (or itself) must be a directory this process may
+    write into."""
+    try:
+        existing = next(
+            p for p in (out_dir, *out_dir.absolute().parents) if p.exists()
+        )
+        is_dir = existing.is_dir()
+    except OSError as err:  # a name too long, an ancestor not searchable
+        raise CliError(f"cannot write outputs to {out_dir}: {err}") from err
+    if not is_dir:
+        reason = f"{existing} is not a directory"
+    elif not os.access(existing, os.W_OK | os.X_OK):
+        reason = f"no permission to write in {existing}"
+    else:
+        return
+    raise CliError(f"cannot write outputs to {out_dir}: {reason}")
+
+
 def run(command: str, config: RunConfig, out_dir: Path, threads: int) -> None:
     """Run one command, write its files and manifest, then log its
     summary as an INFO record of the ``stokesdarcy`` logger.
@@ -306,15 +328,19 @@ def run(command: str, config: RunConfig, out_dir: Path, threads: int) -> None:
     runs them in ``threads`` worker processes (fork) when ``threads >
     1`` (see :func:`_mapper`).  Nothing is written unless it returns, so
     a failed run, a dead worker included, leaves no output directory.
+    An ``out_dir`` that cannot be written is refused before the command
+    runs (see :func:`_check_writable`).
 
     Raises
     ------
     CliError
-        For any ``ValueError`` or ``RuntimeError`` of the command (bad
-        settings, unaligned geometry, a solver that fails), for a
-        ``MemoryError`` (an allocation that cannot be made), and for an
-        ``OSError`` while writing the outputs.
+        For an ``out_dir`` that cannot be written, for any
+        ``ValueError`` or ``RuntimeError`` of the command (bad settings,
+        unaligned geometry, a solver that fails), for a ``MemoryError``
+        (an allocation that cannot be made), and for an ``OSError``
+        while writing the outputs.
     """
+    _check_writable(out_dir)
     pools: list = []
     try:
         result = COMMANDS[command](config, _mapper(threads, pools))

@@ -24,6 +24,8 @@ bound is remade once in double precision, with a ``RuntimeWarning``.
 Before SuperLU runs, the C heap's free pages are returned to the
 system (glibc's ``malloc_trim``, where there is one), so the heap that
 assembly and gathering freed is not kept resident beside the factor.
+SuperLU factors in panels of :data:`PANEL_SIZE` columns, narrower than
+its default, to shrink its work arrays.
 
 The interface system of the coupled solver is nonsymmetric and only
 available through matrix-vector applications, which is what the
@@ -83,6 +85,14 @@ BACKWARD_ERROR_BOUND = 1e-12
 #: diagonal entry is kept as pivot unless it is below this fraction of
 #: the largest entry in its column.
 DIAG_PIVOT_THRESH = 1e-3
+
+#: Columns in one SuperLU panel, in place of SuperLU's default of 20.
+#: SuperLU keeps work arrays of about 12 bytes per unknown per panel
+#: column for the whole factorization; on these nested-dissection blocks
+#: a narrower panel gives the same pivots and fill and no slower a
+#: factor, while 1 or 2 columns slow the largest factors.  Keep it at
+#: most 20: SuperLU sizes some of its statistics by the default width.
+PANEL_SIZE = 4
 
 #: Most single-precision solves that refine one right-hand side.
 MAX_REFINEMENT_STEPS = 4
@@ -197,8 +207,10 @@ class Factorization(_CheckedSolver):
     ``block``) and vectors of one entry per unknown.  Whatever else the
     caller holds stays alive too, which is why a system drops its
     assembled matrix before it factors the gathered block.  SuperLU
-    sorts its argument's indices in place, so ``block`` is sorted
-    first, in place, which leaves that sort nothing to move.  The
+    adds its own work arrays beside the factor it fills, sized by
+    :data:`PANEL_SIZE`.  SuperLU sorts its argument's indices in place,
+    so ``block`` is sorted first, in place, which leaves that sort
+    nothing to move.  The
     factor itself takes about half the memory of a double-precision
     one (on the pore-scale and Stokes blocks, the same entries and
     interchanges).
@@ -317,6 +329,7 @@ def _splu(block: sp.csc_matrix):
         block,
         permc_spec="NATURAL",
         diag_pivot_thresh=DIAG_PIVOT_THRESH,
+        panel_size=PANEL_SIZE,
         options={"SymmetricMode": True},
     )
 

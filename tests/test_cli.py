@@ -755,19 +755,35 @@ class TestFailureModes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "out_name", ["taken", "taken/sub"], ids=["out_is_a_file", "out_below_a_file"]
+        ("out_name", "reason"),
+        [("taken", "taken is not a directory"),
+         ("taken/sub", "taken is not a directory"),
+         ("new/sub", "no permission to write in "),
+         ("x" * 300, "File name too long")],
+        ids=["out_is_a_file", "out_below_a_file", "out_in_a_read_only_dir",
+             "out_name_too_long"],
     )
-    def test_unwritable_out_exits_2(self, tmp_path, capsys, out_name):
+    def test_unwritable_out_exits_2(
+        self, tmp_path, capsys, monkeypatch, out_name, reason
+    ):
+        # The directory is checked before the command runs, and nothing
+        # is made.  A read-only directory is one that ``os.access``
+        # refuses (root may write anywhere); a name longer than the
+        # file system allows fails ``stat`` itself.
         taken = tmp_path / "taken"
         taken.write_text("keep")
+        config = write_config(tmp_path, CELL_INI)
+        solves = recording(monkeypatch, "solve_cell_problem")
+        if out_name.startswith("new"):
+            monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
         out = tmp_path / out_name
-        code = main(
-            ["cell", "--config", str(write_config(tmp_path, CELL_INI)),
-             "--out", str(out)]
-        )
+        code = main(["cell", "--config", str(config), "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write outputs to {out}: "), err
+        assert reason in err
+        assert solves == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini", "taken"]
         assert taken.read_text() == "keep"
 
     @pytest.mark.parametrize(

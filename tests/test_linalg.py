@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import gc
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 import weakref
@@ -283,8 +286,8 @@ class TestFactorCopies:
 
     @staticmethod
     def watch(monkeypatch):
-        """Record, per ``splu`` call, its argument and the other live
-        matrices of its size."""
+        """Record, per ``splu`` call, its argument and keyword arguments
+        and the other live matrices of its size."""
         calls, arguments = [], []
         real = linalg.spla.splu
 
@@ -297,7 +300,7 @@ class TestFactorCopies:
                     if sp.issparse(o) and o.shape == a.shape and o is not a
                 }
             )
-            arguments.append(a)
+            arguments.append((a, kwargs))
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr(linalg.spla, "splu", splu)
@@ -309,13 +312,18 @@ class TestFactorCopies:
         matrices = [v for v in vars(factor).values() if sp.issparse(v)]
         return len(matrices) == 1 and matrices[0] is block
 
-    def check_single(self, watched, factor, block):
+    def check_single(self, monkeypatch, watched, factor, block):
         """The one ``splu`` call factored a float32 copy of ``block``
-        sharing its sorted index arrays, beside no matrix of its size but
-        ``block``, which ``factor`` keeps as its only matrix."""
+        sharing its sorted index arrays, in panels of
+        :data:`linalg.PANEL_SIZE` columns, beside no matrix of its size
+        but ``block``, which ``factor`` keeps as its only matrix.  The
+        factor is the one SuperLU makes at its default panel width: the
+        same entries and row order, and refined solves of one load that
+        agree to 1e-9."""
         calls, arguments = watched
         assert calls == [{id(block)}]
-        (a,) = arguments
+        ((a, kwargs),) = arguments
+        assert kwargs["panel_size"] == linalg.PANEL_SIZE
         assert block.dtype == np.float64 and a.dtype == np.float32
         np.testing.assert_array_equal(a.data, block.data.astype(np.float32))
         assert np.shares_memory(a.indices, block.indices)
@@ -323,6 +331,13 @@ class TestFactorCopies:
         assert block.has_sorted_indices
         assert factor.precision == "float32"
         assert self.holds_only(factor, block)
+        monkeypatch.setattr(linalg, "PANEL_SIZE", None)
+        default = factorize(block.copy())
+        assert factor._lu.nnz == default._lu.nnz
+        np.testing.assert_array_equal(factor._lu.perm_r, default._lu.perm_r)
+        b = np.random.default_rng(0).standard_normal(block.shape[0])
+        x, x_default = factor.solve(b), default.solve(b)
+        assert np.abs(x - x_default).max() <= 1e-9 * np.abs(x_default).max()
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_dns_factor(self, monkeypatch, dns_systems, order):
@@ -332,16 +347,18 @@ class TestFactorCopies:
             preset, preset.lattice(0.25, 0.6), DnsResolution(n_per_cell=5, order=order)
         )
         (system,) = dns_systems
-        self.check_single(watched, system.factor, system._pieces[0])
+        self.check_single(monkeypatch, watched, system.factor, system._pieces[0])
 
     def test_icdd_subdomain_factors(self, monkeypatch):
         watched = self.watch(monkeypatch)
         problem = assemble_problem(2, 0.036, 0.1, PRESETS[1], 7.231e-6)
-        self.check_single(watched, problem.stokes.factor, problem.stokes._pieces[0])
-        # The Darcy solver is a tensor-product one: no SuperLU call, and
-        # it keeps its block too.
+        # The Darcy solver is a tensor-product one: it keeps its block
+        # too, and makes no SuperLU call (``check_single`` finds one, the
+        # Stokes subdomain's).
         assert self.holds_only(problem.darcy.factor, problem.darcy._pieces[0])
-        assert len(watched[1]) == 1
+        self.check_single(
+            monkeypatch, watched, problem.stokes.factor, problem.stokes._pieces[0]
+        )
 
     def test_cell_factor(self, monkeypatch):
         watched = self.watch(monkeypatch)
@@ -364,7 +381,7 @@ class TestFactorCopies:
         homogenize.solve_cell_problem(0.6, resolution=10)
         (system,) = systems
         assert system.matrix is None
-        self.check_single(watched, factors[0], blocks[0])
+        self.check_single(monkeypatch, watched, factors[0], blocks[0])
 
     @pytest.mark.parametrize("case", ["dns", "subdomains", "cell"])
     def test_assembled_matrix_gone_when_splu_runs(self, monkeypatch, case):
@@ -494,6 +511,56 @@ class TestHeapTrim:
             with pytest.raises(RuntimeError, match="backward error"):
                 problem.stokes.solve()
         assert events == ["trim", "splu"] * 2
+
+
+#: Factors one pore-scale block of ``configs/dns.ini`` in a fresh
+#: interpreter, in panels of ``sys.argv[1]`` columns, and prints the
+#: process's peak resident memory in KiB.  That is Linux's ``VmHWM``:
+#: ``ru_maxrss`` starts at the peak of the process that started it.
+_PEAK_SCRIPT = """\
+import sys
+from stokesdarcy import linalg
+from stokesdarcy.fem import assemble_stokes
+from stokesdarcy.mesh import build_perforated_mesh
+from stokesdarcy.presets import CONFIGURATIONS, PRESETS
+linalg.PANEL_SIZE = int(sys.argv[1])
+preset = PRESETS[1]
+lattice = preset.lattice(0.1, CONFIGURATIONS["C1"].size_ratio)
+mesh = build_perforated_mesh(preset.domain, lattice, 10, order=2)
+system = assemble_stokes(mesh, mu=preset.mu, f=preset.force,
+                         bc=preset.dns_bc(), null_mean_pressure=preset.pin_pressure)
+assert system.factor.precision == "float32"
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+class TestPanelSize:
+    """SuperLU factors in panels of :data:`linalg.PANEL_SIZE` columns,
+    in less memory than at its default width of 20 (the same factor:
+    see :meth:`TestFactorCopies.check_single`)."""
+
+    def test_at_most_superlu_default(self):
+        assert 1 <= linalg.PANEL_SIZE <= 20
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_peak_memory_below_default_width(self):
+        # Two fresh interpreters run at once, each factoring the block
+        # of ``configs/dns.ini`` (53,098 unknowns): the factor sets the
+        # process's peak, which the narrow panel lowers by about 10 MB.
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(linalg.__file__))
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-c", _PEAK_SCRIPT, str(width)],
+                env=env,
+                stdout=subprocess.PIPE,
+                text=True,
+            )
+            for width in (linalg.PANEL_SIZE, 20)
+        ]
+        narrow, default = (int(run.communicate(timeout=120)[0]) for run in runs)
+        assert default - narrow >= 5 * 1024, f"{(default - narrow) / 1024:.1f} MB"
 
 
 class _DoubleFactor:
