@@ -9,13 +9,19 @@ problem on its top boundary.  At the solution the free-flow velocity
 matches the porous velocity on the lower interface and the porous
 pressure matches the free-flow pressure on the upper interface.
 
-Eliminating both subdomain solves leaves a dense interface operator
-``S = I - (R A^{-1} A_G)^2`` acting on the stacked controls, where
-``A`` collects the subdomain operators, ``A_G`` the control couplings
-and ``R`` the cross-domain trace maps.  ``S`` is applied matrix-free by
-two primal and two auxiliary subdomain solves per application and the
-interface system is solved with BiCGStab.  A sparse monolithic solve of
-the equivalent fixed-point system provides an independent reference.
+Eliminating both subdomain solves leaves the fixed point ``g = c + T
+g`` on the stacked controls, with ``T (g_f, g_p) = (A g_p, B g_f)``.
+``A`` is a porous solve driven by the pressure controls alone followed
+by its velocity trace, ``B`` a free-flow solve driven by the velocity
+controls alone followed by its pressure trace, and ``c`` the traces of
+the two data solves.  The interface operator ``I - T^2`` is
+block-diagonal, ``diag(I - AB, I - BA)``, so BiCGStab solves ``(I - AB)
+g_f = c_f + A c_p`` for the velocity controls alone, at one free-flow
+and one porous solve per application, and the pressure controls ``g_p =
+c_p + B g_f`` are the trace of the final free-flow solve.  This is the
+Steklov-Poincare reduction of a two-domain fixed point.  A sparse
+monolithic solve of the equivalent fixed-point system provides an
+independent reference.
 """
 
 from __future__ import annotations
@@ -204,65 +210,37 @@ def assemble_problem(
 # ----------------------------------------------------------------------
 
 
-def _homogeneous_solves(
-    problem: IcddProblem, g: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Free-flow and porous solutions driven only by the stacked
-    controls ``g`` (all other data zero)."""
-    g_f, g_p = problem.split(g)
-    return (
-        problem.stokes.solve(g=g_f, include_data=False),
-        problem.darcy.solve(g=g_p, include_data=False),
-    )
+def _porous_velocity(problem: IcddProblem, g_p: np.ndarray) -> np.ndarray:
+    """``A g_p``: the porous velocity at the free-flow controls of the
+    porous solve driven by the pressure controls ``g_p`` alone."""
+    return problem.darcy.solve(g=g_p, include_data=False)[problem.trace_velocity]
 
 
-def schur_rhs(problem: IcddProblem) -> np.ndarray:
-    """Right-hand side of the interface system.
+def _free_pressure(problem: IcddProblem, g_f: np.ndarray) -> np.ndarray:
+    """``B g_f``: the free-flow pressure at the porous controls of the
+    free-flow solve driven by the velocity controls ``g_f`` alone."""
+    return problem.stokes.solve(g=g_f, include_data=False)[problem.trace_pressure]
 
-    Solves both subdomains with the physical data and zero controls,
-    takes the cross-domain traces ``c``, then solves both subdomains
-    again driven only by ``c`` as control data; the right-hand side is
-    ``c`` plus the traces of the second pair of solves.
-    """
+
+def _reduced_rhs(problem: IcddProblem) -> np.ndarray:
+    """Right-hand side ``c_f + A c_p`` of the reduced interface system,
+    where ``c`` is the cross-domain traces of the two data solves."""
     c = problem.traces(problem.stokes.solve(), problem.darcy.solve())
-    return c + problem.traces(*_homogeneous_solves(problem, c))
+    c_f, c_p = problem.split(c)
+    return c_f + _porous_velocity(problem, c_p)
 
 
 def schur_apply(problem: IcddProblem, g: np.ndarray) -> np.ndarray:
-    """Apply the interface operator to a stacked control vector.
-
-    One application solves both subdomains with the controls as only
-    data, forms the interface mismatch ``lambda = g - traces``, solves
-    both subdomains again driven by the mismatch and adds those traces.
-    """
-    g = np.asarray(g, dtype=float)
-    lam = g - problem.traces(*_homogeneous_solves(problem, g))
-    return lam + problem.traces(*_homogeneous_solves(problem, lam))
-
-
-def schur_solve(
-    problem: IcddProblem, krylov: KrylovConfig = KrylovConfig()
-) -> tuple[np.ndarray, dict]:
-    """Solve the interface system with BiCGStab.
-
-    Returns
-    -------
-    (g, info)
-        Converged stacked controls and the Krylov diagnostics.
-
-    Raises
-    ------
-    RuntimeError
-        If the Krylov solver reports failure.
-    """
-    b = schur_rhs(problem)
-    g, info = bicgstab(lambda v: schur_apply(problem, v), b, krylov)
-    if not info["converged"]:
-        raise RuntimeError(
-            f"interface solver failed: {info['reason']} after "
-            f"{info['iterations']} iterations"
-        )
-    return g, info
+    """Apply the interface operator ``I - T^2 = diag(I - AB, I - BA)``
+    (see the module docstring) to a stacked control vector;
+    :func:`icdd_solve` solves on its first block alone."""
+    g_f, g_p = problem.split(np.asarray(g, dtype=float))
+    return np.concatenate(
+        [
+            g_f - _porous_velocity(problem, _free_pressure(problem, g_f)),
+            g_p - _free_pressure(problem, _porous_velocity(problem, g_p)),
+        ]
+    )
 
 
 # ----------------------------------------------------------------------
@@ -363,22 +341,25 @@ class IcddResult:
     info : dict
         Diagnostics of the solve.  From :func:`icdd_solve`, BiCGStab's
         (iterations, residual history, status, breakdowns), with
-        ``true_residual`` the relative residual of the interface system
-        at the returned controls; from :func:`monolithic_solve`,
-        ``iterations`` 0 and ``true_residual`` the relative residual of
-        the stacked direct system.
+        ``true_residual`` the relative residual of the reduced system
+        on the velocity controls at the returned ones; from
+        :func:`monolithic_solve`, ``iterations`` 0 and ``true_residual``
+        the relative residual of the stacked direct system.
     matching_velocity : float
         Relative interface mismatch between the free-flow velocity and
-        the porous velocity on the lower interface.
+        the porous velocity on the lower interface.  From
+        :func:`icdd_solve` it carries the Krylov residual.
     matching_pressure : float
         Relative interface mismatch between the porous pressure and the
-        free-flow pressure on the upper interface.
+        free-flow pressure on the upper interface; exactly 0 from
+        :func:`icdd_solve`, whose pressure controls are that trace.
     dual_velocity : float
         Norm of the auxiliary free-flow solution driven by the velocity
         mismatch, relative to the primal free-flow solution; vanishes at
         exact interface convergence.
     dual_pressure : float
-        Same for the porous side, driven by the pressure mismatch.
+        Same for the porous side, driven by the pressure mismatch;
+        exactly 0 from :func:`icdd_solve`.
     factor_health : dict
         ``health()`` of the two subdomain solvers, keyed
         ``stokes_factor`` and ``darcy_factor``: the Stokes sparse LU
@@ -431,9 +412,9 @@ def _relative_norm(a: np.ndarray, ref: np.ndarray) -> float:
 def _result_from_solution(problem, g, x_f, x_p, info) -> IcddResult:
     """Diagnostics shared by the interface-driven and direct paths."""
     g_f, g_p = problem.split(g)
-    tau = problem.traces(x_f, x_p)
-    tau_f, tau_p = problem.split(tau)
-    y_f, y_p = _homogeneous_solves(problem, g - tau)
+    tau_f, tau_p = problem.split(problem.traces(x_f, x_p))
+    y_f = problem.stokes.solve(g=g_f - tau_f, include_data=False)
+    y_p = problem.darcy.solve(g=g_p - tau_p, include_data=False)
     composite = CompositeSolution(
         problem.stokes, x_f, problem.darcy, x_p, problem.delta
     )
@@ -459,7 +440,8 @@ MATCHING_FACTOR = 10.0
 def icdd_solve(
     problem: IcddProblem, krylov: KrylovConfig = KrylovConfig()
 ) -> IcddResult:
-    """Solve the coupled problem through the interface system.
+    """Solve the coupled problem through the interface system reduced to
+    the velocity controls (see the module docstring).
 
     Returns
     -------
@@ -474,10 +456,20 @@ def icdd_solve(
         If the interface solve does not converge, or if either matching
         residual exceeds :data:`MATCHING_FACTOR` times ``krylov.tol``.
     """
-    g, info = schur_solve(problem, krylov)
-    g_f, g_p = problem.split(g)
+    g_f, info = bicgstab(
+        lambda v: v - _porous_velocity(problem, _free_pressure(problem, v)),
+        _reduced_rhs(problem),
+        krylov,
+    )
+    if not info["converged"]:
+        raise RuntimeError(
+            f"interface solver failed: {info['reason']} after "
+            f"{info['iterations']} iterations"
+        )
     x_f = problem.stokes.solve(g=g_f)
+    g_p = x_f[problem.trace_pressure]
     x_p = problem.darcy.solve(g=g_p)
+    g = np.concatenate([g_f, g_p])
     result = _result_from_solution(problem, g, x_f, x_p, info)
     bound = MATCHING_FACTOR * krylov.tol
     for name in ("matching_velocity", "matching_pressure"):

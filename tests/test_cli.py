@@ -1125,6 +1125,14 @@ PARSED_EDGE_VALUES = {
 }
 
 
+def ini_text(drawn: dict) -> str:
+    """INI text of ``{section: ["key = value", ...]}``."""
+    return "".join(
+        f"[{section}]\n" + "".join(f"{line}\n" for line in lines)
+        for section, lines in drawn.items()
+    )
+
+
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
@@ -1152,10 +1160,7 @@ def test_any_config_exits_2_or_reaches_first_solve(command, data):
             value = data.draw(st.sampled_from(ACCEPTED_VALUES[section, key]))
         if value is not None:
             drawn.setdefault(section, []).append(f"{key} = {value}")
-    ini = "".join(
-        f"[{section}]\n" + "".join(f"{line}\n" for line in lines)
-        for section, lines in drawn.items()
-    )
+    ini = ini_text(drawn)
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         for module in (cli, validate):
@@ -1174,6 +1179,57 @@ def test_any_config_exits_2_or_reaches_first_solve(command, data):
     if malformed:
         load_error = r"error: (bad value for|\[\w+\] \w+ (is empty|must be finite))"
         assert re.match(load_error, err.getvalue()), (ini, err.getvalue())
+
+
+#: Primary table of each command, and its columns that a meaningful
+#: result has finite and not all zero: the velocities, for ``validate``
+#: the values of its velocity metrics (``u_*`` rows), and for ``cell``
+#: the permeability.
+PRIMARY_TABLES = {
+    "cell": ("cell.csv", ("k_hat_11", "k_hat_22")),
+    "icdd": ("solution.csv", ("u1", "u2")),
+    "dns": ("solution.csv", ("u1", "u2")),
+    "validate": ("errors.csv", ("value",)),
+    "sweep": ("sweep.csv", ("error_u_fluid",)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_any_accepted_config_exits_2_or_gives_a_result(command, data):
+    """Each key of :data:`cli.SCHEMA` takes an accepted value (one of
+    ``configuration`` and ``s_hat``), and the run solves for real.  It
+    either exits 2 with ``error:`` and no output directory, or exits 0
+    with a non-empty primary table whose velocity (or permeability)
+    columns are finite and not all zero.  The 15 runs take 1 to 3 s,
+    by the draw."""
+    obstacle = data.draw(st.sampled_from(["configuration", "s_hat"]))
+    drawn = {}
+    for (section, key), values in ACCEPTED_VALUES.items():
+        if key not in ("configuration", "s_hat") or key == obstacle:
+            value = data.draw(st.sampled_from(values))
+            drawn.setdefault(section, []).append(f"{key} = {value}")
+    ini = ini_text(drawn)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = write_config(Path(tmp), ini), Path(tmp) / "out"
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(config), "--out", str(out)])
+        if code != 0:
+            assert code == 2 and err.getvalue().startswith("error: "), ini
+            assert not out.exists()
+            return
+        name, columns = PRIMARY_TABLES[command]
+        with open(out / name, newline="") as f:
+            rows = [
+                row
+                for row in csv.DictReader(f)
+                if command != "validate" or row["metric"].startswith("u_")
+            ]
+    values = np.array([[float(row[c]) for c in columns] for row in rows])
+    assert values.size > 0, ini
+    assert np.all(np.isfinite(values)) and np.any(values != 0.0), ini
 
 
 class TestDnsCommand:

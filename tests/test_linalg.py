@@ -765,13 +765,15 @@ class TestBicgstab:
         assert info["converged"] is False
         np.testing.assert_array_equal(x, np.zeros(3))
 
-    def test_schur_solve_names_the_breakdown(self, monkeypatch):
-        monkeypatch.setattr(icdd, "schur_rhs", lambda problem: np.ones(4))
-        monkeypatch.setattr(icdd, "schur_apply", lambda problem, g: np.zeros_like(g))
+    def test_icdd_solve_names_the_breakdown(self, monkeypatch):
+        # AB = I, so the reduced operator I - AB is zero.
+        monkeypatch.setattr(icdd, "_reduced_rhs", lambda problem: np.ones(4))
+        monkeypatch.setattr(icdd, "_porous_velocity", lambda problem, g: g)
+        monkeypatch.setattr(icdd, "_free_pressure", lambda problem, g: g)
         with pytest.raises(
             RuntimeError, match="interface solver failed: breakdown after 0 iterations"
         ):
-            icdd.schur_solve(None)
+            icdd.icdd_solve(None)
 
     def test_drifting_operator_fails_true_residual_check(self):
         """An operator that changes after its second application: the

@@ -17,6 +17,8 @@ TEST_ONLY = {
     "l2_error": "region error norm of the manufactured-solution and FEM tests",
     "l2_norm": "region norm of the quadrature tests; compare_solutions reuses its kernel",
     "monolithic_solve": "independent direct-solve oracle of the interface solver",
+    "schur_apply": "full two-block interface operator that the acceptance gate "
+    "probes column by column",
 }
 
 #: Class members whose only readers are tests, each with the reason it stays.
